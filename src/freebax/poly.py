@@ -10,38 +10,45 @@ from dataclasses import dataclass
 from .rings import Coeff, Ring, RingMismatchError, is_nilpotent
 
 
-@dataclass(frozen=True)
+# exponent tuple -> its one Monomial instance
+_INTERNED: dict[tuple[tuple[str, int], ...], Monomial] = {}
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class Monomial:
     """A power product of variables, stored as sorted (name, exponent) pairs
-    with strictly positive exponents; the empty product is the unit."""
+    with strictly positive exponents; the empty product is the unit.
 
-    exps: tuple[tuple[str, int], ...] = ()
+    Monomials are interned: equal exponent tuples give the same object, so
+    equality and hashing are object identity and run in C, which matters
+    because words of monomials are hashed constantly.  The table holds
+    every distinct monomial the process builds, for the life of the process.
+    """
 
-    def __post_init__(self):
-        names = [v for v, _ in self.exps]
+    exps: tuple[tuple[str, int], ...]
+
+    def __new__(cls, exps: tuple[tuple[str, int], ...] = ()) -> Monomial:
+        m = _INTERNED.get(exps)
+        if m is not None:
+            return m
+        names = [v for v, _ in exps]
         if names != sorted(names) or len(set(names)) != len(names):
             raise ValueError("monomial variables must be sorted and distinct")
-        if any(e <= 0 for _, e in self.exps):
+        if any(e <= 0 for _, e in exps):
             raise ValueError("monomial exponents must be positive")
-        object.__setattr__(self, "_hash", hash(self.exps))
-        object.__setattr__(self, "sort_key", (sum(e for _, e in self.exps), self.exps))
+        m = object.__new__(cls)
+        object.__setattr__(m, "exps", exps)
+        object.__setattr__(m, "sort_key", (sum(e for _, e in exps), exps))
+        # setdefault keeps one instance even if two threads build it at once
+        return _INTERNED.setdefault(exps, m)
 
-    def __hash__(self):
-        # monomials are hashed constantly as word factors; cache it
-        return self._hash
+    def __reduce__(self):
+        # copy and pickle rebuild through the table, keeping identity
+        return (Monomial, (self.exps,))
 
     @staticmethod
     def of(**exps: int) -> Monomial:
         return Monomial(tuple(sorted((v, e) for v, e in exps.items() if e != 0)))
-
-    @staticmethod
-    def _raw(exps: tuple[tuple[str, int], ...]) -> Monomial:
-        # trusted constructor for products of already-valid monomials
-        m = object.__new__(Monomial)
-        object.__setattr__(m, "exps", exps)
-        object.__setattr__(m, "_hash", hash(exps))
-        object.__setattr__(m, "sort_key", (sum(e for _, e in exps), exps))
-        return m
 
     def __mul__(self, other: Monomial) -> Monomial:
         if not self.exps:
@@ -51,7 +58,7 @@ class Monomial:
         merged = dict(self.exps)
         for v, e in other.exps:
             merged[v] = merged.get(v, 0) + e
-        return Monomial._raw(tuple(sorted(merged.items())))
+        return Monomial(tuple(sorted(merged.items())))
 
     def degree(self) -> int:
         return self.sort_key[0]

@@ -16,7 +16,7 @@ from math import comb
 
 from .poly import UNIT_MONOMIAL, Poly
 from .rings import Coeff, Ring, RingMismatchError, is_zero_divisor
-from .series import Series
+from .series import Series, truncate
 from .shuffle import Context, ContextMismatchError, Element, Word, word_key, word_str
 
 
@@ -252,6 +252,8 @@ def phi(a: Element, length: int) -> SequenceElement:
     terminates because each step strips one factor.  When the weight is a
     zero divisor the map is still computed, but it need not be injective.
     """
+    if length < 1:
+        raise ValueError("sequence length must be at least 1")
     if is_zero_divisor(a.ctx.lam):
         warnings.warn(
             f"lambda = {a.ctx.lam} is a zero divisor in {a.ctx.ring}; phi may not be injective",
@@ -282,14 +284,13 @@ def phi_constants(ctx: Context, coeffs, length: int) -> SequenceElement:
 
 
 def phi_series(a: Series, length: int) -> SequenceElement:
-    """phi extended to the completion, degreewise.  Entry k only receives
-    contributions from components of degree < k, so the first
-    precision + 1 entries are exact."""
+    """phi extended to the completion.  Entry k only receives contributions
+    from components of degree < k, so the first precision + 1 entries are
+    exact, and components of degree >= length do not reach the image."""
+    if length < 1:
+        raise ValueError("sequence length must be at least 1")
     if length > a.precision + 1:
         raise ValueError(
             f"entries beyond {a.precision + 1} need components beyond precision {a.precision}"
         )
-    out = seq_zero(a.ctx, length)
-    for _, e in a.components:
-        out = out + phi(e, length)
-    return out
+    return phi(truncate(a, length - 1).finite_part(), length)

@@ -80,10 +80,9 @@ class Series:
         return NotImplemented
 
     def finite_part(self) -> Element:
-        out = zero(self.ctx)
-        for _, e in self.components:
-            out = out + e
-        return out
+        # the components hold words of distinct lengths, in degree order, and
+        # word_key orders by length first: their terms concatenate in order
+        return Element(self.ctx, tuple(t for _, e in self.components for t in e.terms))
 
     def to_obj(self):
         return {
@@ -131,17 +130,10 @@ def truncate(a: Series, precision: int) -> Series:
 
 
 def complete_product(a: Series, b: Series) -> Series:
+    """The product of the finite parts, cut at the lower precision; exact
+    because the product is degree-safe."""
     a._check(b)
-    n = min(a.precision, b.precision)
-    acc: dict[int, Element] = {}
-    for i, ea in a.components:
-        for j, eb in b.components:
-            if max(i, j) > n:
-                continue
-            for d, e in degree_components(shuffle_product(ea, eb)).items():
-                if d <= n:
-                    acc[d] = acc[d] + e if d in acc else e
-    return make_series(a.ctx, n, acc)
+    return embed(shuffle_product(a.finite_part(), b.finite_part()), min(a.precision, b.precision))
 
 
 def complete_P(a: Series) -> Series:

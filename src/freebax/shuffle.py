@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
 from math import comb
 
 from .poly import UNIT_MONOMIAL, Monomial, Poly
@@ -207,46 +206,16 @@ def degree_components(a: Element) -> dict[int, Element]:
 
 # --- the product, recursion route ---
 #
-# Both helpers implement the same recurrence on tails u, v:
+# One recurrence on tails u, v:
 #   mix(u, v) = u0 (x) mix(u', v)  +  v0 (x) mix(u, v')  +  lam (u0 v0) (x) mix(u', v')
-# The list form never hashes intermediate words and is used while the
-# branch count stays small; the dict form collapses coinciding words (the
-# all-unit tails of series computations would otherwise explode) at the
-# price of hashing.  Coefficients are raw ring values here and are wrapped
-# once at the end of a product.
+# with one memo per product, shared by all its term pairs.  The memo is what
+# keeps series products small: their tails are all-unit words, so the tail
+# pairs of different branches coincide and collapse into one entry instead
+# of being expanded once per lattice path.  Monomials are interned, so
+# hashing a word stays in C.  Coefficients are raw ring values here and are
+# wrapped once at the end of a product.
 
-@lru_cache(maxsize=None)
-def _branch_count(m: int, n: int, weighted: bool) -> int:
-    if m == 0 or n == 0:
-        return 1
-    total = _branch_count(m - 1, n, weighted) + _branch_count(m, n - 1, weighted)
-    if weighted:
-        total += _branch_count(m - 1, n - 1, weighted)
-    return total
-
-
-_LIST_ROUTE_LIMIT = 4000
-
-
-def _mix_list(u: Word, v: Word, lam_raw):
-    if not u:
-        return ((v, 1),)
-    if not v:
-        return ((u, 1),)
-    out = []
-    u0, v0 = u[0], v[0]
-    for tail, c in _mix_list(u[1:], v, lam_raw):
-        out.append(((u0,) + tail, c))
-    for tail, c in _mix_list(u, v[1:], lam_raw):
-        out.append(((v0,) + tail, c))
-    if lam_raw:
-        merged = u0 * v0
-        for tail, c in _mix_list(u[1:], v[1:], lam_raw):
-            out.append(((merged,) + tail, c * lam_raw))
-    return out
-
-
-def _mix_dict(u: Word, v: Word, lam_raw, memo: dict):
+def _mix(u: Word, v: Word, lam_raw, memo: dict):
     if not u:
         return {v: 1}
     if not v:
@@ -257,17 +226,17 @@ def _mix_dict(u: Word, v: Word, lam_raw, memo: dict):
         return hit
     out: dict = {}
     get = out.get
-    for tail, c in _mix_dict(u[1:], v, lam_raw, memo).items():
+    for tail, c in _mix(u[1:], v, lam_raw, memo).items():
         w = (u[0],) + tail
         prev = get(w)
         out[w] = c if prev is None else prev + c
-    for tail, c in _mix_dict(u, v[1:], lam_raw, memo).items():
+    for tail, c in _mix(u, v[1:], lam_raw, memo).items():
         w = (v[0],) + tail
         prev = get(w)
         out[w] = c if prev is None else prev + c
     if lam_raw:
         merged = u[0] * v[0]
-        for tail, c in _mix_dict(u[1:], v[1:], lam_raw, memo).items():
+        for tail, c in _mix(u[1:], v[1:], lam_raw, memo).items():
             w = (merged,) + tail
             c = c * lam_raw
             prev = get(w)
@@ -281,7 +250,6 @@ def shuffle_product(a: Element, b: Element) -> Element:
     ctx = a.ctx
     ring = ctx.ring
     lam_raw = ctx.lam.value
-    weighted = bool(lam_raw)
     memo: dict = {}
     acc: dict = {}
     aget = acc.get
@@ -290,12 +258,7 @@ def shuffle_product(a: Element, b: Element) -> Element:
         for wb, cb in b.terms:
             c = ca.value * cb.value
             head = wa[0] * wb[0]
-            tb = wb[1:]
-            if _branch_count(len(ta), len(tb), weighted) <= _LIST_ROUTE_LIMIT:
-                pairs = _mix_list(ta, tb, lam_raw)
-            else:
-                pairs = _mix_dict(ta, tb, lam_raw, memo).items()
-            for tail, weight in pairs:
+            for tail, weight in _mix(ta, wb[1:], lam_raw, memo).items():
                 w = (head,) + tail
                 t = c * weight
                 prev = aget(w)

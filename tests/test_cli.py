@@ -157,6 +157,11 @@ class TestCommandLine:
         assert code == 0
         assert out == "[1] 0\n[2] 2*T(1)\n[3] 4*T(1)\n[4] 6*T(1)\n"
 
+    @pytest.mark.parametrize("length", ["0", "-3"])
+    def test_phi_rejects_nonpositive_length(self, capsys, length):
+        code, out, err = run_cli(capsys, "phi", "U(1)", "--len", length)
+        assert code == 2 and out == "" and "length" in err
+
     def test_ideal_member_vars(self, capsys):
         code, out, _ = run_cli(capsys, "--vars", "x,y", "ideal-member", "--gens", "x", "T(x,y) + T(x,1)")
         assert code == 0 and out.strip() == "true"

@@ -1,3 +1,6 @@
+import copy
+import dataclasses
+import pickle
 import random
 
 import pytest
@@ -5,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from freebax import INT, RAT, Monomial, Poly, RingMismatchError, Zmod
+from freebax.poly import UNIT_MONOMIAL
 
 
 def P(ring, *pairs):
@@ -42,6 +46,34 @@ class TestMonomial:
             Monomial((("x", 0),))
         with pytest.raises(ValueError):
             Monomial((("y", 1), ("x", 1)))
+
+
+class TestInterning:
+    def test_equal_exponents_give_one_instance(self):
+        assert Monomial.of(x=1) is Monomial((("x", 1),))
+        assert Monomial() is UNIT_MONOMIAL
+
+    def test_product_is_interned(self):
+        assert Monomial.of(x=1) * Monomial.of(x=2, y=1) is Monomial.of(x=3, y=1)
+
+    @pytest.mark.parametrize(
+        "clone",
+        [copy.copy, copy.deepcopy, lambda m: pickle.loads(pickle.dumps(m))],
+        ids=["copy", "deepcopy", "pickle"],
+    )
+    def test_copies_return_the_interned_instance(self, clone):
+        m = Monomial.of(x=2, y=1)
+        assert clone(m) is m
+        assert clone(UNIT_MONOMIAL) is UNIT_MONOMIAL
+        assert UNIT_MONOMIAL.exps == ()
+
+    def test_frozen(self):
+        m = Monomial.of(x=1)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            m.exps = ()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            UNIT_MONOMIAL.sort_key = (1, ())
+        assert m.exps == (("x", 1),) and UNIT_MONOMIAL.sort_key == (0, ())
 
 
 class TestArithmetic:

@@ -261,6 +261,14 @@ class TestPhiSeries:
         with pytest.raises(ValueError):
             phi_series(s, 6)
 
+    def test_nonpositive_length_rejected(self):
+        ctx = ctx_of(INT, 2)
+        for length in (0, -3):
+            with pytest.raises(ValueError, match="length"):
+                phi(one(ctx), length)
+            with pytest.raises(ValueError, match="length"):
+                phi_series(embed(one(ctx), 3), length)
+
 
 class TestRendering:
     def test_lines(self):

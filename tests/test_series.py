@@ -124,6 +124,7 @@ class TestPrecision:
         a = geometric_unit_series(ctx, INT.coeff(1), 9)
         b = geometric_unit_series(ctx, INT.coeff(1), 4)
         assert complete_product(a, b).precision == 4
+        assert complete_product(a, b) == complete_product(truncate(a, 4), b)
         assert (a + b).precision == 4
 
     def test_coherence_under_recompute(self):

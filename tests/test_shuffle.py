@@ -28,7 +28,7 @@ from freebax import (
     zero,
 )
 from freebax.poly import UNIT_MONOMIAL
-from freebax.verify import random_element
+from freebax.verify import BAXTER_IDENTITY_CONFIGS, random_element
 
 
 def ctx_int(lam, variables=()):
@@ -160,8 +160,11 @@ class TestOracleEquivalence:
                 b = element(ctx, {wb: INT.one()})
                 assert shuffle_product(a, b) == shuffle_product_enumerated(a, b)
 
-    def test_repeated_factors_and_nonunit_heads(self):
-        ctx = ctx_int(2, ("x", "y"))
+    # multi-term elements with mixed word lengths share one kernel memo
+    # across their term pairs
+    @pytest.mark.parametrize("ring, lam", BAXTER_IDENTITY_CONFIGS, ids=str)
+    def test_repeated_factors_and_nonunit_heads(self, ring, lam):
+        ctx = Context(ring, ring.coeff(lam), ("x", "y"))
         rng = random.Random(11)
         for _ in range(25):
             a = random_element(rng, ctx)

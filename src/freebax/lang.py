@@ -38,6 +38,12 @@ from .shuffle import (
 
 RESERVED = ("P", "T", "U", "geom", "lam")
 
+# Deepest nesting an expression may have: the whole expression is level 1,
+# and each bracket and each unary minus opens one more.  Parsing and
+# evaluation recurse once per level, so the limit turns deep input into a
+# ParseError instead of a RecursionError.
+MAX_NESTING = 100
+
 
 class ParseError(ValueError):
     def __init__(self, message: str, pos: int):
@@ -132,6 +138,7 @@ class _Parser:
     def __init__(self, src: str, variables):
         self.tokens = _tokenize(src)
         self.i = 0
+        self.depth = 0
         self.variables = None if variables is None else tuple(variables)
 
     def peek(self):
@@ -171,14 +178,19 @@ class _Parser:
         return e
 
     def factor(self, in_word: bool):
+        if self.depth == MAX_NESTING:
+            raise ParseError(f"expression nests deeper than {MAX_NESTING} levels", self.peek()[2])
+        self.depth += 1
         if self.peek()[0] == "-":
             self.next()
-            return Neg(self.factor(in_word))
-        e = self.atom(in_word)
-        if self.peek()[0] == "^":
-            self.next()
-            t = self.expect("nat")
-            e = Pow(e, t[1])
+            e = Neg(self.factor(in_word))
+        else:
+            e = self.atom(in_word)
+            if self.peek()[0] == "^":
+                self.next()
+                t = self.expect("nat")
+                e = Pow(e, t[1])
+        self.depth -= 1
         return e
 
     def atom(self, in_word: bool):

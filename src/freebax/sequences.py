@@ -7,12 +7,29 @@ here multiply factor by factor at a common level.  Sequences of bar
 elements carry the componentwise algebra structure and the summing
 operator P'; the morphism ``phi`` realizes the shuffle algebra inside it
 by sending a word to head-sequence times P' of the tail's image.
+
+A bar element stores an unsorted dict from words to raw ring values:
+``int``, or over the rationals ``int`` or ``Fraction`` (integral
+rationals enter as ints, whose arithmetic is several times faster).
+Values are reduced mod m, zeros are dropped and the words are trimmed.
+Arithmetic stays on raw values; the sorted ``(word, Coeff)`` view
+``terms`` is built only when something reads it, such as rendering and
+``to_obj``.
+
+``phi`` does not multiply sequences.  Entry k of phi(m0 (x) w') is
+t(m0)_k * lam * sum_{j<k} phi(w')_j.  That partial sum has level at most
+k-1, so padded with units to level k it has a unit in slot k, while
+t(m0)_k is unit everywhere but slot k: the product just appends m0 in
+slot k.  So the image of a word is built from one running prefix sum per
+entry of its tail's image.
 """
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from fractions import Fraction
 from math import comb
+from operator import mul
 
 from .poly import UNIT_MONOMIAL, Poly
 from .rings import Coeff, Ring, RingMismatchError, is_zero_divisor
@@ -26,12 +43,22 @@ class PhiInjectivityWarning(UserWarning):
 
 @dataclass(frozen=True)
 class BarElement:
-    """Words of one fixed length mapped to nonzero coefficients, trimmed so
-    that (unless the level is 1) not every word ends with the unit factor."""
+    """Words of one fixed length mapped to nonzero raw ring values, trimmed
+    so that (unless the level is 1) not every word ends with the unit
+    factor.  Build one with ``bar``; the dict is never mutated."""
 
     ring: Ring
     level: int
-    terms: tuple[tuple[Word, Coeff], ...]
+    _raw: dict
+
+    def __hash__(self):
+        return hash((self.ring, self.level, frozenset(self._raw.items())))
+
+    @property
+    def terms(self) -> tuple[tuple[Word, Coeff], ...]:
+        """The terms as (word, Coeff) pairs sorted by word."""
+        coeff = self.ring.coeff
+        return tuple((w, coeff(v)) for w, v in sorted(self._raw.items(), key=lambda t: word_key(t[0])))
 
     def _check(self, other: BarElement):
         if not isinstance(other, BarElement):
@@ -40,26 +67,25 @@ class BarElement:
             raise RingMismatchError("bar elements over different rings")
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._raw
 
-    def padded_terms(self, level: int) -> dict[Word, Coeff]:
-        if level < self.level:
-            raise ValueError("cannot pad down")
+    def _padded(self, level: int) -> dict:
         if level == self.level:
-            return dict(self.terms)
+            return self._raw
         pad = (UNIT_MONOMIAL,) * (level - self.level)
-        return {w + pad: c for w, c in self.terms}
+        return {w + pad: v for w, v in self._raw.items()}
 
     def __add__(self, other: BarElement) -> BarElement:
         self._check(other)
         level = max(self.level, other.level)
-        acc = self.padded_terms(level)
-        for w, c in other.padded_terms(level).items():
-            acc[w] = acc[w] + c if w in acc else c
-        return bar(self.ring, level, acc)
+        acc = dict(self._padded(level))
+        get = acc.get
+        for w, v in other._padded(level).items():
+            acc[w] = get(w, 0) + v
+        return _normalized(self.ring, level, acc)
 
     def __neg__(self) -> BarElement:
-        return BarElement(self.ring, self.level, tuple((w, -c) for w, c in self.terms))
+        return _normalized(self.ring, self.level, {w: -v for w, v in self._raw.items()})
 
     def __sub__(self, other: BarElement) -> BarElement:
         return self + (-other)
@@ -69,15 +95,14 @@ class BarElement:
             return self.scaled(other)
         self._check(other)
         level = max(self.level, other.level)
-        left = self.padded_terms(level)
-        right = other.padded_terms(level)
-        acc: dict[Word, Coeff] = {}
-        for wa, ca in left.items():
-            for wb, cb in right.items():
-                w = tuple(ma * mb for ma, mb in zip(wa, wb))
-                c = ca * cb
-                acc[w] = acc[w] + c if w in acc else c
-        return bar(self.ring, level, acc)
+        right = other._padded(level).items()
+        acc: dict = {}
+        get = acc.get
+        for wa, va in self._padded(level).items():
+            for wb, vb in right:
+                w = tuple(map(mul, wa, wb))
+                acc[w] = get(w, 0) + va * vb
+        return _normalized(self.ring, level, acc)
 
     def __rmul__(self, other):
         if isinstance(other, (Coeff, int)):
@@ -87,7 +112,10 @@ class BarElement:
     def scaled(self, c: Coeff | int) -> BarElement:
         if isinstance(c, int):
             c = self.ring.coeff(c)
-        return bar(self.ring, self.level, {w: c * cf for w, cf in self.terms})
+        elif c.ring != self.ring:
+            raise RingMismatchError(f"coefficient ring {c.ring} != {self.ring}")
+        cv = _raw(c)
+        return _normalized(self.ring, self.level, {w: cv * v for w, v in self._raw.items()})
 
     def to_obj(self):
         return {
@@ -101,39 +129,55 @@ class BarElement:
         return _join_terms([_term_str(c, word_str(w)) for w, c in self.terms])
 
 
+def _raw(c: Coeff):
+    """The raw value of ``c``; an integral rational becomes an int."""
+    v = c.value
+    if type(v) is Fraction and v.denominator == 1:
+        return v.numerator
+    return v
+
+
+def _normalized(ring: Ring, level: int, acc: dict) -> BarElement:
+    """Reduce raw values mod m, drop zeros and strip the trailing columns in
+    which every word has the unit factor."""
+    if ring.kind == "mod":
+        m = ring.modulus
+        acc = {w: r for w, v in acc.items() if (r := v % m)}
+    else:
+        acc = {w: v for w, v in acc.items() if v}
+    if not acc:
+        return BarElement(ring, 1, {})
+    strip = level - 1
+    for w in acc:
+        run = 0
+        for f in reversed(w):
+            if f is not UNIT_MONOMIAL:
+                break
+            run += 1
+        strip = min(strip, run)
+        if strip == 0:
+            return BarElement(ring, level, acc)
+    if strip:
+        acc = {w[:-strip]: v for w, v in acc.items()}
+    return BarElement(ring, level - strip, acc)
+
+
 def bar(ring: Ring, level: int, mapping) -> BarElement:
-    """Normalize and canonicalize a level + word mapping."""
+    """Normalize and canonicalize a level + word -> Coeff mapping."""
     if level < 1:
         raise ValueError("bar level must be positive")
-    acc: dict[Word, Coeff] = {}
+    acc = {}
     for w, c in dict(mapping).items():
         if len(w) != level:
             raise ValueError(f"word length {len(w)} != level {level}")
         if c.ring != ring:
             raise RingMismatchError(f"coefficient ring {c.ring} != {ring}")
-        if not c.is_zero():
-            acc[w] = c
-    if not acc:
-        return BarElement(ring, 1, ())
-    strip = level - 1
-    for w in acc:
-        run = 0
-        for m in reversed(w):
-            if not m.is_unit():
-                break
-            run += 1
-        strip = min(strip, run)
-        if strip == 0:
-            break
-    if strip:
-        acc = {w[:-strip]: c for w, c in acc.items()}
-        level -= strip
-    items = sorted(acc.items(), key=lambda t: word_key(t[0]))
-    return BarElement(ring, level, tuple(items))
+        acc[w] = _raw(c)
+    return _normalized(ring, level, acc)
 
 
 def bar_zero(ring: Ring) -> BarElement:
-    return BarElement(ring, 1, ())
+    return BarElement(ring, 1, {})
 
 
 def bar_one(ring: Ring) -> BarElement:
@@ -234,37 +278,65 @@ def t_sequence(ctx: Context, p: Poly, length: int) -> SequenceElement:
     return SequenceElement(ctx, tuple(entries))
 
 
-def _phi_word(word: Word, ctx: Context, length: int, memo: dict) -> SequenceElement:
-    hit = memo.get(word)
-    if hit is not None:
-        return hit
-    head = t_sequence(ctx, Poly.from_terms(ctx.ring, {word[0]: ctx.ring.one()}), length)
-    out = head if len(word) == 1 else head * p_prime(_phi_word(word[1:], ctx, length, memo))
-    memo[word] = out
-    return out
+def _word_images(word: Word, ctx: Context, length: int, memo: dict) -> list[dict]:
+    """The raw images of ``word`` and of each of its suffixes, memoized by
+    suffix: entry k - 1 of an image maps words of exactly k factors (not
+    trimmed) to raw values, not yet reduced mod m."""
+    lam = _raw(ctx.lam)
+    images = None
+    for i in range(len(word) - 1, -1, -1):
+        suffix = word[i:]
+        hit = memo.get(suffix)
+        if hit is None:
+            head = (word[i],)
+            if images is None:
+                # t(m0): m0 in slot k of a level-k word, all earlier slots unit
+                hit = [{(UNIT_MONOMIAL,) * k + head: 1} for k in range(length)]
+            else:
+                hit = [{}]
+                prefix: dict = {}
+                pad = (UNIT_MONOMIAL,)
+                for tail_entry in images[:-1]:
+                    # prefix: the sum of the tail's entries so far, padded to
+                    # the level of the latest one
+                    prefix = {w + pad: v for w, v in prefix.items()}
+                    get = prefix.get
+                    for w, v in tail_entry.items():
+                        prefix[w] = get(w, 0) + v
+                    hit.append({w + head: r for w, v in prefix.items() if (r := lam * v)})
+            memo[suffix] = hit
+        images = hit
+    return images
 
 
 def phi(a: Element, length: int) -> SequenceElement:
     """The canonical morphism into the sequence model, truncated to the
     first ``length`` entries.
 
-    A word maps to (head generator sequence) * P'(image of the tail); this
-    terminates because each step strips one factor.  When the weight is a
-    zero divisor the map is still computed, but it need not be injective.
+    A word maps to (head generator sequence) * P'(image of the tail),
+    computed entry by entry as in the module docstring; images of shared
+    suffixes are computed once per call.  When the weight is a zero divisor
+    the map is still computed, but it need not be injective.
     """
     if length < 1:
         raise ValueError("sequence length must be at least 1")
-    if is_zero_divisor(a.ctx.lam):
+    ctx = a.ctx
+    ring = ctx.ring
+    if is_zero_divisor(ctx.lam):
         warnings.warn(
-            f"lambda = {a.ctx.lam} is a zero divisor in {a.ctx.ring}; phi may not be injective",
+            f"lambda = {ctx.lam} is a zero divisor in {ring}; phi may not be injective",
             PhiInjectivityWarning,
             stacklevel=2,
         )
-    out = seq_zero(a.ctx, length)
+    acc = [{} for _ in range(length)]
     memo: dict = {}
     for w, c in a.terms:
-        out = out + _phi_word(w, a.ctx, length, memo) * c
-    return out
+        cv = _raw(c)
+        for target, image in zip(acc, _word_images(w, ctx, length, memo)):
+            get = target.get
+            for word, v in image.items():
+                target[word] = get(word, 0) + cv * v
+    return SequenceElement(ctx, tuple(_normalized(ring, k, e) for k, e in enumerate(acc, 1)))
 
 
 def phi_constants(ctx: Context, coeffs, length: int) -> SequenceElement:

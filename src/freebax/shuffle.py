@@ -310,6 +310,8 @@ class MixableShuffle:
 def enumerate_mixable_shuffles(m: int, n: int) -> list[MixableShuffle]:
     """Every (shuffle, merge-set) pair for tails of lengths m and n, in a
     deterministic order."""
+    if m < 0 or n < 0:
+        raise ValueError("tail lengths must be nonnegative")
     out = []
     for first_positions in itertools.combinations(range(m + n), m):
         sigma = [0] * (m + n)

@@ -1,11 +1,15 @@
 import json
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+import freebax
 from freebax import INT, RAT, Context, Zmod, WitnessReport, one, unit_word
 from freebax.cli import main
-from freebax.lang import EvalError, ParseError, evaluate_source, parse, render
+from freebax.lang import MAX_NESTING, EvalError, ParseError, evaluate_source, parse, render
 from freebax.verify import SUITES, random_element
 
 BAXTER_SOURCE = "P(x) * P(y) - P(x*P(y)) - P(y*P(x)) - lam*P(x*y)"
@@ -107,6 +111,16 @@ class TestParseErrors:
         with pytest.raises(ParseError):
             parse("U(1)^x")
 
+    def test_nesting_limit(self):
+        # P^n(x) is nested n + 1 levels deep
+        deepest = "P(" * (MAX_NESTING - 1) + "x" + ")" * (MAX_NESTING - 1)
+        ctx = Context(INT, INT.coeff(1), ("x",))
+        assert len(evaluate_source(deepest, ctx).terms[0][0]) == MAX_NESTING
+        with pytest.raises(ParseError, match="nests deeper"):
+            parse("(" + deepest + ")")
+        with pytest.raises(ParseError, match="nests deeper"):
+            parse("-" * MAX_NESTING + "1")
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -151,6 +165,23 @@ class TestCommandLine:
         code, out, _ = run_cli(capsys, "--json", "enumerate-shuffles", "1", "1")
         payload = json.loads(out)
         assert code == 0 and payload["count"] == 3
+
+    @pytest.mark.parametrize("m, n", [("3", "-1"), ("-1", "3")])
+    def test_enumerate_shuffles_rejects_negative_lengths(self, capsys, m, n):
+        code, out, err = run_cli(capsys, "enumerate-shuffles", m, n)
+        assert code == 2 and out == "" and "nonnegative" in err
+
+    def test_deep_nesting_exits_two_without_traceback(self):
+        deep = "P(" * 400 + "x" + ")" * 400
+        src = os.path.dirname(os.path.dirname(freebax.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-m", "freebax.cli", "--vars", "x", "eval", deep],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "nests deeper" in proc.stderr and "Traceback" not in proc.stderr
 
     def test_phi_command(self, capsys):
         code, out, _ = run_cli(capsys, "--ring", "int", "--lambda", "2", "phi", "U(1)", "--len", "4")

@@ -1,7 +1,10 @@
 import random
+from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from freebax import (
     INT,
@@ -9,12 +12,14 @@ from freebax import (
     Context,
     Monomial,
     Poly,
+    SequenceElement,
     Zmod,
     bar,
     bar_one,
     bar_scalar,
     bar_zero,
     baxter_P,
+    element,
     one,
     p_prime,
     phi,
@@ -28,9 +33,12 @@ from freebax import (
     unit_word,
     zero,
 )
+from freebax.cli import main
 from freebax.poly import UNIT_MONOMIAL
+from freebax.rings import Coeff, RingMismatchError
 from freebax.sequences import PhiInjectivityWarning
 from freebax.series import embed
+from freebax.shuffle import word_key
 from freebax.verify import random_coeff, random_element
 
 x = Monomial.of(x=1)
@@ -90,6 +98,55 @@ class TestBarElements:
         a = B(INT, 2, ((x, y), 1))
         assert (a - a) == bar_zero(INT)
         assert (a - a).level == 1
+
+
+class TestBarContract:
+    def test_insertion_order_does_not_matter(self):
+        pairs = [((x, y), 2), ((UNIT_MONOMIAL, xy), -1), ((y, UNIT_MONOMIAL), 5)]
+        forward = B(INT, 2, *pairs)
+        backward = B(INT, 2, *reversed(pairs))
+        assert forward == backward
+        assert hash(forward) == hash(backward)
+        assert len({forward, backward}) == 1
+
+    def test_terms_are_sorted_coeffs_of_the_ring(self):
+        ring = Zmod(7)
+        b = B(ring, 3, ((y, x, x), 3), ((UNIT_MONOMIAL, UNIT_MONOMIAL, x), 9), ((xy, y, x), -1), ((x, x, x), 1))
+        words = [w for w, _ in b.terms]
+        assert words == sorted(words, key=word_key)
+        assert all(isinstance(c, Coeff) and c.ring == ring for _, c in b.terms)
+        assert dict(b.terms)[(UNIT_MONOMIAL, UNIT_MONOMIAL, x)] == ring.coeff(2)
+        assert dict(b.terms)[(xy, y, x)] == ring.coeff(6)
+
+    def test_rational_values_are_fractions_in_terms(self):
+        # an integral rational reached through Fraction arithmetic equals
+        # the same value entered as an integer, hash included
+        half = B(RAT, 1, ((x,), Fraction(1, 2)))
+        two = B(RAT, 1, ((x,), 2))
+        assert half.scaled(4) == two and hash(half.scaled(4)) == hash(two)
+        mixed = two * half + two.scaled(RAT.coeff(Fraction(1, 3)))
+        assert str(mixed) == "2/3*T(x) + T(x^2)"
+        assert all(type(c.value) is Fraction for _, c in mixed.terms)
+
+    def test_other_ring_is_rejected(self):
+        a = B(INT, 1, ((x,), 1))
+        other = B(RAT, 1, ((x,), 1))
+        with pytest.raises(RingMismatchError):
+            a + other
+        with pytest.raises(RingMismatchError):
+            a * other
+        with pytest.raises(RingMismatchError):
+            a.scaled(RAT.coeff(2))
+        with pytest.raises(RingMismatchError):
+            a * Zmod(5).coeff(2)
+
+    def test_product_vanishing_mod_9_is_zero(self):
+        ring = Zmod(9)
+        a = B(ring, 2, ((x, y), 3), ((y, UNIT_MONOMIAL), 6))
+        b = B(ring, 3, ((y, x, y), 3))
+        prod = a * b
+        assert prod == bar_zero(ring)
+        assert prod.level == 1 and prod.is_zero()
 
 
 class TestSequences:
@@ -196,6 +253,71 @@ class TestPhi:
         ctx = ctx_of(Zmod(9), 3)
         with pytest.warns(PhiInjectivityWarning):
             phi(unit_word(ctx, 1), 4)
+
+
+def phi_by_definition(a, length):
+    """phi from its recursion: a word maps to t(head) * P'(image of its tail)."""
+    ctx = a.ctx
+    out = seq_zero(ctx, length)
+    for w, c in a.terms:
+        out = out + word_by_definition(ctx, w, length) * c
+    return out
+
+
+def word_by_definition(ctx, w, length):
+    head = t_sequence(ctx, Poly.from_terms(ctx.ring, {w[0]: ctx.ring.one()}), length)
+    if len(w) == 1:
+        return head
+    return head * p_prime(word_by_definition(ctx, w[1:], length))
+
+
+REFEREE_CONTEXTS = [ctx_of(INT, 2), ctx_of(RAT, 1), ctx_of(Zmod(9), 3)]
+monomials = st.builds(Monomial.of, x=st.integers(0, 2), y=st.integers(0, 2))
+words = st.lists(monomials, min_size=1, max_size=3).map(tuple)
+
+
+class TestPhiReferee:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        ctx=st.sampled_from(REFEREE_CONTEXTS),
+        terms=st.dictionaries(words, st.integers(-4, 4), max_size=4),
+        length=st.integers(1, 6),
+    )
+    @pytest.mark.filterwarnings("ignore::freebax.sequences.PhiInjectivityWarning")
+    def test_matches_the_definitional_recursion(self, ctx, terms, length):
+        a = element(ctx, {w: ctx.ring.coeff(c) for w, c in terms.items()})
+        got = phi(a, length)
+        assert isinstance(got, SequenceElement) and got.length == length
+        assert got == phi_by_definition(a, length)
+
+    def test_golden_cli_output(self, capsys):
+        argv = ["--vars", "x,y", "--lambda", "2", "phi", "T(x,y) + 3*T(y,1,x) - T(1,x)", "--len", "4"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == PHI_GOLDEN_TEXT
+        assert main(["--json", *argv]) == 0
+        assert capsys.readouterr().out == PHI_GOLDEN_JSON
+
+
+PHI_GOLDEN_TEXT = (
+    '[1] 0\n'
+    '[2] -2*T(x,1) + 2*T(y,x)\n'
+    '[3] -2*T(1,x,1) + 2*T(1,y,x) - 2*T(x,1,1) + 12*T(x,1,y) + 2*T(y,1,x)\n'
+    '[4] -2*T(1,1,x,1) + 2*T(1,1,y,x) - 2*T(1,x,1,1) + 12*T(1,x,1,y) + 2*T(1,y,1,x) - 2*T(x,1,1,1) + 24*T(x,1,1,y) + 2*T(y,1,1,x)\n'
+)
+PHI_GOLDEN_JSON = (
+    '{"command": "phi", "context": {"lambda": "2", "ring": "int", "variables": ["x", "y"]}, '
+    '"result": {"entries": [{"level": 1, "terms": []}, {"level": 2, "terms": [{"coeff": "-2", '
+    '"word": [[["x", 1]], []]}, {"coeff": "2", "word": [[["y", 1]], [["x", 1]]]}]}, '
+    '{"level": 3, "terms": [{"coeff": "-2", "word": [[], [["x", 1]], []]}, {"coeff": "2", '
+    '"word": [[], [["y", 1]], [["x", 1]]]}, {"coeff": "-2", "word": [[["x", 1]], [], []]}, '
+    '{"coeff": "12", "word": [[["x", 1]], [], [["y", 1]]]}, {"coeff": "2", "word": [[["y", '
+    '1]], [], [["x", 1]]]}]}, {"level": 4, "terms": [{"coeff": "-2", "word": [[], [], [["x", '
+    '1]], []]}, {"coeff": "2", "word": [[], [], [["y", 1]], [["x", 1]]]}, {"coeff": "-2", '
+    '"word": [[], [["x", 1]], [], []]}, {"coeff": "12", "word": [[], [["x", 1]], [], [["y", '
+    '1]]]}, {"coeff": "2", "word": [[], [["y", 1]], [], [["x", 1]]]}, {"coeff": "-2", '
+    '"word": [[["x", 1]], [], [], []]}, {"coeff": "24", "word": [[["x", 1]], [], [], [["y", '
+    '1]]]}, {"coeff": "2", "word": [[["y", 1]], [], [], [["x", 1]]]}]}], "kind": "sequence"}}\n'
+)
 
 
 def fbvar(ctx, name):

@@ -71,7 +71,6 @@ from .shuffle import (
     element,
     element_power,
     enumerate_mixable_shuffles,
-    from_poly,
     lambda_adic_valuation,
     one,
     p_x_power,

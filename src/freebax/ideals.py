@@ -13,7 +13,7 @@ import warnings
 from dataclasses import dataclass
 
 from .rings import Coeff, Zmod
-from .shuffle import Context, Element, element
+from .shuffle import Context, Element, from_raw
 
 
 class TrivialIdealWarning(UserWarning):
@@ -50,7 +50,8 @@ def scalar_ideal(c: Coeff) -> IdealSpec:
     return IdealSpec("scalar", generator=c)
 
 
-def coeff_in_scalar_ideal(c: Coeff, gen: Coeff) -> bool:
+def coeff_in_scalar_ideal(value, gen: Coeff) -> bool:
+    """Whether the raw value ``value`` of gen's ring lies in the ideal (gen)."""
     ring = gen.ring
     if ring.kind == "rat":
         warnings.warn(
@@ -60,8 +61,8 @@ def coeff_in_scalar_ideal(c: Coeff, gen: Coeff) -> bool:
         )
         return True
     if ring.kind == "int":
-        return c.value % gen.value == 0
-    return c.value % math.gcd(gen.value, ring.modulus) == 0
+        return value % gen.value == 0
+    return value % math.gcd(gen.value, ring.modulus) == 0
 
 
 def baxter_ideal_member(a: Element, spec: IdealSpec) -> bool:
@@ -70,11 +71,11 @@ def baxter_ideal_member(a: Element, spec: IdealSpec) -> bool:
         if unknown:
             raise ValueError(f"generators {sorted(unknown)} are not context variables")
         return all(
-            any(m.divisible_by(v) for m in w for v in spec.names) for w, _ in a.terms
+            any(m.divisible_by(v) for m in w for v in spec.names) for w, _ in a.raw_items()
         )
     if spec.generator.ring != a.ctx.ring:
         raise ValueError("scalar generator belongs to a different ring")
-    return all(coeff_in_scalar_ideal(c, spec.generator) for _, c in a.terms)
+    return all(coeff_in_scalar_ideal(v, spec.generator) for _, v in a.raw_items())
 
 
 def reduce_mod(a: Element, m: int) -> Element:
@@ -85,7 +86,7 @@ def reduce_mod(a: Element, m: int) -> Element:
         raise ValueError("modular reduction starts from an integer context")
     ring = Zmod(m)
     ctx = Context(ring, ring.coeff(a.ctx.lam.value), a.ctx.variables)
-    return element(ctx, {w: ring.coeff(c.value) for w, c in a.terms})
+    return from_raw(ctx, dict(a.raw_items()))
 
 
 def reduce_vars(a: Element, names) -> Element:
@@ -97,8 +98,8 @@ def reduce_vars(a: Element, names) -> Element:
         raise ValueError(f"variables {sorted(unknown)} are not context variables")
     ctx = Context(a.ctx.ring, a.ctx.lam, tuple(v for v in a.ctx.variables if v not in names))
     kept = {
-        w: c
-        for w, c in a.terms
-        if not any(m.divisible_by(v) for m in w for v in names)
+        w: v
+        for w, v in a.raw_items()
+        if not any(m.divisible_by(x) for m in w for x in names)
     }
-    return element(ctx, kept)
+    return from_raw(ctx, kept)

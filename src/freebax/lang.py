@@ -17,6 +17,7 @@ precision.  Rendering is canonical and parse(render(a)) = a for finite a.
 """
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -28,7 +29,6 @@ from .shuffle import (
     Context,
     Element,
     baxter_P,
-    one,
     scalar,
     tensor_word,
     unit_word,
@@ -267,8 +267,27 @@ def _lit_coeff(node: Lit, ctx: Context) -> Coeff:
     return ring.coeff(node.num) * inverse(den)
 
 
+_BINARY_OPS = {Add: operator.add, Sub: operator.sub, Mul: operator.mul}
+
+
+def _fold(node, evaluate_operand, promote=lambda a, b: (a, b)):
+    """Evaluate a chain of Add/Sub/Mul nodes with a loop down its left
+    spine: the parser builds ``a + b + c`` as ``(a + b) + c``, so recursing
+    on the left operand would go one level deeper per term."""
+    spine = []
+    while type(node) in _BINARY_OPS:
+        spine.append(node)
+        node = node.left
+    value = evaluate_operand(node)
+    for op in reversed(spine):
+        value = _BINARY_OPS[type(op)](*promote(value, evaluate_operand(op.right)))
+    return value
+
+
 def _eval_poly(node, ctx: Context) -> Poly:
     ring = ctx.ring
+    if type(node) in _BINARY_OPS:
+        return _fold(node, lambda operand: _eval_poly(operand, ctx))
     if isinstance(node, Lit):
         return Poly.constant(_lit_coeff(node, ctx))
     if isinstance(node, LamRef):
@@ -279,12 +298,6 @@ def _eval_poly(node, ctx: Context) -> Poly:
         return Poly.variable(ring, node.name)
     if isinstance(node, Neg):
         return -_eval_poly(node.arg, ctx)
-    if isinstance(node, Add):
-        return _eval_poly(node.left, ctx) + _eval_poly(node.right, ctx)
-    if isinstance(node, Sub):
-        return _eval_poly(node.left, ctx) - _eval_poly(node.right, ctx)
-    if isinstance(node, Mul):
-        return _eval_poly(node.left, ctx) * _eval_poly(node.right, ctx)
     if isinstance(node, Pow):
         return _eval_poly(node.base, ctx) ** node.exponent
     raise EvalError(f"word factors must be polynomial expressions, got {type(node).__name__}")
@@ -310,6 +323,8 @@ def _as_scalar(value, what: str) -> Coeff:
 def evaluate(node, ctx: Context, precision: int = 12):
     """Evaluate an AST to a finite element, or to a series once geom
     appears anywhere in the expression."""
+    if type(node) in _BINARY_OPS:
+        return _fold(node, lambda operand: evaluate(operand, ctx, precision), _promote)
     if isinstance(node, Lit):
         return scalar(ctx, _lit_coeff(node, ctx))
     if isinstance(node, LamRef):
@@ -330,23 +345,8 @@ def evaluate(node, ctx: Context, precision: int = 12):
         return sr.complete_P(arg) if isinstance(arg, sr.Series) else baxter_P(arg)
     if isinstance(node, Neg):
         return -evaluate(node.arg, ctx, precision)
-    if isinstance(node, (Add, Sub, Mul)):
-        a = evaluate(node.left, ctx, precision)
-        b = evaluate(node.right, ctx, precision)
-        a, b = _promote(a, b)
-        if isinstance(node, Add):
-            return a + b
-        if isinstance(node, Sub):
-            return a - b
-        return a * b
     if isinstance(node, Pow):
-        base = evaluate(node.base, ctx, precision)
-        if node.exponent == 0:
-            return sr.embed(one(ctx), base.precision) if isinstance(base, sr.Series) else one(ctx)
-        out = base
-        for _ in range(node.exponent - 1):
-            out = out * base
-        return out
+        return evaluate(node.base, ctx, precision) ** node.exponent
     raise EvalError(f"cannot evaluate node {node!r}")
 
 

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .rings import Coeff, Ring, RingMismatchError, is_nilpotent
+from .rings import Coeff, Ring, RingMismatchError, is_nilpotent, power
 
 
 # exponent tuple -> its one Monomial instance
@@ -184,12 +184,8 @@ class Poly:
         return Poly.from_terms(self.ring, {m: c * cf for m, cf in self.terms})
 
     def __pow__(self, k: int) -> Poly:
-        if not isinstance(k, int) or k < 0:
-            raise ValueError("exponent must be a nonnegative integer")
-        out = Poly.one(self.ring)
-        for _ in range(k):
-            out = out * self
-        return out
+        # a monomial's powers stay one term; a sum's grow
+        return power(self, k, lambda: Poly.one(self.ring), len(self.terms) <= 1)
 
     def is_zero(self) -> bool:
         return not self.terms

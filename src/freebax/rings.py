@@ -36,6 +36,25 @@ class Ring:
     def one(self) -> Coeff:
         return Coeff(self, 1)
 
+    def raw(self, c: Coeff | int):
+        """The raw value of an int or a Coeff of this ring; an integral
+        rational becomes an int (int arithmetic beats ``Fraction``)."""
+        if isinstance(c, int):
+            return c
+        if c.ring != self:
+            raise RingMismatchError(f"coefficient ring {c.ring} != {self}")
+        v = c.value
+        if type(v) is Fraction and v.denominator == 1:
+            return v.numerator
+        return v
+
+    def reduce(self, acc: dict) -> dict:
+        """A new dict of the raw values reduced mod m, zeros dropped."""
+        if self.kind == "mod":
+            m = self.modulus
+            return {k: r for k, v in acc.items() if (r := v % m)}
+        return {k: v for k, v in acc.items() if v}
+
     def __str__(self):
         return f"mod:{self.modulus}" if self.kind == "mod" else self.kind
 
@@ -137,6 +156,30 @@ class Coeff:
 
     def __str__(self):
         return str(self.value)
+
+
+def power(x, k: int, one, by_squaring: bool):
+    """x**k for an associative, commutative product; ``one()`` for k = 0.
+    Square-and-multiply (about 2*log2(k) products) only where the powers do
+    not grow, else k - 1 products with the small base: squaring a growing
+    power costs more (U(1)^300 at weight 1 is about 15 times slower)."""
+    if not isinstance(k, int) or k < 0:
+        raise ValueError("exponent must be a nonnegative integer")
+    if k == 0:
+        return one()
+    if not by_squaring:
+        out = x
+        for _ in range(k - 1):
+            out = out * x
+        return out
+    out = None
+    while k:
+        if k & 1:
+            out = x if out is None else out * x
+        k >>= 1
+        if k:
+            x = x * x
+    return out
 
 
 def characteristic(ring: Ring) -> int:

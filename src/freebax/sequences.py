@@ -27,14 +27,13 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from fractions import Fraction
 from math import comb
 from operator import mul
 
 from .poly import UNIT_MONOMIAL, Poly
 from .rings import Coeff, Ring, RingMismatchError, is_zero_divisor
 from .series import Series, truncate
-from .shuffle import Context, ContextMismatchError, Element, Word, word_key, word_str
+from .shuffle import Context, ContextMismatchError, Element, Word, _RawTerms
 
 
 class PhiInjectivityWarning(UserWarning):
@@ -42,7 +41,7 @@ class PhiInjectivityWarning(UserWarning):
 
 
 @dataclass(frozen=True)
-class BarElement:
+class BarElement(_RawTerms):
     """Words of one fixed length mapped to nonzero raw ring values, trimmed
     so that (unless the level is 1) not every word ends with the unit
     factor.  Build one with ``bar``; the dict is never mutated."""
@@ -54,20 +53,11 @@ class BarElement:
     def __hash__(self):
         return hash((self.ring, self.level, frozenset(self._raw.items())))
 
-    @property
-    def terms(self) -> tuple[tuple[Word, Coeff], ...]:
-        """The terms as (word, Coeff) pairs sorted by word."""
-        coeff = self.ring.coeff
-        return tuple((w, coeff(v)) for w, v in sorted(self._raw.items(), key=lambda t: word_key(t[0])))
-
     def _check(self, other: BarElement):
         if not isinstance(other, BarElement):
             raise TypeError(f"expected a bar element, got {other!r}")
         if other.ring != self.ring:
             raise RingMismatchError("bar elements over different rings")
-
-    def is_zero(self) -> bool:
-        return not self._raw
 
     def _padded(self, level: int) -> dict:
         if level == self.level:
@@ -110,41 +100,17 @@ class BarElement:
         return NotImplemented
 
     def scaled(self, c: Coeff | int) -> BarElement:
-        if isinstance(c, int):
-            c = self.ring.coeff(c)
-        elif c.ring != self.ring:
-            raise RingMismatchError(f"coefficient ring {c.ring} != {self.ring}")
-        cv = _raw(c)
+        cv = self.ring.raw(c)
         return _normalized(self.ring, self.level, {w: cv * v for w, v in self._raw.items()})
 
     def to_obj(self):
-        return {
-            "level": self.level,
-            "terms": [{"coeff": str(c), "word": [m.to_obj() for m in w]} for w, c in self.terms],
-        }
-
-    def __str__(self):
-        from .poly import _join_terms, _term_str
-
-        return _join_terms([_term_str(c, word_str(w)) for w, c in self.terms])
-
-
-def _raw(c: Coeff):
-    """The raw value of ``c``; an integral rational becomes an int."""
-    v = c.value
-    if type(v) is Fraction and v.denominator == 1:
-        return v.numerator
-    return v
+        return {"level": self.level, "terms": self._terms_obj()}
 
 
 def _normalized(ring: Ring, level: int, acc: dict) -> BarElement:
     """Reduce raw values mod m, drop zeros and strip the trailing columns in
     which every word has the unit factor."""
-    if ring.kind == "mod":
-        m = ring.modulus
-        acc = {w: r for w, v in acc.items() if (r := v % m)}
-    else:
-        acc = {w: v for w, v in acc.items() if v}
+    acc = ring.reduce(acc)
     if not acc:
         return BarElement(ring, 1, {})
     strip = level - 1
@@ -170,9 +136,7 @@ def bar(ring: Ring, level: int, mapping) -> BarElement:
     for w, c in dict(mapping).items():
         if len(w) != level:
             raise ValueError(f"word length {len(w)} != level {level}")
-        if c.ring != ring:
-            raise RingMismatchError(f"coefficient ring {c.ring} != {ring}")
-        acc[w] = _raw(c)
+        acc[w] = ring.raw(c)
     return _normalized(ring, level, acc)
 
 
@@ -235,11 +199,6 @@ class SequenceElement:
             return self.__mul__(other)
         return NotImplemented
 
-    def truncated(self, n: int) -> SequenceElement:
-        if n > self.length:
-            raise ValueError("cannot extend a sequence truncation")
-        return SequenceElement(self.ctx, self.entries[:n])
-
     def to_obj(self):
         return {"kind": "sequence", "entries": [e.to_obj() for e in self.entries]}
 
@@ -282,7 +241,7 @@ def _word_images(word: Word, ctx: Context, length: int, memo: dict) -> list[dict
     """The raw images of ``word`` and of each of its suffixes, memoized by
     suffix: entry k - 1 of an image maps words of exactly k factors (not
     trimmed) to raw values, not yet reduced mod m."""
-    lam = _raw(ctx.lam)
+    lam = ctx.ring.raw(ctx.lam)
     images = None
     for i in range(len(word) - 1, -1, -1):
         suffix = word[i:]
@@ -330,8 +289,7 @@ def phi(a: Element, length: int) -> SequenceElement:
         )
     acc = [{} for _ in range(length)]
     memo: dict = {}
-    for w, c in a.terms:
-        cv = _raw(c)
+    for w, cv in a.raw_items():
         for target, image in zip(acc, _word_images(w, ctx, length, memo)):
             get = target.get
             for word, v in image.items():

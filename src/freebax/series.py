@@ -1,6 +1,6 @@
-"""The completed algebra, represented as one homogeneous component per
-degree up to a working precision N (the element is known modulo everything
-of degree > N).
+"""The completed algebra, represented as the finite element of all words
+of degree up to a working precision N (the element is known modulo
+everything of degree > N).
 
 The product is degree-safe: the degree-d component of a product depends
 only on components of degree <= d of the factors, so truncated inputs
@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .rings import Coeff
+from .poly import UNIT_MONOMIAL
+from .rings import Coeff, power
 from .shuffle import (
     Context,
     ContextMismatchError,
@@ -18,19 +19,20 @@ from .shuffle import (
     baxter_P,
     degree_components,
     element,
+    one,
     shuffle_product,
-    unit_word,
     zero,
 )
 
 
 @dataclass(frozen=True)
 class Series:
-    """Known components (degree -> homogeneous element) up to ``precision``."""
+    """Known up to ``precision``: the finite element of the words of degree
+    <= precision.  Build one with ``make_series`` or ``embed``."""
 
     ctx: Context
     precision: int
-    components: tuple[tuple[int, Element], ...]
+    _finite: Element
 
     def _check(self, other: Series):
         if not isinstance(other, Series):
@@ -38,29 +40,27 @@ class Series:
         if other.ctx != self.ctx:
             raise ContextMismatchError("series belong to different contexts")
 
+    @property
+    def components(self) -> tuple[tuple[int, Element], ...]:
+        """The nonzero homogeneous components as (degree, element) pairs in
+        degree order."""
+        return tuple(degree_components(self._finite).items())
+
     def component(self, degree: int) -> Element:
-        for d, e in self.components:
-            if d == degree:
-                return e
-        return zero(self.ctx)
+        return degree_components(self._finite).get(degree, zero(self.ctx))
 
     def component_map(self) -> dict[int, Element]:
-        return dict(self.components)
+        return degree_components(self._finite)
 
     def is_zero(self) -> bool:
-        return not self.components
+        return self._finite.is_zero()
 
     def __add__(self, other: Series) -> Series:
         self._check(other)
-        n = min(self.precision, other.precision)
-        acc = {d: e for d, e in self.components if d <= n}
-        for d, e in other.components:
-            if d <= n:
-                acc[d] = acc[d] + e if d in acc else e
-        return make_series(self.ctx, n, acc)
+        return embed(self._finite + other._finite, min(self.precision, other.precision))
 
     def __neg__(self) -> Series:
-        return Series(self.ctx, self.precision, tuple((d, -e) for d, e in self.components))
+        return Series(self.ctx, self.precision, -self._finite)
 
     def __sub__(self, other: Series) -> Series:
         return self + (-other)
@@ -71,7 +71,7 @@ class Series:
         if isinstance(other, Element):
             return complete_product(self, embed(other, self.precision))
         if isinstance(other, (Coeff, int)):
-            return make_series(self.ctx, self.precision, {d: e.scaled(other) for d, e in self.components})
+            return Series(self.ctx, self.precision, self._finite.scaled(other))
         return NotImplemented
 
     def __rmul__(self, other):
@@ -79,10 +79,12 @@ class Series:
             return self.__mul__(other)
         return NotImplemented
 
+    def __pow__(self, k: int) -> Series:
+        # the precision bounds the size of every power, so squaring pays
+        return power(self, k, lambda: embed(one(self.ctx), self.precision), True)
+
     def finite_part(self) -> Element:
-        # the components hold words of distinct lengths, in degree order, and
-        # word_key orders by length first: their terms concatenate in order
-        return Element(self.ctx, tuple(t for _, e in self.components for t in e.terms))
+        return self._finite
 
     def to_obj(self):
         return {
@@ -92,25 +94,24 @@ class Series:
         }
 
     def __str__(self):
-        return f"{self.finite_part()} + O(deg {self.precision + 1})"
+        return f"{self._finite} + O(deg {self.precision + 1})"
 
 
 def make_series(ctx: Context, precision: int, components) -> Series:
-    """Normalize a degree -> element mapping into a Series."""
+    """Validate a degree -> homogeneous element mapping and join it into a
+    Series."""
     if precision < 0:
         raise ValueError("precision must be nonnegative")
-    items = []
+    acc: dict = {}
     for d, e in dict(components).items():
         if e.ctx != ctx:
             raise ContextMismatchError("component context mismatch")
         if d < 0 or d > precision:
             raise ValueError(f"component degree {d} outside [0, {precision}]")
-        if any(len(w) - 1 != d for w, _ in e.terms):
+        if any(len(w) - 1 != d for w in e._raw):
             raise ValueError(f"component at degree {d} is not homogeneous")
-        if not e.is_zero():
-            items.append((d, e))
-    items.sort()
-    return Series(ctx, precision, tuple(items))
+        acc.update(e._raw)
+    return Series(ctx, precision, Element(ctx, acc))
 
 
 def zero_series(ctx: Context, precision: int) -> Series:
@@ -119,36 +120,37 @@ def zero_series(ctx: Context, precision: int) -> Series:
 
 def embed(a: Element, precision: int) -> Series:
     """View a finite element in the completion, forgetting degrees > precision."""
-    comps = {d: e for d, e in degree_components(a).items() if d <= precision}
-    return make_series(a.ctx, precision, comps)
+    if precision < 0:
+        raise ValueError("precision must be nonnegative")
+    top = precision + 1
+    return Series(a.ctx, precision, Element(a.ctx, {w: v for w, v in a._raw.items() if len(w) <= top}))
 
 
 def truncate(a: Series, precision: int) -> Series:
     if precision > a.precision:
         raise ValueError("cannot raise precision: the missing components are unknown")
-    return make_series(a.ctx, precision, {d: e for d, e in a.components if d <= precision})
+    return embed(a._finite, precision)
 
 
 def complete_product(a: Series, b: Series) -> Series:
     """The product of the finite parts, cut at the lower precision; exact
     because the product is degree-safe."""
     a._check(b)
-    return embed(shuffle_product(a.finite_part(), b.finite_part()), min(a.precision, b.precision))
+    return embed(shuffle_product(a._finite, b._finite), min(a.precision, b.precision))
 
 
 def complete_P(a: Series) -> Series:
     """Degreewise prepend-unit; the degree-d output comes from the
     degree-(d-1) input, so one more component becomes known."""
-    return make_series(a.ctx, a.precision + 1, {d + 1: baxter_P(e) for d, e in a.components})
+    return Series(a.ctx, a.precision + 1, baxter_P(a._finite))
 
 
 def geometric_unit_series(ctx: Context, c: Coeff, precision: int) -> Series:
     """The series whose degree-n component is c^n times the unit word of
     degree n (the n = 0 term is always the algebra unit)."""
-    comps: dict[int, Element] = {}
-    power = ctx.ring.one()
+    acc = {}
+    cn = ctx.ring.one()
     for n in range(precision + 1):
-        if not power.is_zero():
-            comps[n] = unit_word(ctx, n).scaled(power)
-        power = power * c
-    return make_series(ctx, precision, comps)
+        acc[(UNIT_MONOMIAL,) * (n + 1)] = cn
+        cn = cn * c
+    return embed(element(ctx, acc), precision)

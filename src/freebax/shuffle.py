@@ -16,8 +16,8 @@ import itertools
 from dataclasses import dataclass
 from math import comb
 
-from .poly import UNIT_MONOMIAL, Monomial, Poly
-from .rings import Coeff, Ring, RingMismatchError, lambda_valuation
+from .poly import UNIT_MONOMIAL, Monomial, Poly, _join_terms, _term_str
+from .rings import Coeff, Ring, RingMismatchError, lambda_valuation, power
 
 Word = tuple[Monomial, ...]
 
@@ -52,13 +52,44 @@ def word_str(word: Word) -> str:
     return "T(" + ",".join(str(m) for m in word) + ")"
 
 
+class _RawTerms:
+    """Shared by Element and BarElement, which keep an unsorted dict ``_raw``
+    from words to raw values of ``ring`` and sort it only for ``terms``."""
+
+    @property
+    def terms(self) -> tuple[tuple[Word, Coeff], ...]:
+        """The terms as (word, Coeff) pairs sorted by word."""
+        coeff = self.ring.coeff
+        return tuple((w, coeff(v)) for w, v in sorted(self._raw.items(), key=lambda t: word_key(t[0])))
+
+    def raw_items(self):
+        """The (word, raw value) pairs in no particular order."""
+        return self._raw.items()
+
+    def is_zero(self) -> bool:
+        return not self._raw
+
+    def _terms_obj(self) -> list:
+        return [{"coeff": str(c), "word": [m.to_obj() for m in w]} for w, c in self.terms]
+
+    def __str__(self):
+        return _join_terms([_term_str(c, word_str(w)) for w, c in self.terms])
+
+
 @dataclass(frozen=True)
-class Element:
-    """A finite element of the algebra: words mapped to nonzero coefficients,
-    stored sorted by (word length, factor sequence)."""
+class Element(_RawTerms):
+    """A finite element of the algebra: words mapped to nonzero raw ring
+    values.  Build one with ``element``; the dict is never mutated."""
 
     ctx: Context
-    terms: tuple[tuple[Word, Coeff], ...]
+    _raw: dict
+
+    def __hash__(self):
+        return hash((self.ctx, frozenset(self._raw.items())))
+
+    @property
+    def ring(self) -> Ring:
+        return self.ctx.ring
 
     def _check(self, other: Element):
         if not isinstance(other, Element):
@@ -68,13 +99,14 @@ class Element:
 
     def __add__(self, other: Element) -> Element:
         self._check(other)
-        acc = dict(self.terms)
-        for w, c in other.terms:
-            acc[w] = acc[w] + c if w in acc else c
-        return element(self.ctx, acc)
+        acc = dict(self._raw)
+        get = acc.get
+        for w, v in other._raw.items():
+            acc[w] = get(w, 0) + v
+        return from_raw(self.ctx, acc)
 
     def __neg__(self) -> Element:
-        return Element(self.ctx, tuple((w, -c) for w, c in self.terms))
+        return from_raw(self.ctx, {w: -v for w, v in self._raw.items()})
 
     def __sub__(self, other: Element) -> Element:
         return self + (-other)
@@ -92,59 +124,41 @@ class Element:
         return NotImplemented
 
     def __pow__(self, k: int) -> Element:
-        if not isinstance(k, int) or k < 0:
-            raise ValueError("exponent must be a nonnegative integer")
-        return one(self.ctx) if k == 0 else element_power(self, k)
+        # one word of one factor keeps one term; longer words' tails grow
+        single = len(self._raw) == 1 and len(next(iter(self._raw))) == 1
+        return power(self, k, lambda: one(self.ctx), single)
 
     def scaled(self, c: Coeff | int) -> Element:
-        if isinstance(c, int):
-            c = self.ctx.ring.coeff(c)
-        return element(self.ctx, {w: c * cf for w, cf in self.terms})
-
-    def is_zero(self) -> bool:
-        return not self.terms
+        cv = self.ring.raw(c)
+        return from_raw(self.ctx, {w: cv * v for w, v in self._raw.items()})
 
     def coefficient(self, word: Word) -> Coeff:
-        for w, c in self.terms:
-            if w == word:
-                return c
-        return self.ctx.ring.zero()
-
-    def support(self) -> list[Word]:
-        return [w for w, _ in self.terms]
-
-    def max_degree(self) -> int:
-        """Degree of the longest word; -1 for the zero element."""
-        return max((len(w) - 1 for w, _ in self.terms), default=-1)
+        return self.ring.coeff(self._raw.get(word, 0))
 
     def to_obj(self):
-        return {
-            "kind": "element",
-            "terms": [{"coeff": str(c), "word": [m.to_obj() for m in w]} for w, c in self.terms],
-        }
+        return {"kind": "element", "terms": self._terms_obj()}
 
-    def __str__(self):
-        from .poly import _join_terms, _term_str
 
-        return _join_terms([_term_str(c, word_str(w)) for w, c in self.terms])
+def from_raw(ctx: Context, acc: dict) -> Element:
+    """The Element of a word -> raw value dict, reduced by ``Ring.reduce``;
+    outside this module and ``series``, never call ``Element`` directly."""
+    return Element(ctx, ctx.ring.reduce(acc))
 
 
 def element(ctx: Context, mapping) -> Element:
     """Normalize a word -> coefficient mapping into an Element."""
-    items = []
+    ring = ctx.ring
+    acc = {}
     for w, c in dict(mapping).items():
-        if c.ring != ctx.ring:
-            raise RingMismatchError(f"coefficient ring {c.ring} != {ctx.ring}")
+        v = ring.raw(c)
         if not w:
             raise ValueError("tensor words must have at least one factor")
-        if not c.is_zero():
-            items.append((w, c))
-    items.sort(key=lambda t: word_key(t[0]))
-    return Element(ctx, tuple(items))
+        acc[w] = v
+    return from_raw(ctx, acc)
 
 
 def zero(ctx: Context) -> Element:
-    return Element(ctx, ())
+    return Element(ctx, {})
 
 def one(ctx: Context) -> Element:
     return unit_word(ctx, 0)
@@ -192,16 +206,12 @@ def tensor_word(ctx: Context, *factors) -> Element:
     return element(ctx, acc)
 
 
-def from_poly(ctx: Context, p: Poly) -> Element:
-    return tensor_word(ctx, p)
-
-
 def degree_components(a: Element) -> dict[int, Element]:
-    """Split by word degree (length - 1); the components re-sum to a."""
-    split: dict[int, dict[Word, Coeff]] = {}
-    for w, c in a.terms:
-        split.setdefault(len(w) - 1, {})[w] = c
-    return {d: element(a.ctx, m) for d, m in sorted(split.items())}
+    """Split by word degree (length - 1), in degree order; the parts sum to a."""
+    split: dict[int, dict] = {}
+    for w, v in a._raw.items():
+        split.setdefault(len(w) - 1, {})[w] = v
+    return {d: Element(a.ctx, split[d]) for d in sorted(split)}
 
 
 # --- the product, recursion route ---
@@ -212,8 +222,7 @@ def degree_components(a: Element) -> dict[int, Element]:
 # keeps series products small: their tails are all-unit words, so the tail
 # pairs of different branches coincide and collapse into one entry instead
 # of being expanded once per lattice path.  Monomials are interned, so
-# hashing a word stays in C.  Coefficients are raw ring values here and are
-# wrapped once at the end of a product.
+# hashing a word stays in C.  Coefficients are raw ring values throughout.
 
 def _mix(u: Word, v: Word, lam_raw, memo: dict):
     if not u:
@@ -247,35 +256,27 @@ def _mix(u: Word, v: Word, lam_raw, memo: dict):
 
 def shuffle_product(a: Element, b: Element) -> Element:
     a._check(b)
-    ctx = a.ctx
-    ring = ctx.ring
-    lam_raw = ctx.lam.value
+    lam_raw = a.ring.raw(a.ctx.lam)
     memo: dict = {}
     acc: dict = {}
     aget = acc.get
-    for wa, ca in a.terms:
+    for wa, ca in a._raw.items():
         ta = wa[1:]
-        for wb, cb in b.terms:
-            c = ca.value * cb.value
+        for wb, cb in b._raw.items():
+            c = ca * cb
             head = wa[0] * wb[0]
             for tail, weight in _mix(ta, wb[1:], lam_raw, memo).items():
                 w = (head,) + tail
                 t = c * weight
                 prev = aget(w)
                 acc[w] = t if prev is None else prev + t
-    if ring.kind == "mod":
-        m = ring.modulus
-        return element(ctx, {w: Coeff._make(ring, v % m) for w, v in acc.items()})
-    return element(ctx, {w: Coeff._make(ring, v) for w, v in acc.items()})
+    return from_raw(a.ctx, acc)
 
 
 def element_power(a: Element, k: int) -> Element:
     if not isinstance(k, int) or k < 1:
         raise ValueError("power must be a positive integer")
-    out = a
-    for _ in range(k - 1):
-        out = shuffle_product(out, a)
-    return out
+    return a ** k
 
 
 # --- the product, enumeration route (test oracle) ---
@@ -379,7 +380,7 @@ def closed_form_unit_product(ctx: Context, m: int, n: int) -> Element:
 
 def baxter_P(a: Element) -> Element:
     """Prepend the unit factor to every word; linear, raises degree by one."""
-    return element(a.ctx, {(UNIT_MONOMIAL,) + w: c for w, c in a.terms})
+    return Element(a.ctx, {(UNIT_MONOMIAL,) + w: v for w, v in a._raw.items()})
 
 
 def p_x_power(x: Element, n: int) -> Element:

@@ -75,6 +75,29 @@ class TestEvaluation:
         ctx = Context(RAT, RAT.coeff(0))
         assert render(evaluate_source("U(1)^3", ctx)) == "6*T(1,1,1,1)"
 
+    def test_long_flat_sum(self):
+        # a + b + c ... parses to a left-deep tree, 3000 levels deep here
+        ctx = Context(INT, INT.coeff(1))
+        value = evaluate_source(" + ".join(["U(1)"] * 3000), ctx)
+        assert value == unit_word(ctx, 1).scaled(3000)
+        assert evaluate_source(" - ".join(["U(1)"] * 3000), ctx) == unit_word(ctx, 1).scaled(-2998)
+
+    def test_long_flat_sum_in_a_word_factor(self):
+        ctx = Context(INT, INT.coeff(1), ("x",))
+        value = evaluate_source("T(" + " + ".join(["x"] * 3000) + ", 1)", ctx)
+        assert value == evaluate_source("3000*T(x,1)", ctx)
+        assert evaluate_source("T(" + "*".join(["x"] * 3000) + ")", ctx) == evaluate_source("T(x^3000)", ctx)
+
+    def test_long_flat_product(self):
+        ctx = Context(INT, INT.coeff(0), ("x",))
+        assert evaluate_source("*".join(["x"] * 3000), ctx) == evaluate_source("x^3000", ctx)
+
+    def test_power_of_a_series(self):
+        ctx = Context(Zmod(9), Zmod(9).coeff(3))
+        cube = evaluate_source("geom(2)^3", ctx, precision=5)
+        assert cube == evaluate_source("geom(2)*geom(2)*geom(2)", ctx, precision=5)
+        assert evaluate_source("geom(2)^0", ctx, precision=5) == evaluate_source("geom(0)", ctx, precision=5)
+
     def test_rational_literal_needs_invertible_denominator(self):
         assert evaluate_source("1/2", Context(Zmod(5), Zmod(5).coeff(1))).terms[0][1].value == 3
         with pytest.raises(EvalError):
@@ -182,6 +205,51 @@ class TestCommandLine:
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert "nests deeper" in proc.stderr and "Traceback" not in proc.stderr
+
+    def test_long_flat_sum_exits_zero_without_traceback(self):
+        flat = " + ".join(["U(1)"] * 3000)
+        src = os.path.dirname(os.path.dirname(freebax.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-m", "freebax.cli", "eval", flat],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 0
+        assert proc.stdout == "3000*T(1,1)\n"
+        assert "Traceback" not in proc.stderr
+
+    def test_huge_exponent(self, capsys):
+        # square-and-multiply: 30 products, not 3 million
+        code, out, _ = run_cli(capsys, "--vars", "x", "eval", "x^3000000")
+        assert (code, out) == (0, "T(x^3000000)\n")
+
+    @pytest.mark.parametrize("argv, text, payload", [
+        (
+            ["--ring", "rat", "--lambda", "2", "--precision", "5", "eval", "geom(3)*U(1) + geom(1/2)"],
+            "T(1) + 15/2*T(1,1) + 169/4*T(1,1,1) + 1513/8*T(1,1,1,1) + 12097/16*T(1,1,1,1,1)"
+            " + 90721/32*T(1,1,1,1,1,1) + O(deg 6)\n",
+            '{"command": "eval", "context": {"lambda": "2", "ring": "rat", "variables": []}, '
+            '"result": {"components": [{"degree": 0, "element": {"kind": "element", "terms": '
+            '[{"coeff": "1", "word": [[]]}]}}, {"degree": 1, "element": {"kind": "element", '
+            '"terms": [{"coeff": "15/2", "word": [[], []]}]}}, {"degree": 2, "element": {"kind": '
+            '"element", "terms": [{"coeff": "169/4", "word": [[], [], []]}]}}, {"degree": 3, '
+            '"element": {"kind": "element", "terms": [{"coeff": "1513/8", "word": [[], [], [], '
+            '[]]}]}}, {"degree": 4, "element": {"kind": "element", "terms": [{"coeff": '
+            '"12097/16", "word": [[], [], [], [], []]}]}}, {"degree": 5, "element": {"kind": '
+            '"element", "terms": [{"coeff": "90721/32", "word": [[], [], [], [], [], []]}]}}], '
+            '"kind": "series", "precision": 5}}\n',
+        ),
+        (
+            ["--ring", "mod:6", "--lambda", "2", "--vars", "x,y", "eval", "(T(x,y)+3*T(y,1,x))^3 - T(1,x)*T(y)"],
+            "5*T(y,x) + 4*T(x^3,y^3)\n",
+            '{"command": "eval", "context": {"lambda": "2", "ring": "mod:6", "variables": ["x", '
+            '"y"]}, "result": {"kind": "element", "terms": [{"coeff": "5", "word": [[["y", 1]], '
+            '[["x", 1]]]}, {"coeff": "4", "word": [[["x", 3]], [["y", 3]]]}]}}\n',
+        ),
+    ], ids=["rat-series", "mod6-element"])
+    def test_golden_eval_output(self, capsys, argv, text, payload):
+        assert run_cli(capsys, *argv) == (0, text, "")
+        assert run_cli(capsys, "--json", *argv) == (0, payload, "")
 
     def test_phi_command(self, capsys):
         code, out, _ = run_cli(capsys, "--ring", "int", "--lambda", "2", "phi", "U(1)", "--len", "4")

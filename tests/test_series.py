@@ -19,6 +19,7 @@ from freebax import (
     shuffle_product,
     truncate,
     unit_word,
+    zero,
     zero_series,
 )
 from freebax.verify import random_element
@@ -171,3 +172,47 @@ class TestRendering:
         s = geometric_unit_series(ctx, INT.coeff(1), 2)
         assert str(s) == "T(1) + T(1,1) + T(1,1,1) + O(deg 3)"
         assert str(zero_series(ctx, 12)) == "0 + O(deg 13)"
+
+
+class TestSeriesContract:
+    def test_make_series_rejects_a_non_homogeneous_component(self):
+        ctx = ctx_of(INT, 1)
+        with pytest.raises(ValueError, match="homogeneous"):
+            make_series(ctx, 4, {1: unit_word(ctx, 1) + unit_word(ctx, 2)})
+        with pytest.raises(ValueError, match="homogeneous"):
+            make_series(ctx, 4, {2: unit_word(ctx, 1)})
+
+    def test_make_series_rejects_an_out_of_range_degree(self):
+        ctx = ctx_of(INT, 1)
+        with pytest.raises(ValueError, match="outside"):
+            make_series(ctx, 2, {3: unit_word(ctx, 3)})
+        with pytest.raises(ValueError, match="outside"):
+            make_series(ctx, 2, {-1: one(ctx)})
+
+    def test_negative_precision_is_rejected(self):
+        ctx = ctx_of(INT, 1)
+        with pytest.raises(ValueError, match="nonnegative"):
+            make_series(ctx, -1, {})
+        with pytest.raises(ValueError, match="nonnegative"):
+            embed(one(ctx), -1)
+        with pytest.raises(ValueError, match="nonnegative"):
+            geometric_unit_series(ctx, INT.coeff(2), -1)
+
+    def test_component_map_round_trip(self):
+        ctx = ctx_of(Zmod(9), 3, ("x", "y"))
+        rng = random.Random(41)
+        for _ in range(20):
+            s = embed(random_element(rng, ctx, max_word_len=3), 1)
+            n = s.precision
+            assert make_series(ctx, n, s.component_map()) == s
+            assert s.components == tuple(sorted(s.component_map().items()))
+            assert all(d <= n for d, _ in s.components)
+            assert s.finite_part() == sum((e for _, e in s.components), zero(ctx))
+
+    def test_components_are_the_nonzero_degrees_in_order(self):
+        ctx = ctx_of(RAT, 2)
+        quarter = RAT.coeff(Fraction(1, 4))
+        s = geometric_unit_series(ctx, RAT.coeff(Fraction(1, 2)), 4) - embed(unit_word(ctx, 2).scaled(quarter), 4)
+        assert [d for d, _ in s.components] == [0, 1, 3, 4]
+        assert s.component(2) == zero(ctx)
+        assert s.component(3) == unit_word(ctx, 3).scaled(RAT.coeff(Fraction(1, 8)))

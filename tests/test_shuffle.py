@@ -1,14 +1,17 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
 from freebax import (
     INT,
     RAT,
+    Coeff,
     Context,
     ContextMismatchError,
     Monomial,
+    RingMismatchError,
     Zmod,
     baxter_P,
     closed_form_unit_product,
@@ -28,6 +31,8 @@ from freebax import (
     zero,
 )
 from freebax.poly import UNIT_MONOMIAL
+from freebax.rings import power
+from freebax.shuffle import word_key
 from freebax.verify import BAXTER_IDENTITY_CONFIGS, random_element
 
 
@@ -250,6 +255,191 @@ class TestPowers:
             assert shuffle_product(shuffle_product(a, b), c) == shuffle_product(
                 a, shuffle_product(b, c)
             )
+
+
+    def test_power_matches_repeated_product(self):
+        ctx = Context(Zmod(9), Zmod(9).coeff(3), ("x",))
+        rng = random.Random(29)
+        for k in range(8):
+            a = random_element(rng, ctx, max_terms=2, max_word_len=2)
+            expected = one(ctx)
+            for _ in range(k):
+                expected = shuffle_product(expected, a)
+            assert a ** k == expected
+            if k:
+                assert element_power(a, k) == expected
+
+    def test_power_rejects_bad_exponents(self):
+        a = unit_word(ctx_int(1), 1)
+        with pytest.raises(ValueError):
+            element_power(a, 0)
+        with pytest.raises(ValueError):
+            a ** -1
+
+
+class Counted:
+    """A stand-in value that counts the products made from it."""
+
+    def __init__(self, exponent, log):
+        self.exponent, self.log = exponent, log
+
+    def __mul__(self, other):
+        self.log.append(1)
+        return Counted(self.exponent + other.exponent, self.log)
+
+
+class TestPowerRoutine:
+    @pytest.mark.parametrize("k", [1, 2, 3, 7, 8, 255, 256, 1000, 3_000_000])
+    def test_square_and_multiply(self, k):
+        log = []
+        out = power(Counted(1, log), k, None, True)
+        assert out.exponent == k
+        assert len(log) <= 2 * k.bit_length()
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 8, 100])
+    def test_repeated_multiplication(self, k):
+        log = []
+        out = power(Counted(1, log), k, None, False)
+        assert out.exponent == k
+        assert len(log) == k - 1
+
+    @pytest.mark.parametrize("by_squaring", [True, False])
+    def test_zero_exponent_returns_the_unit(self, by_squaring):
+        log = []
+        unit = Counted(0, log)
+        assert power(Counted(1, log), 0, lambda: unit, by_squaring) is unit and not log
+
+    def test_negative_exponent_rejected(self):
+        with pytest.raises(ValueError):
+            power(Counted(1, []), -1, None, True)
+
+
+class TestPowerMethodChoice:
+    """Each type squares only where its powers do not grow."""
+
+    @staticmethod
+    def count_products(monkeypatch, owner, name):
+        log = []
+        inner = getattr(owner, name)
+
+        def counted(a, b):
+            log.append(1)
+            return inner(a, b)
+
+        monkeypatch.setattr(owner, name, counted)
+        return log
+
+    def test_one_factor_word_is_squared(self, monkeypatch):
+        import freebax.shuffle as sh
+
+        ctx = ctx_int(1, ("x",))
+        log = self.count_products(monkeypatch, sh, "shuffle_product")
+        assert variable(ctx, "x") ** 16 == tensor_word(ctx, Monomial.of(x=16))
+        assert len(log) == 4
+
+    def test_growing_element_is_multiplied_by_the_base(self, monkeypatch):
+        import freebax.shuffle as sh
+
+        ctx = ctx_int(1, ("x",))
+        u = unit_word(ctx, 1)
+        expected = one(ctx)
+        for _ in range(16):
+            expected = shuffle_product(expected, u)
+        log = self.count_products(monkeypatch, sh, "shuffle_product")
+        assert u ** 16 == expected
+        assert len(log) == 15
+        del log[:]
+        assert (variable(ctx, "x") + u) ** 3 != zero(ctx) and len(log) == 2
+
+    def test_series_is_squared(self, monkeypatch):
+        import freebax.series as sr
+
+        ctx = ctx_int(1)
+        g = sr.geometric_unit_series(ctx, INT.coeff(2), 6)
+        expected = sr.embed(one(ctx), 6)
+        for _ in range(16):
+            expected = sr.complete_product(expected, g)
+        log = self.count_products(monkeypatch, sr, "complete_product")
+        assert g ** 16 == expected
+        assert len(log) == 4
+
+    def test_poly_squares_only_a_monomial(self, monkeypatch):
+        from freebax.poly import Poly
+
+        x = Poly.variable(INT, "x")
+        log = self.count_products(monkeypatch, Poly, "__mul__")
+        assert x ** 16 == Poly.from_terms(INT, {Monomial.of(x=16): INT.one()})
+        assert len(log) == 4
+        del log[:]
+        assert (x + Poly.one(INT)) ** 16 == (x + Poly.one(INT)) ** 8 * (x + Poly.one(INT)) ** 8
+        assert len(log) == 15 + 7 + 7 + 1
+
+
+class TestElementContract:
+    def test_insertion_order_does_not_matter(self):
+        ctx = ctx_int(2, ("x", "y"))
+        x, y = Monomial.of(x=1), Monomial.of(y=1)
+        pairs = [((x, y), INT.coeff(2)), ((UNIT_MONOMIAL, x), INT.coeff(-1)), ((y,), INT.coeff(5))]
+        forward = element(ctx, dict(pairs))
+        backward = element(ctx, dict(reversed(pairs)))
+        assert forward == backward
+        assert hash(forward) == hash(backward)
+        assert len({forward, backward}) == 1
+        assert forward + zero(ctx) == forward
+
+    def test_terms_are_sorted_coeffs_of_the_ring(self):
+        ring = Zmod(7)
+        ctx = Context(ring, ring.coeff(3), ("x", "y"))
+        x, y = Monomial.of(x=1), Monomial.of(y=1)
+        a = element(ctx, {
+            (y, x, x): ring.coeff(3),
+            (UNIT_MONOMIAL,): ring.coeff(9),
+            (x, y): ring.coeff(-1),
+            (UNIT_MONOMIAL, x): ring.coeff(1),
+        })
+        words = [w for w, _ in a.terms]
+        assert words == sorted(words, key=word_key)
+        assert all(isinstance(c, Coeff) and c.ring == ring for _, c in a.terms)
+        assert dict(a.terms)[(UNIT_MONOMIAL,)] == ring.coeff(2)
+        assert dict(a.terms)[(x, y)] == ring.coeff(6)
+
+    def test_rational_values_are_fractions_in_terms(self):
+        # an integral rational reached through Fraction arithmetic equals
+        # the same value entered as an integer, hash included
+        ctx = Context(RAT, RAT.coeff(1), ("x",))
+        half = variable(ctx, "x").scaled(RAT.coeff(Fraction(1, 2)))
+        two = variable(ctx, "x").scaled(2)
+        assert half.scaled(4) == two and hash(half.scaled(4)) == hash(two)
+        mixed = half + half + unit_word(ctx, 1).scaled(RAT.coeff(Fraction(1, 3)))
+        assert str(mixed) == "T(x) + 1/3*T(1,1)"
+        assert all(type(c.value) is Fraction for _, c in mixed.terms)
+
+    def test_other_ring_is_rejected(self):
+        a = unit_word(ctx_int(1), 1)
+        other = unit_word(Context(RAT, RAT.coeff(1)), 1)
+        with pytest.raises(RingMismatchError):
+            a + other
+        with pytest.raises(RingMismatchError):
+            a.scaled(RAT.coeff(2))
+        with pytest.raises(RingMismatchError):
+            a * Zmod(5).coeff(2)
+        with pytest.raises(RingMismatchError):
+            element(ctx_int(1), {(UNIT_MONOMIAL,): RAT.coeff(1)})
+
+    def test_coefficient_of_an_absent_word_is_zero(self):
+        ring = Zmod(9)
+        ctx = Context(ring, ring.coeff(3), ("x",))
+        a = variable(ctx, "x").scaled(4)
+        assert a.coefficient((Monomial.of(x=1),)) == ring.coeff(4)
+        assert a.coefficient((UNIT_MONOMIAL, Monomial.of(x=1))) == ring.zero()
+
+    def test_sum_cancelling_mod_9_is_zero(self):
+        ring = Zmod(9)
+        ctx = Context(ring, ring.coeff(3), ("x",))
+        a = variable(ctx, "x").scaled(3) + unit_word(ctx, 2).scaled(6)
+        total = a + a.scaled(2)
+        assert total == zero(ctx)
+        assert total.is_zero() and str(total) == "0" and total.terms == ()
 
 
 class TestValuation:

@@ -17,7 +17,6 @@ precision.  Rendering is canonical and parse(render(a)) = a for finite a.
 """
 from __future__ import annotations
 
-import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -27,13 +26,12 @@ from .poly import Poly
 from .rings import Coeff
 from .shuffle import (
     Context,
-    Element,
     baxter_P,
+    from_raw,
     scalar,
     tensor_word,
     unit_word,
     variable,
-    zero,
 )
 
 RESERVED = ("P", "T", "U", "geom", "lam")
@@ -43,6 +41,10 @@ RESERVED = ("P", "T", "U", "geom", "lam")
 # evaluation recurse once per level, so the limit turns deep input into a
 # ParseError instead of a RecursionError.
 MAX_NESTING = 100
+
+# Largest n accepted in U(n): the word has n+1 factors, so a larger n would
+# exhaust memory instead of raising a ParseError.
+MAX_UNIT_DEGREE = 100_000
 
 
 class ParseError(ValueError):
@@ -111,25 +113,27 @@ class Geom:
     ratio: object
 
 
-_TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|([()+\-*^/,]))")
+# the last group catches any other character, so the matches cover the
+# whole source but trailing whitespace
+_TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|([()+\-*^/,])|(\S))")
 
 
 def _tokenize(src: str):
-    tokens, i = [], 0
-    while i < len(src):
-        m = _TOKEN.match(src, i)
-        if not m or m.end() == i:
-            stripped = src[i:].lstrip()
-            if not stripped:
-                break
-            raise ParseError(f"unexpected character {stripped[0]!r}", len(src) - len(stripped))
-        if m.group(1) is not None:
-            tokens.append(("nat", int(m.group(1)), m.start(1)))
-        elif m.group(2) is not None:
-            tokens.append(("name", m.group(2), m.start(2)))
+    tokens = []
+    for m in _TOKEN.finditer(src):
+        nat, name, punct, other = m.groups()
+        if nat is not None:
+            try:
+                value = int(nat)
+            except ValueError:  # longer than the interpreter's int-string limit
+                raise ParseError(f"integer literal of {len(nat)} digits is too long", m.start(1)) from None
+            tokens.append(("nat", value, m.start(1)))
+        elif name is not None:
+            tokens.append(("name", name, m.start(2)))
+        elif punct is not None:
+            tokens.append((punct, punct, m.start(3)))
         else:
-            tokens.append((m.group(3), m.group(3), m.start(3)))
-        i = m.end()
+            raise ParseError(f"unexpected character {other!r}", m.start(4))
     tokens.append(("end", None, len(src)))
     return tokens
 
@@ -140,6 +144,7 @@ class _Parser:
         self.i = 0
         self.depth = 0
         self.variables = None if variables is None else tuple(variables)
+        self.word_factors: dict = {}  # token run -> the one node parsed from it
 
     def peek(self):
         return self.tokens[self.i]
@@ -226,19 +231,30 @@ class _Parser:
     def constructor(self, name: str, pos: int):
         self.expect("(")
         if name == "U":
-            n = self.expect("nat")[1]
+            _, n, npos = self.expect("nat")
+            if n > MAX_UNIT_DEGREE:
+                raise ParseError(f"unit word degree {n} exceeds {MAX_UNIT_DEGREE}", npos)
             self.expect(")")
             return UnitWord(n)
         if name == "T":
-            factors = [self.expr(in_word=True)]
+            factors = [self.word_factor()]
             while self.peek()[0] == ",":
                 self.next()
-                factors.append(self.expr(in_word=True))
+                factors.append(self.word_factor())
             self.expect(")")
             return Tensor(tuple(factors))
         arg = self.expr(in_word=False)
         self.expect(")")
         return POp(arg) if name == "P" else Geom(arg)
+
+    def word_factor(self):
+        """One argument of T(...).  Equal token runs give one shared node,
+        so evaluation can memoize factors by node identity without hashing
+        the tree, which recurses once per level."""
+        start = self.i
+        e = self.expr(in_word=True)
+        key = tuple(t[:2] for t in self.tokens[start:self.i])
+        return self.word_factors.setdefault(key, e)
 
 
 def parse(src: str, variables=None):
@@ -267,27 +283,60 @@ def _lit_coeff(node: Lit, ctx: Context) -> Coeff:
     return ring.coeff(node.num) * inverse(den)
 
 
-_BINARY_OPS = {Add: operator.add, Sub: operator.sub, Mul: operator.mul}
-
-
-def _fold(node, evaluate_operand, promote=lambda a, b: (a, b)):
-    """Evaluate a chain of Add/Sub/Mul nodes with a loop down its left
-    spine: the parser builds ``a + b + c`` as ``(a + b) + c``, so recursing
-    on the left operand would go one level deeper per term."""
-    spine = []
-    while type(node) in _BINARY_OPS:
-        spine.append(node)
+def _chain(node, kinds):
+    """The first operand of a chain of ``kinds`` nodes and its (node type,
+    right operand) steps in source order.  The parser builds ``a + b + c``
+    as ``(a + b) + c``, so the left spine is walked in a loop: recursing on
+    it would go one level deeper per operand."""
+    steps = []
+    while type(node) in kinds:
+        steps.append((type(node), node.right))
         node = node.left
-    value = evaluate_operand(node)
-    for op in reversed(spine):
-        value = _BINARY_OPS[type(op)](*promote(value, evaluate_operand(op.right)))
+    steps.reverse()
+    return node, steps
+
+
+def _sum(node, evaluate_operand, from_acc):
+    """Evaluate an Add/Sub chain in one dict: the raw terms of each operand
+    go in as soon as it is evaluated, and ``from_acc`` normalizes the dict
+    once.  A series operand adds its finite part and caps the precision, so
+    the result is the finite sum cut at the lowest series precision, which
+    is what adding the operands pairwise gives."""
+    first, steps = _chain(node, (Add, Sub))
+    acc: dict = {}
+    get = acc.get
+    precision = None
+    for kind, operand in [(Add, first)] + steps:
+        value = evaluate_operand(operand)
+        if isinstance(value, sr.Series):
+            precision = value.precision if precision is None else min(precision, value.precision)
+            value = value.finite_part()
+        if kind is Sub:
+            for k, v in value.raw_items():
+                acc[k] = get(k, 0) - v
+        else:
+            for k, v in value.raw_items():
+                acc[k] = get(k, 0) + v
+    total = from_acc(acc)
+    return total if precision is None else sr.embed(total, precision)
+
+
+def _product(node, evaluate_operand):
+    """Evaluate a Mul chain left to right; a series times an element, in
+    either order, is their product in the completion."""
+    first, steps = _chain(node, (Mul,))
+    value = evaluate_operand(first)
+    for _, operand in steps:
+        value = value * evaluate_operand(operand)
     return value
 
 
 def _eval_poly(node, ctx: Context) -> Poly:
     ring = ctx.ring
-    if type(node) in _BINARY_OPS:
-        return _fold(node, lambda operand: _eval_poly(operand, ctx))
+    if type(node) in (Add, Sub):
+        return _sum(node, lambda operand: _eval_poly(operand, ctx), lambda acc: Poly.from_raw(ring, acc))
+    if type(node) is Mul:
+        return _product(node, lambda operand: _eval_poly(operand, ctx))
     if isinstance(node, Lit):
         return Poly.constant(_lit_coeff(node, ctx))
     if isinstance(node, LamRef):
@@ -303,51 +352,58 @@ def _eval_poly(node, ctx: Context) -> Poly:
     raise EvalError(f"word factors must be polynomial expressions, got {type(node).__name__}")
 
 
-def _promote(a, b):
-    if isinstance(a, sr.Series) and isinstance(b, Element):
-        return a, sr.embed(b, a.precision)
-    if isinstance(a, Element) and isinstance(b, sr.Series):
-        return sr.embed(a, b.precision), b
-    return a, b
-
-
 def _as_scalar(value, what: str) -> Coeff:
     if isinstance(value, sr.Series):
         raise EvalError(f"{what} must be a scalar, not a series")
-    for w, c in value.terms:
+    terms = value.terms
+    for w, c in terms:
         if len(w) != 1 or not w[0].is_unit():
             raise EvalError(f"{what} must be a scalar element")
-    return value.terms[0][1] if value.terms else value.ctx.ring.zero()
+    return terms[0][1] if terms else value.ctx.ring.zero()
 
 
 def evaluate(node, ctx: Context, precision: int = 12):
     """Evaluate an AST to a finite element, or to a series once geom
-    appears anywhere in the expression."""
-    if type(node) in _BINARY_OPS:
-        return _fold(node, lambda operand: evaluate(operand, ctx, precision), _promote)
-    if isinstance(node, Lit):
-        return scalar(ctx, _lit_coeff(node, ctx))
-    if isinstance(node, LamRef):
-        return scalar(ctx, ctx.lam)
-    if isinstance(node, VarRef):
-        if node.name not in ctx.variables:
-            raise EvalError(f"unknown variable {node.name!r}")
-        return variable(ctx, node.name)
-    if isinstance(node, UnitWord):
-        return unit_word(ctx, node.degree)
-    if isinstance(node, Tensor):
-        return tensor_word(ctx, *[_eval_poly(f, ctx) for f in node.factors])
-    if isinstance(node, Geom):
-        ratio = _as_scalar(evaluate(node.ratio, ctx, precision), "geom ratio")
-        return sr.geometric_unit_series(ctx, ratio, precision)
-    if isinstance(node, POp):
-        arg = evaluate(node.arg, ctx, precision)
-        return sr.complete_P(arg) if isinstance(arg, sr.Series) else baxter_P(arg)
-    if isinstance(node, Neg):
-        return -evaluate(node.arg, ctx, precision)
-    if isinstance(node, Pow):
-        return evaluate(node.base, ctx, precision) ** node.exponent
-    raise EvalError(f"cannot evaluate node {node!r}")
+    appears anywhere in the expression.  Each word-factor node is evaluated
+    once per call, however many words share it."""
+    factors: dict = {}  # id of a word-factor node -> its Poly; lives for this call
+
+    def word_factor(f) -> Poly:
+        poly = factors.get(id(f))
+        if poly is None:
+            poly = factors[id(f)] = _eval_poly(f, ctx)
+        return poly
+
+    def value(node):
+        if type(node) in (Add, Sub):
+            return _sum(node, value, lambda acc: from_raw(ctx, acc))
+        if type(node) is Mul:
+            return _product(node, value)
+        if isinstance(node, Lit):
+            return scalar(ctx, _lit_coeff(node, ctx))
+        if isinstance(node, LamRef):
+            return scalar(ctx, ctx.lam)
+        if isinstance(node, VarRef):
+            if node.name not in ctx.variables:
+                raise EvalError(f"unknown variable {node.name!r}")
+            return variable(ctx, node.name)
+        if isinstance(node, UnitWord):
+            return unit_word(ctx, node.degree)
+        if isinstance(node, Tensor):
+            return tensor_word(ctx, *[word_factor(f) for f in node.factors])
+        if isinstance(node, Geom):
+            ratio = _as_scalar(value(node.ratio), "geom ratio")
+            return sr.geometric_unit_series(ctx, ratio, precision)
+        if isinstance(node, POp):
+            arg = value(node.arg)
+            return sr.complete_P(arg) if isinstance(arg, sr.Series) else baxter_P(arg)
+        if isinstance(node, Neg):
+            return -value(node.arg)
+        if isinstance(node, Pow):
+            return value(node.base) ** node.exponent
+        raise EvalError(f"cannot evaluate node {node!r}")
+
+    return value(node)
 
 
 def evaluate_source(src: str, ctx: Context, precision: int = 12):

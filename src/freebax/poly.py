@@ -106,29 +106,40 @@ def _join_terms(parts: list[tuple[bool, str]]) -> str:
 
 @dataclass(frozen=True)
 class Poly:
-    """A finite sum of monomials with nonzero coefficients from one ring.
-
-    Terms are kept sorted in descending monomial order, so equality is
-    structural and printing is deterministic.
-    """
+    """A finite sum of monomials with nonzero coefficients from one ring,
+    stored as an unsorted dict ``_raw`` from monomials to raw values of
+    ``ring`` (see ``Ring.raw``) and sorted only for ``terms``.  Build one
+    with ``from_terms`` or ``from_raw``; the dict is never mutated."""
 
     ring: Ring
-    terms: tuple[tuple[Monomial, Coeff], ...]
+    _raw: dict
+
+    def __hash__(self):
+        return hash((self.ring, frozenset(self._raw.items())))
+
+    @property
+    def terms(self) -> tuple[tuple[Monomial, Coeff], ...]:
+        """The terms as (monomial, Coeff) pairs in descending monomial order."""
+        coeff = self.ring.coeff
+        ordered = sorted(self._raw.items(), key=lambda t: t[0].sort_key, reverse=True)
+        return tuple((m, coeff(v)) for m, v in ordered)
+
+    def raw_items(self):
+        """The (monomial, raw value) pairs in no particular order."""
+        return self._raw.items()
+
+    @staticmethod
+    def from_raw(ring: Ring, acc: dict) -> Poly:
+        """The Poly of a monomial -> raw value dict, reduced by ``Ring.reduce``."""
+        return Poly(ring, ring.reduce(acc))
 
     @staticmethod
     def from_terms(ring: Ring, terms) -> Poly:
-        acc: dict[Monomial, Coeff] = {}
-        for mono, coeff in dict(terms).items():
-            if coeff.ring != ring:
-                raise RingMismatchError(f"coefficient ring {coeff.ring} != {ring}")
-            if not coeff.is_zero():
-                acc[mono] = coeff
-        ordered = sorted(acc.items(), key=lambda t: t[0].sort_key, reverse=True)
-        return Poly(ring, tuple(ordered))
+        return Poly.from_raw(ring, {m: ring.raw(c) for m, c in dict(terms).items()})
 
     @staticmethod
     def zero(ring: Ring) -> Poly:
-        return Poly(ring, ())
+        return Poly(ring, {})
 
     @staticmethod
     def constant(c: Coeff) -> Poly:
@@ -140,7 +151,7 @@ class Poly:
 
     @staticmethod
     def variable(ring: Ring, name: str) -> Poly:
-        return Poly.from_terms(ring, {Monomial.of(**{name: 1}): ring.one()})
+        return Poly(ring, {Monomial.of(**{name: 1}): 1})
 
     def _check(self, other: Poly):
         if not isinstance(other, Poly):
@@ -150,13 +161,14 @@ class Poly:
 
     def __add__(self, other: Poly) -> Poly:
         self._check(other)
-        acc = dict(self.terms)
-        for mono, coeff in other.terms:
-            acc[mono] = acc[mono] + coeff if mono in acc else coeff
-        return Poly.from_terms(self.ring, acc)
+        acc = dict(self._raw)
+        get = acc.get
+        for m, v in other._raw.items():
+            acc[m] = get(m, 0) + v
+        return Poly.from_raw(self.ring, acc)
 
     def __neg__(self) -> Poly:
-        return Poly(self.ring, tuple((m, -c) for m, c in self.terms))
+        return Poly.from_raw(self.ring, {m: -v for m, v in self._raw.items()})
 
     def __sub__(self, other: Poly) -> Poly:
         return self + (-other)
@@ -165,13 +177,13 @@ class Poly:
         if isinstance(other, (Coeff, int)):
             return self.scaled(other)
         self._check(other)
-        acc: dict[Monomial, Coeff] = {}
-        for m1, c1 in self.terms:
-            for m2, c2 in other.terms:
+        acc: dict = {}
+        get = acc.get
+        for m1, v1 in self._raw.items():
+            for m2, v2 in other._raw.items():
                 m = m1 * m2
-                c = c1 * c2
-                acc[m] = acc[m] + c if m in acc else c
-        return Poly.from_terms(self.ring, acc)
+                acc[m] = get(m, 0) + v1 * v2
+        return Poly.from_raw(self.ring, acc)
 
     def __rmul__(self, other):
         if isinstance(other, (Coeff, int)):
@@ -179,16 +191,15 @@ class Poly:
         return NotImplemented
 
     def scaled(self, c: Coeff | int) -> Poly:
-        if isinstance(c, int):
-            c = self.ring.coeff(c)
-        return Poly.from_terms(self.ring, {m: c * cf for m, cf in self.terms})
+        cv = self.ring.raw(c)
+        return Poly.from_raw(self.ring, {m: cv * v for m, v in self._raw.items()})
 
     def __pow__(self, k: int) -> Poly:
         # a monomial's powers stay one term; a sum's grow
-        return power(self, k, lambda: Poly.one(self.ring), len(self.terms) <= 1)
+        return power(self, k, lambda: Poly.one(self.ring), len(self._raw) <= 1)
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._raw
 
     def is_nilpotent(self) -> bool:
         # N(C[X]) = N(C)[X]: a polynomial is nilpotent exactly when all of
@@ -196,14 +207,11 @@ class Poly:
         return all(is_nilpotent(c) for _, c in self.terms)
 
     def coefficient(self, mono: Monomial) -> Coeff:
-        for m, c in self.terms:
-            if m == mono:
-                return c
-        return self.ring.zero()
+        return self.ring.coeff(self._raw.get(mono, 0))
 
     def variables(self) -> set[str]:
         out: set[str] = set()
-        for m, _ in self.terms:
+        for m in self._raw:
             out |= m.variables()
         return out
 

@@ -233,7 +233,7 @@ def t_sequence(ctx: Context, p: Poly, length: int) -> SequenceElement:
     entries = []
     for k in range(1, length + 1):
         prefix = (UNIT_MONOMIAL,) * (k - 1)
-        entries.append(bar(ctx.ring, k, {prefix + (m,): c for m, c in p.terms}))
+        entries.append(_normalized(ctx.ring, k, {prefix + (m,): v for m, v in p.raw_items()}))
     return SequenceElement(ctx, tuple(entries))
 
 

@@ -186,24 +186,22 @@ def variable(ctx: Context, name: str) -> Element:
 def tensor_word(ctx: Context, *factors) -> Element:
     """Build a word from polynomial-valued factors, expanding multilinearly
     so that the result is supported on monomial words."""
-    expanded: list[list[tuple[Monomial, Coeff]]] = []
+    if not factors:
+        raise ValueError("tensor words must have at least one factor")
+    # distinct prefixes extended by distinct monomials stay distinct, so
+    # each step is a plain dict build; from_raw drops products that vanish
+    acc: dict = {(): 1}
     for f in factors:
         if isinstance(f, Monomial):
-            expanded.append([(f, ctx.ring.one())])
+            acc = {w + (f,): v for w, v in acc.items()}
         elif isinstance(f, Poly):
             if f.ring != ctx.ring:
                 raise RingMismatchError(f"factor ring {f.ring} != {ctx.ring}")
-            expanded.append(list(f.terms))
+            items = f.raw_items()
+            acc = {w + (m,): v * c for w, v in acc.items() for m, c in items}
         else:
             raise TypeError(f"word factors must be monomials or polynomials, got {f!r}")
-    acc: dict[Word, Coeff] = {}
-    for combo in itertools.product(*expanded):
-        word = tuple(m for m, _ in combo)
-        c = ctx.ring.one()
-        for _, cf in combo:
-            c = c * cf
-        acc[word] = acc[word] + c if word in acc else c
-    return element(ctx, acc)
+    return from_raw(ctx, acc)
 
 
 def degree_components(a: Element) -> dict[int, Element]:

@@ -15,7 +15,7 @@ from math import comb, factorial, isqrt
 from . import sequences as sq
 from . import series as sr
 from .ideals import baxter_ideal_member, reduce_mod, reduce_vars, scalar_ideal, variable_ideal
-from .poly import Monomial, Poly
+from .poly import UNIT_MONOMIAL, Monomial, Poly
 from .rings import INT, RAT, Coeff, Ring, Zmod, characteristic, inverse, is_prime
 from .rings import is_unit as coeff_is_unit
 from .rings import is_zero_divisor as coeff_is_zero_divisor
@@ -28,13 +28,13 @@ from .shuffle import (
     degree_components,
     element_power,
     enumerate_mixable_shuffles,
+    from_raw,
     lambda_adic_valuation,
     one,
     scalar,
     shuffle_product,
     shuffle_product_enumerated,
     unit_word,
-    zero,
 )
 
 DEFAULT_SEED = 20317
@@ -92,13 +92,13 @@ def random_element(
     max_word_len: int = 3,
     max_degree: int = 2,
 ) -> Element:
-    acc = zero(ctx)
+    acc: dict = {}
     for _ in range(rng.randint(0, max_terms)):
         word = tuple(
             random_monomial(rng, ctx, max_degree) for _ in range(rng.randint(1, max_word_len))
         )
-        acc = acc + element(ctx, {word: random_coeff(rng, ctx.ring)})
-    return acc
+        acc[word] = acc.get(word, 0) + ctx.ring.raw(random_coeff(rng, ctx.ring))
+    return from_raw(ctx, acc)
 
 
 def random_nonzero_element(rng, ctx, **kw) -> Element:
@@ -175,7 +175,7 @@ def nilradical_member_weight0(a: Element) -> bool:
     head = degree_components(a).get(0)
     if head is None:
         return True
-    poly = Poly.from_terms(a.ctx.ring, {w[0]: c for w, c in head.terms})
+    poly = Poly.from_raw(a.ctx.ring, {w[0]: v for w, v in head.raw_items()})
     return poly.is_nilpotent()
 
 
@@ -504,9 +504,7 @@ def suite_phi_homomorphism(seed=DEFAULT_SEED, precision=DEFAULT_PRECISION, pairs
         for top in range(11):
             rng = random.Random(f"{seed}:{lam}:{top}")
             bs = [random_coeff(rng, INT) for _ in range(top + 1)]
-            combo = zero(ctx)
-            for n, b in enumerate(bs):
-                combo = combo + unit_word(ctx, n).scaled(b)
+            combo = element(ctx, {(UNIT_MONOMIAL,) * (n + 1): b for n, b in enumerate(bs)})
             if sq.phi(combo, length) != sq.phi_constants(ctx, bs, length):
                 bad = (lam, top)
     reports.append(

@@ -3,13 +3,27 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import freebax
-from freebax import INT, RAT, Context, Zmod, WitnessReport, one, unit_word
+import freebax.lang as lang
+import freebax.series as sr
+from freebax import INT, RAT, Context, Element, Zmod, WitnessReport, one, unit_word
 from freebax.cli import main
-from freebax.lang import MAX_NESTING, EvalError, ParseError, evaluate_source, parse, render
+from freebax.lang import (
+    MAX_NESTING,
+    MAX_UNIT_DEGREE,
+    EvalError,
+    ParseError,
+    evaluate,
+    evaluate_source,
+    parse,
+    render,
+)
 from freebax.verify import SUITES, random_element
 
 BAXTER_SOURCE = "P(x) * P(y) - P(x*P(y)) - P(y*P(x)) - lam*P(x*y)"
@@ -92,11 +106,38 @@ class TestEvaluation:
         ctx = Context(INT, INT.coeff(0), ("x",))
         assert evaluate_source("*".join(["x"] * 3000), ctx) == evaluate_source("x^3000", ctx)
 
+    def test_each_word_factor_is_evaluated_once_per_call(self, monkeypatch):
+        ctx = Context(INT, INT.coeff(1), ("x", "y"))
+        expanded = evaluate_source("T(x^2*y, x) + T(x^2*y, 1) - 3*T(x, x^2*y) - 3*T(1, x^2*y) + T(x) + T(1)", ctx)
+        seen = []
+        eval_poly = lang._eval_poly
+
+        def recording(node, ctx):
+            seen.append(id(node))
+            return eval_poly(node, ctx)
+
+        monkeypatch.setattr(lang, "_eval_poly", recording)
+        tree = parse("T(x^2*y, x + 1) - 3*T(x+1, x^2*y) + T(x + 1)", ctx.variables)
+        assert evaluate(tree, ctx) == expanded
+        # every node of the two distinct factors x^2*y and x+1, once each
+        assert len(seen) == len(set(seen)) == 7
+        # the memo does not outlive the call
+        evaluate(tree, ctx)
+        assert len(seen) == 2 * len(set(seen))
+
     def test_power_of_a_series(self):
         ctx = Context(Zmod(9), Zmod(9).coeff(3))
         cube = evaluate_source("geom(2)^3", ctx, precision=5)
         assert cube == evaluate_source("geom(2)*geom(2)*geom(2)", ctx, precision=5)
         assert evaluate_source("geom(2)^0", ctx, precision=5) == evaluate_source("geom(0)", ctx, precision=5)
+
+    def test_series_times_element_in_either_order(self):
+        ctx = Context(RAT, RAT.coeff(2), ("x",))
+        word = evaluate_source("T(x, 1) - 1/2*U(2)", ctx)
+        series = sr.geometric_unit_series(ctx, RAT.coeff(3), 4)
+        expected = sr.complete_product(series, sr.embed(word, 4))
+        assert evaluate_source("geom(3)*(T(x, 1) - 1/2*U(2))", ctx, precision=4) == expected
+        assert evaluate_source("(T(x, 1) - 1/2*U(2))*geom(3)", ctx, precision=4) == expected
 
     def test_rational_literal_needs_invertible_denominator(self):
         assert evaluate_source("1/2", Context(Zmod(5), Zmod(5).coeff(1))).terms[0][1].value == 3
@@ -134,6 +175,29 @@ class TestParseErrors:
         with pytest.raises(ParseError):
             parse("U(1)^x")
 
+    @pytest.mark.parametrize("src, pos", [("x +  $ y", 5), (" \t#", 2), ("T(1,x)é", 6)])
+    def test_unexpected_character_position(self, src, pos):
+        with pytest.raises(ParseError, match="unexpected character") as err:
+            parse(src)
+        assert err.value.pos == pos
+
+    def test_trailing_whitespace_is_ignored(self):
+        assert parse("x + 1 \t\n ") == parse("x+1")
+
+    @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(), reason="no int-string limit")
+    def test_literal_beyond_the_int_string_limit(self):
+        digits = "7" * (sys.get_int_max_str_digits() + 1)
+        for src, pos in ((digits, 0), ("x + " + digits, 4), ("x^" + digits, 2)):
+            with pytest.raises(ParseError, match="too long") as err:
+                parse(src)
+            assert err.value.pos == pos
+
+    def test_unit_word_degree_limit(self):
+        assert parse(f"U({MAX_UNIT_DEGREE})") == lang.UnitWord(MAX_UNIT_DEGREE)
+        with pytest.raises(ParseError, match="exceeds") as err:
+            parse(f"1 + U({MAX_UNIT_DEGREE + 1})")
+        assert err.value.pos == 6
+
     def test_nesting_limit(self):
         # P^n(x) is nested n + 1 levels deep
         deepest = "P(" * (MAX_NESTING - 1) + "x" + ")" * (MAX_NESTING - 1)
@@ -149,6 +213,26 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+GOLDEN_SUM_WORDS = (
+    "T(x)", "T(1,y)", "T(x*y,x^2)", "T(y^2,1,x)",
+    "T(1)", "T(y)", "T(x^2,y)", "T(x,x)", "T(1,x*y)", "T(y^2,y^2,1)", "T(x,1,y)", "T(x*y)",
+)
+
+
+def golden_sum_source() -> str:
+    """200 rational terms over twelve words: every word repeats, and the
+    terms of the first four words cancel to zero."""
+    rng = random.Random(2004)
+    terms = []
+    for _ in range(100):
+        i = rng.randrange(len(GOLDEN_SUM_WORDS))
+        c = Fraction(rng.randint(1, 9), rng.randint(1, 4)) * rng.choice((1, -1))
+        d = -c if i < 4 else Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+        terms += [(c, GOLDEN_SUM_WORDS[i]), (d, GOLDEN_SUM_WORDS[i])]
+    rng.shuffle(terms)
+    return "0 " + " ".join(f"{'-' if c < 0 else '+'} {abs(c)}*{w}" for c, w in terms)
 
 
 class TestCommandLine:
@@ -218,6 +302,18 @@ class TestCommandLine:
         assert proc.stdout == "3000*T(1,1)\n"
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("expression", ["U(99999999999999)", "U(1"])
+    def test_rejected_unit_word_exits_two_without_traceback(self, expression):
+        src = os.path.dirname(os.path.dirname(freebax.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-m", "freebax.cli", "eval", expression],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+
     def test_huge_exponent(self, capsys):
         # square-and-multiply: 30 products, not 3 million
         code, out, _ = run_cli(capsys, "--vars", "x", "eval", "x^3000000")
@@ -246,7 +342,35 @@ class TestCommandLine:
             '"y"]}, "result": {"kind": "element", "terms": [{"coeff": "5", "word": [[["y", 1]], '
             '[["x", 1]]]}, {"coeff": "4", "word": [[["x", 3]], [["y", 3]]]}]}}\n',
         ),
-    ], ids=["rat-series", "mod6-element"])
+        (
+            ["--ring", "rat", "--vars", "x,y", "eval", golden_sum_source()],
+            '-15/4*T(1) - 73/12*T(y) + 79/12*T(x*y) - 31/12*T(1,x*y) - 121/6*T(x,x) + 49/4*T(x^2,y) '
+            '+ 205/12*T(x,1,y) - 35/2*T(y^2,y^2,1)\n',
+            '{"command": "eval", "context": {"lambda": "1", "ring": "rat", "variables": ["x", '
+            '"y"]}, "result": {"kind": "element", "terms": [{"coeff": "-15/4", "word": [[]]}, '
+            '{"coeff": "-73/12", "word": [[["y", 1]]]}, {"coeff": "79/12", "word": [[["x", 1], '
+            '["y", 1]]]}, {"coeff": "-31/12", "word": [[], [["x", 1], ["y", 1]]]}, {"coeff": '
+            '"-121/6", "word": [[["x", 1]], [["x", 1]]]}, {"coeff": "49/4", "word": [[["x", 2]], '
+            '[["y", 1]]]}, {"coeff": "205/12", "word": [[["x", 1]], [], [["y", 1]]]}, {"coeff": '
+            '"-35/2", "word": [[["y", 2]], [["y", 2]], []]}]}}\n',
+        ),
+        (
+            ["--ring", "mod:6", "--vars", "x,y", "eval", "T((x+y+1)^3, x*y - 2) - 2*T(x)"],
+            '4*T(x) + 4*T(1,1) + T(1,x*y) + 3*T(x,x*y) + 3*T(y,x*y) + 3*T(x^2,x*y) + 3*T(y^2,x*y) + '
+            '3*T(x*y^2,x*y) + 3*T(x^2*y,x*y) + 4*T(x^3,1) + T(x^3,x*y) + 4*T(y^3,1) + T(y^3,x*y)\n',
+            '{"command": "eval", "context": {"lambda": "1", "ring": "mod:6", "variables": ["x", '
+            '"y"]}, "result": {"kind": "element", "terms": [{"coeff": "4", "word": [[["x", 1]]]}, '
+            '{"coeff": "4", "word": [[], []]}, {"coeff": "1", "word": [[], [["x", 1], ["y", 1]]]}, '
+            '{"coeff": "3", "word": [[["x", 1]], [["x", 1], ["y", 1]]]}, {"coeff": "3", "word": '
+            '[[["y", 1]], [["x", 1], ["y", 1]]]}, {"coeff": "3", "word": [[["x", 2]], [["x", 1], '
+            '["y", 1]]]}, {"coeff": "3", "word": [[["y", 2]], [["x", 1], ["y", 1]]]}, {"coeff": '
+            '"3", "word": [[["x", 1], ["y", 2]], [["x", 1], ["y", 1]]]}, {"coeff": "3", "word": '
+            '[[["x", 2], ["y", 1]], [["x", 1], ["y", 1]]]}, {"coeff": "4", "word": [[["x", 3]], '
+            '[]]}, {"coeff": "1", "word": [[["x", 3]], [["x", 1], ["y", 1]]]}, {"coeff": "4", '
+            '"word": [[["y", 3]], []]}, {"coeff": "1", "word": [[["y", 3]], [["x", 1], ["y", '
+            '1]]]}]}}\n',
+        ),
+    ], ids=["rat-series", "mod6-element", "rat-sum200", "mod6-poly-factors"])
     def test_golden_eval_output(self, capsys, argv, text, payload):
         assert run_cli(capsys, *argv) == (0, text, "")
         assert run_cli(capsys, "--json", *argv) == (0, payload, "")
@@ -291,3 +415,56 @@ class TestCommandLine:
         with pytest.raises(SystemExit) as err:
             main(["--vars", "lam", "eval", "1"])
         assert err.value.code == 2
+
+
+# text over the grammar's alphabet, with characters it does not know
+SOURCE_PIECES = (
+    "x", "y", "z", "P", "T", "U", "geom", "lam", "0", "1", "7", "12", "/", "(", ")",
+    "+", "-", "*", "^", ",", " ", "\t", "$", ".", "é", "\u0663", "_",
+)
+
+SUM_OPERANDS = (
+    "T(x,y)", "T(x^2 + y, 1)", "3*T(1,x)", "T(x*y - 1)", "U(1)", "U(2)", "2*U(0)",
+    "geom(2)", "geom(-1)", "P(geom(3))", "U(1)*geom(-1)", "P(T(x))",
+)
+
+
+@st.composite
+def signed_sums(draw):
+    operands = draw(st.lists(st.sampled_from(SUM_OPERANDS), min_size=1, max_size=12))
+    signs = draw(st.lists(st.sampled_from("+-"), min_size=len(operands) - 1, max_size=len(operands) - 1))
+    return operands, signs
+
+
+def pairwise_fold(operands, signs, ctx, precision):
+    """The sum evaluated one operand at a time, with the series rules of
+    the completion: a finite element joins a series at its precision."""
+    total = evaluate_source(operands[0], ctx, precision)
+    for sign, src in zip(signs, operands[1:]):
+        value = evaluate_source(src, ctx, precision)
+        if isinstance(total, sr.Series) and isinstance(value, Element):
+            value = sr.embed(value, total.precision)
+        elif isinstance(total, Element) and isinstance(value, sr.Series):
+            total = sr.embed(total, value.precision)
+        total = total + value if sign == "+" else total - value
+    return total
+
+
+class TestProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from(SOURCE_PIECES), max_size=40).map("".join),
+           st.sampled_from([None, ("x", "y")]))
+    def test_parse_raises_only_parse_error(self, src, variables):
+        try:
+            parse(src, variables)
+        except ParseError:
+            pass
+
+    @settings(max_examples=100, deadline=None)
+    @given(signed_sums(), st.sampled_from(CONTEXTS[2:4]), st.integers(0, 4))
+    @example((["geom(2)", "T(x,y)", "geom(2)", "T(x,y)"], ["+", "-", "-"]), CONTEXTS[2], 3)
+    @example((["T(x*y - 1)", "3*T(1,x)", "T(x*y - 1)", "3*T(1,x)"], ["+", "-", "+"]), CONTEXTS[3], 2)
+    def test_sum_equals_the_pairwise_fold(self, signed, ctx, precision):
+        operands, signs = signed
+        src = operands[0] + "".join(f" {sign} {operand}" for sign, operand in zip(signs, operands[1:]))
+        assert evaluate_source(src, ctx, precision) == pairwise_fold(operands, signs, ctx, precision)

@@ -2,12 +2,13 @@ import copy
 import dataclasses
 import pickle
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from freebax import INT, RAT, Monomial, Poly, RingMismatchError, Zmod
+from freebax import INT, RAT, Coeff, Monomial, Poly, RingMismatchError, Zmod
 from freebax.poly import UNIT_MONOMIAL
 
 
@@ -138,6 +139,63 @@ class TestNilpotence:
                     break
                 power = power * p
             assert p.is_nilpotent() == direct, str(p)
+
+
+class TestPolyContract:
+    def test_insertion_order_does_not_matter(self):
+        pairs = [(Monomial.of(x=2, y=1), INT.coeff(2)), (one, INT.coeff(-1)), (y, INT.coeff(5))]
+        forward = Poly.from_terms(INT, dict(pairs))
+        backward = Poly.from_terms(INT, dict(reversed(pairs)))
+        assert forward == backward
+        assert hash(forward) == hash(backward)
+        assert len({forward, backward}) == 1
+        assert forward + Poly.zero(INT) == forward
+        assert P(INT, (x, 1)) + P(INT, (y, 1)) == P(INT, (y, 1)) + P(INT, (x, 1))
+
+    def test_terms_are_sorted_coeffs_of_the_ring(self):
+        ring = Zmod(7)
+        p = Poly.from_terms(ring, {
+            y: ring.coeff(3),
+            one: ring.coeff(9),
+            Monomial.of(x=2): ring.coeff(-1),
+            x: ring.coeff(1),
+        })
+        monos = [m for m, _ in p.terms]
+        assert monos == sorted(monos, key=lambda m: m.sort_key, reverse=True)
+        assert all(isinstance(c, Coeff) and c.ring == ring for _, c in p.terms)
+        assert dict(p.terms)[one] == ring.coeff(2)
+        assert dict(p.terms)[Monomial.of(x=2)] == ring.coeff(6)
+
+    def test_rational_values_are_fractions_in_terms(self):
+        # an integral rational reached through Fraction arithmetic equals
+        # the same value entered as an integer, hash included
+        half = Poly.variable(RAT, "x").scaled(RAT.coeff(Fraction(1, 2)))
+        two = Poly.variable(RAT, "x").scaled(2)
+        assert half.scaled(4) == two and hash(half.scaled(4)) == hash(two)
+        mixed = half + half + Poly.one(RAT).scaled(RAT.coeff(Fraction(1, 3)))
+        assert str(mixed) == "x + 1/3"
+        assert all(type(c.value) is Fraction for _, c in mixed.terms)
+
+    def test_terms_vanishing_mod_m_are_dropped(self):
+        ring = Zmod(6)
+        p = Poly.from_terms(ring, {x: ring.coeff(6), y: ring.coeff(12), one: ring.coeff(7)})
+        assert p.terms == ((one, ring.coeff(1)),)
+        assert (P(ring, (x, 2)) * P(ring, (y, 3))).is_zero()
+        assert P(ring, (x, 2)).scaled(3) == Poly.zero(ring)
+
+    def test_other_ring_is_rejected(self):
+        with pytest.raises(RingMismatchError):
+            Poly.from_terms(INT, {x: RAT.coeff(1)})
+        with pytest.raises(RingMismatchError):
+            P(INT, (x, 1)) * P(Zmod(5), (x, 1))
+        with pytest.raises(RingMismatchError):
+            P(INT, (x, 1)).scaled(RAT.coeff(2))
+
+    def test_coefficient_of_an_absent_monomial_is_zero(self):
+        ring = Zmod(9)
+        p = P(ring, (x, 4))
+        assert p.coefficient(x) == ring.coeff(4)
+        assert p.coefficient(y) == ring.zero()
 
 
 monomials = st.sampled_from([one, x, y, Monomial.of(x=2), Monomial.of(x=1, y=1), Monomial.of(y=3)])

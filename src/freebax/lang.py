@@ -18,6 +18,7 @@ precision.  Rendering is canonical and parse(render(a)) = a for finite a.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -113,148 +114,207 @@ class Geom:
     ratio: object
 
 
-# the last group catches any other character, so the matches cover the
-# whole source but trailing whitespace
-_TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|([()+\-*^/,])|(\S))")
+# One match per token, as a plain string; the last alternative catches any
+# other character, so the matches cover the whole source but trailing
+# whitespace.  A token is classified by its first character, as the
+# alternative that matched it would: a name starts with an ASCII letter or
+# "_", punctuation is one character, and anything else that passed _BAD is
+# a run of decimal digits (``\d``, so Unicode digits count).
+_TOKEN = re.compile(r"\s*(\d+|[A-Za-z_][A-Za-z_0-9]*|[()+\-*^/,]|\S)")
+# the characters no token can start or continue: each is a catch-all match
+_BAD = re.compile(r"[^\s\dA-Za-z_()+\-*^/,]")
+_KIND = {
+    **dict.fromkeys("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_", "name"),
+    **{c: c for c in "()+-*^/,"},
+    "": "end",
+}
+# precedence climbing: the binding level of each binary operator, all
+# left-associative; unary minus and "^" are parsed in factor
+_BINARY = {"+": (1, Add), "-": (1, Sub), "*": (2, Mul)}
 
 
-def _tokenize(src: str):
-    tokens = []
-    for m in _TOKEN.finditer(src):
-        nat, name, punct, other = m.groups()
-        if nat is not None:
-            try:
-                value = int(nat)
-            except ValueError:  # longer than the interpreter's int-string limit
-                raise ParseError(f"integer literal of {len(nat)} digits is too long", m.start(1)) from None
-            tokens.append(("nat", value, m.start(1)))
-        elif name is not None:
-            tokens.append(("name", name, m.start(2)))
-        elif punct is not None:
-            tokens.append((punct, punct, m.start(3)))
-        else:
-            raise ParseError(f"unexpected character {other!r}", m.start(4))
-    tokens.append(("end", None, len(src)))
+# the interpreter's int-string limit (0: none); absent before Python 3.10.7
+_int_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
+
+
+def _shown(tok: str) -> str:
+    kind = _KIND.get(tok[:1], "nat")
+    if kind == "end":
+        return "end of input"
+    return repr(int(tok)) if kind == "nat" else repr(tok)
+
+
+def _tokenize(src: str) -> list:
+    tokens = _TOKEN.findall(src)
+    limit = _int_limit()
+    if _BAD.search(src) or (limit and max(map(len, tokens), default=0) > limit):
+        # the first bad character or over-long literal, in source order; a
+        # long name alone is no error
+        for m in _TOKEN.finditer(src):
+            tok = m.group(1)
+            if _BAD.match(tok):
+                raise ParseError(f"unexpected character {tok!r}", m.start(1))
+            if limit and len(tok) > limit and _KIND.get(tok[0], "nat") == "nat":
+                raise ParseError(f"integer literal of {len(tok)} digits is too long", m.start(1))
+    tokens.append("")  # end of input: no match is empty
     return tokens
 
 
 class _Parser:
     def __init__(self, src: str, variables):
+        self.src = src
         self.tokens = _tokenize(src)
         self.i = 0
         self.depth = 0
+        self.peak = 0  # deepest level entered since the current word factor began
         self.variables = None if variables is None else tuple(variables)
-        self.word_factors: dict = {}  # token run -> the one node parsed from it
+        # T(...) argument token run -> (its node, the levels it nests below its T)
+        self.word_factors: dict = {}
 
-    def peek(self):
-        return self.tokens[self.i]
+    def error(self, message: str, index: int) -> ParseError:
+        """A ParseError at token ``index``; its source position is found
+        only now, by matching the tokens again up to it."""
+        if index == len(self.tokens) - 1:
+            return ParseError(message, len(self.src))
+        matches = _TOKEN.finditer(self.src)
+        for _ in range(index):
+            next(matches)
+        return ParseError(message, next(matches).start(1))
 
-    def next(self):
-        t = self.tokens[self.i]
+    def expect(self, tok: str):
+        if self.tokens[self.i] != tok:
+            raise self.error(f"expected {tok!r}, found {_shown(self.tokens[self.i])}", self.i)
         self.i += 1
-        return t
 
-    def expect(self, kind: str):
-        t = self.next()
-        if t[0] != kind:
-            raise ParseError(f"expected {kind!r}, found {t[1]!r}", t[2])
-        return t
+    def nat(self) -> int:
+        tok = self.tokens[self.i]
+        if _KIND.get(tok[:1], "nat") != "nat":
+            raise self.error(f"expected 'nat', found {_shown(tok)}", self.i)
+        self.i += 1
+        return int(tok)
 
     def parse(self):
-        e = self.expr(in_word=False)
-        t = self.peek()
-        if t[0] != "end":
-            raise ParseError(f"unexpected trailing input {t[1]!r}", t[2])
+        e = self.expr(False, 1)
+        tok = self.tokens[self.i]
+        if tok:
+            raise self.error(f"unexpected trailing input {_shown(tok)}", self.i)
         return e
 
-    def expr(self, in_word: bool):
-        e = self.term(in_word)
-        while self.peek()[0] in ("+", "-"):
-            op = self.next()[0]
-            rhs = self.term(in_word)
-            e = Add(e, rhs) if op == "+" else Sub(e, rhs)
-        return e
-
-    def term(self, in_word: bool):
+    def expr(self, in_word: bool, level: int):
+        """Operands joined by binary operators of at least ``level``."""
+        tokens = self.tokens
         e = self.factor(in_word)
-        while self.peek()[0] == "*":
-            self.next()
-            e = Mul(e, self.factor(in_word))
-        return e
+        while True:
+            op = _BINARY.get(tokens[self.i])
+            if op is None or op[0] < level:
+                return e
+            self.i += 1
+            e = op[1](e, self.expr(in_word, op[0] + 1))
 
     def factor(self, in_word: bool):
-        if self.depth == MAX_NESTING:
-            raise ParseError(f"expression nests deeper than {MAX_NESTING} levels", self.peek()[2])
-        self.depth += 1
-        if self.peek()[0] == "-":
-            self.next()
+        """A unary minus, or an atom with an optional "^" exponent; each
+        factor is one nesting level."""
+        depth = self.depth
+        i = self.i
+        if depth == MAX_NESTING:
+            raise self.error(f"expression nests deeper than {MAX_NESTING} levels", i)
+        self.depth = depth = depth + 1
+        if depth > self.peak:
+            self.peak = depth
+        tokens = self.tokens
+        tok = tokens[i]
+        kind = _KIND.get(tok[:1], "nat")
+        self.i = i + 1
+        if kind == "-":
             e = Neg(self.factor(in_word))
+            self.depth = depth - 1
+            return e
+        if kind == "nat":
+            if tokens[i + 1] == "/":
+                self.i += 1
+                den = self.nat()
+                if den == 0:
+                    raise self.error("zero denominator", i + 2)
+                e = Lit(int(tok), den)
+            else:
+                e = Lit(int(tok))
+        elif kind == "name":
+            if tok == "lam":
+                e = LamRef()
+            elif tok in ("P", "T", "U", "geom"):
+                if in_word:
+                    raise self.error(
+                        f"{tok!r} cannot appear inside T(...): word factors must be "
+                        "polynomial expressions",
+                        i,
+                    )
+                e = self.constructor(tok)
+            elif self.variables is not None and tok not in self.variables:
+                raise self.error(f"unknown variable {tok!r}", i)
+            else:
+                e = VarRef(tok)
+        elif kind == "(":
+            e = self.expr(in_word, 1)
+            self.expect(")")
         else:
-            e = self.atom(in_word)
-            if self.peek()[0] == "^":
-                self.next()
-                t = self.expect("nat")
-                e = Pow(e, t[1])
-        self.depth -= 1
+            raise self.error("unexpected end of input" if kind == "end" else f"unexpected token {tok!r}", i)
+        if tokens[self.i] == "^":
+            self.i += 1
+            e = Pow(e, self.nat())
+        self.depth = depth - 1
         return e
 
-    def atom(self, in_word: bool):
-        kind, value, pos = self.next()
-        if kind == "nat":
-            if self.peek()[0] == "/":
-                self.next()
-                den = self.expect("nat")
-                if den[1] == 0:
-                    raise ParseError("zero denominator", den[2])
-                return Lit(value, den[1])
-            return Lit(value)
-        if kind == "(":
-            e = self.expr(in_word)
-            self.expect(")")
-            return e
-        if kind == "name":
-            if value == "lam":
-                return LamRef()
-            if value in ("P", "T", "U", "geom"):
-                if in_word:
-                    raise ParseError(
-                        f"{value!r} cannot appear inside T(...): word factors must be "
-                        "polynomial expressions",
-                        pos,
-                    )
-                return self.constructor(value, pos)
-            if self.variables is not None and value not in self.variables:
-                raise ParseError(f"unknown variable {value!r}", pos)
-            return VarRef(value)
-        raise ParseError(f"unexpected token {value!r}", pos)
-
-    def constructor(self, name: str, pos: int):
+    def constructor(self, name: str):
         self.expect("(")
         if name == "U":
-            _, n, npos = self.expect("nat")
+            n = self.nat()
             if n > MAX_UNIT_DEGREE:
-                raise ParseError(f"unit word degree {n} exceeds {MAX_UNIT_DEGREE}", npos)
+                raise self.error(f"unit word degree {n} exceeds {MAX_UNIT_DEGREE}", self.i - 1)
             self.expect(")")
             return UnitWord(n)
         if name == "T":
             factors = [self.word_factor()]
-            while self.peek()[0] == ",":
-                self.next()
+            while self.tokens[self.i] == ",":
+                self.i += 1
                 factors.append(self.word_factor())
             self.expect(")")
             return Tensor(tuple(factors))
-        arg = self.expr(in_word=False)
+        arg = self.expr(False, 1)
         self.expect(")")
         return POp(arg) if name == "P" else Geom(arg)
 
     def word_factor(self):
-        """One argument of T(...).  Equal token runs give one shared node,
-        so evaluation can memoize factors by node identity without hashing
-        the tree, which recurses once per level."""
-        start = self.i
-        e = self.expr(in_word=True)
-        key = tuple(t[:2] for t in self.tokens[start:self.i])
-        return self.word_factors.setdefault(key, e)
+        """One argument of T(...).  Its token run, up to the "," or ")" at
+        bracket depth 0, is a memo key: a run seen before is skipped and
+        its node shared, so evaluation can memoize factors by node identity
+        without hashing the tree, which recurses once per level.  A shared
+        node is taken only where parsing the run again would stay within
+        MAX_NESTING, so the limit raises at the same place either way."""
+        tokens = self.tokens
+        start = end = self.i
+        brackets = 0
+        while True:
+            tok = tokens[end]
+            if tok == "(":
+                brackets += 1
+            elif tok == ")":
+                if not brackets:
+                    break
+                brackets -= 1
+            elif (tok == "," and not brackets) or not tok:
+                break
+            end += 1
+        key = tuple(tokens[start:end])
+        depth = self.depth
+        hit = self.word_factors.get(key)
+        if hit is not None and depth + hit[1] <= MAX_NESTING:
+            self.i = end
+            return hit[0]
+        self.peak = depth  # no word factor nests in another
+        e = self.expr(True, 1)
+        if self.i == end:
+            self.word_factors[key] = (e, self.peak - depth)
+        return e
 
 
 def parse(src: str, variables=None):

@@ -3,6 +3,7 @@ the rationals, and the integers modulo m."""
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -155,7 +156,24 @@ class Coeff:
         return Coeff(self.ring, abs(self.value)) if self.is_negative() else self
 
     def __str__(self):
-        return str(self.value)
+        try:
+            return str(self.value)
+        except ValueError:  # a part longer than the interpreter's int-string limit
+            digits = max(_digit_count(self.value.numerator), _digit_count(self.value.denominator))
+            raise ValueError(
+                f"a coefficient of {digits} digits exceeds the limit of "
+                f"{sys.get_int_max_str_digits()} digits for printing an integer; "
+                "set PYTHONINTMAXSTRDIGITS=0 to print it"
+            ) from None
+
+
+def _digit_count(n: int) -> int:
+    """The number of decimal digits of an integer's absolute value, found
+    without converting it to a string."""
+    n = abs(n)
+    # 2**(b-1) <= n < 2**b, so the estimate is the digit count or one short
+    d = math.floor((n.bit_length() - 1) * math.log10(2)) + 1 if n else 1
+    return d + 1 if n >= 10 ** d else d
 
 
 def power(x, k: int, one, by_squaring: bool):

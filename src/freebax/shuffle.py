@@ -263,7 +263,14 @@ def shuffle_product(a: Element, b: Element) -> Element:
         for wb, cb in b._raw.items():
             c = ca * cb
             head = wa[0] * wb[0]
-            for tail, weight in _mix(ta, wb[1:], lam_raw, memo).items():
+            tb = wb[1:]
+            if not ta or not tb:
+                # _mix((), v) = {v: 1}: a one-factor word only multiplies heads
+                w = (head,) + (ta or tb)
+                prev = aget(w)
+                acc[w] = c if prev is None else prev + c
+                continue
+            for tail, weight in _mix(ta, tb, lam_raw, memo).items():
                 w = (head,) + tail
                 t = c * weight
                 prev = aget(w)

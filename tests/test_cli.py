@@ -156,7 +156,108 @@ class TestEvaluation:
         assert evaluate_source("lam", ctx) == one(ctx).scaled(7)
 
 
+# (source, variables, message, position) of malformed input, captured from
+# the parser with one method per precedence level that this one replaced.
+# The only differences allowed since are the end-of-input texts: "found
+# None" became "found end of input", and "unexpected token None" became
+# "unexpected end of input".
+LONG_LITERAL = "7" * 5000
+GOLDEN_PARSE_ERRORS = [
+    ("U(1", None, "expected ')', found end of input", 3),
+    ("T(x,", None, "unexpected end of input", 4),
+    ("T(P(x))", None, "'P' cannot appear inside T(...): word factors must be polynomial expressions", 2),
+    ("T(T(1))", None, "'T' cannot appear inside T(...): word factors must be polynomial expressions", 2),
+    ("3/0", None, "zero denominator", 2),
+    ("U(x)", None, "expected 'nat', found 'x'", 2),
+    ("T()", None, "unexpected token ')'", 2),
+    ("T(x,,y)", None, "unexpected token ','", 4),
+    ("x ^ y", None, "expected 'nat', found 'y'", 4),
+    ("U(100001)", None, "unit word degree 100001 exceeds 100000", 2),
+    (LONG_LITERAL, None, "integer literal of 5000 digits is too long", 0),
+    ("T(x) + " + LONG_LITERAL, None, "integer literal of 5000 digits is too long", 7),
+    (LONG_LITERAL + " é", None, "integer literal of 5000 digits is too long", 0),
+    ("é " + LONG_LITERAL, None, "unexpected character 'é'", 0),
+    ("٣" * 5000, None, "integer literal of 5000 digits is too long", 0),
+    ("P(" * 101 + "x" + ")" * 101, None, "expression nests deeper than 100 levels", 200),
+    ("-" * 100 + "1", None, "expression nests deeper than 100 levels", 100),
+    ("é", None, "unexpected character 'é'", 0),
+    ("x²", None, "unexpected character '²'", 1),
+    (") é", None, "unexpected character 'é'", 2),
+    ("x٣", None, "unexpected trailing input 3", 1),
+    ("1 +", None, "unexpected end of input", 3),
+    ("", None, "unexpected end of input", 0),
+    ("   ", None, "unexpected end of input", 3),
+    ("2*-", None, "unexpected end of input", 3),
+    ("geom(", None, "unexpected end of input", 5),
+    ("1 + U(1) -", None, "unexpected end of input", 10),
+    ("x^", None, "expected 'nat', found end of input", 2),
+    ("1/", None, "expected 'nat', found end of input", 2),
+    ("P(x", None, "expected ')', found end of input", 3),
+    ("()", None, "unexpected token ')'", 1),
+    (")", None, "unexpected token ')'", 0),
+    ("P()", None, "unexpected token ')'", 2),
+    ("x y", None, "unexpected trailing input 'y'", 2),
+    ("T(x)(", None, "unexpected trailing input '('", 4),
+    ("lam(1)", None, "unexpected trailing input '('", 3),
+    ("1/x", None, "expected 'nat', found 'x'", 2),
+    ("U 5", None, "expected '(', found 5", 2),
+    ("U(007 x", None, "expected ')', found 'x'", 6),
+    ("U(1,2)", None, "expected ')', found ','", 3),
+    ("T(x y)", None, "expected ')', found 'y'", 4),
+    ("x + 1", ("y",), "unknown variable 'x'", 0),
+    ("T(x, z)", ("x", "y"), "unknown variable 'z'", 5),
+]
+
+
+def _golden_id(row):
+    src = row[0]
+    return src if len(src) <= 20 else f"{src[:8]}...{len(src)}-chars"
+
+
 class TestParseErrors:
+    @pytest.mark.parametrize("src, variables, message, pos", GOLDEN_PARSE_ERRORS,
+                             ids=[_golden_id(row) for row in GOLDEN_PARSE_ERRORS])
+    def test_golden_error_table(self, src, variables, message, pos):
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if "too long" in message and not 0 < limit < 5000:
+            pytest.skip("no int-string limit below 5000 digits")
+        with pytest.raises(ParseError) as err:
+            parse(src, variables)
+        assert str(err.value) == f"{message} (at position {pos})"
+        assert err.value.pos == pos
+
+    def test_unicode_digits_are_literals(self):
+        # \d matches any decimal digit, as it did before
+        assert parse("٣+1") == lang.Add(lang.Lit(3), lang.Lit(1))
+        assert parse("x^٢") == lang.Pow(lang.VarRef("x"), 2)
+
+    @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(), reason="no int-string limit")
+    def test_long_name_is_not_a_long_literal(self):
+        name = "x" + "1" * (sys.get_int_max_str_digits() + 1)
+        assert parse(name) == lang.VarRef(name)
+
+    def test_repeated_word_factor_is_one_node(self):
+        tree = parse("T(x^2*y, 1) + 3*T(1, x^2*y) - T(x^2*y)")
+        first = tree.left.left.factors[0]
+        assert tree.left.right.right.factors[1] is first
+        assert tree.right.factors[0] is first
+        assert tree.left.left.factors[1] is tree.left.right.right.factors[0]
+
+    def test_nesting_limit_through_the_factor_memo(self):
+        # T(((((x))))) nests 5 levels below its T; seen first at the top
+        # level, its shared node is reused only where reparsing would fit
+        word = "T(((((x)))))"
+        fits = parse(word + " + " + "P(" * 94 + word + ")" * 94)
+        inner = fits.right
+        for _ in range(94):
+            inner = inner.arg
+        assert inner.factors[0] is fits.left.factors[0]
+        for first in (word, "T(((((y)))))"):  # with and without a memo hit
+            for levels, pos in ((95, 211), (96, 212)):
+                with pytest.raises(ParseError, match=f"nests deeper than {MAX_NESTING} levels") as err:
+                    parse(first + " + " + "P(" * levels + word + ")" * levels)
+                assert err.value.pos == pos
+
     def test_nested_tensor_diagnostic(self):
         with pytest.raises(ParseError) as err:
             parse("T(T(1))")
@@ -313,6 +414,33 @@ class TestCommandLine:
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("expression, message", [
+        ("U(1", "error: expected ')', found end of input (at position 3)\n"),
+        ("1 +", "error: unexpected end of input (at position 3)\n"),
+    ], ids=["U(1", "1 +"])
+    def test_end_of_input_is_named(self, capsys, expression, message):
+        assert run_cli(capsys, "eval", expression) == (2, "", message)
+
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-string limit")
+    def test_coefficient_beyond_the_int_string_limit(self):
+        src = os.path.dirname(os.path.dirname(freebax.__file__))
+        for flag in ((), ("--json",)):
+            argv = [sys.executable, "-m", "freebax.cli", *flag, "eval", "10^5000"]
+            env = dict(os.environ, PYTHONPATH=src, PYTHONINTMAXSTRDIGITS="4300")
+            proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=60)
+            assert proc.returncode == 2 and proc.stdout == ""
+            assert proc.stderr == (
+                "error: a coefficient of 5001 digits exceeds the limit of 4300 digits for "
+                "printing an integer; set PYTHONINTMAXSTRDIGITS=0 to print it\n"
+            )
+            env["PYTHONINTMAXSTRDIGITS"] = "0"
+            proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=60)
+            assert proc.returncode == 0 and proc.stderr == ""
+            if flag:
+                assert json.loads(proc.stdout)["result"]["terms"][0]["coeff"] == "1" + "0" * 5000
+            else:
+                assert proc.stdout == "1" + "0" * 5000 + "*T(1)\n"
 
     def test_huge_exponent(self, capsys):
         # square-and-multiply: 30 products, not 3 million

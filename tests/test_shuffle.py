@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import freebax.shuffle as shuffle_module
 from freebax import (
     INT,
     RAT,
@@ -175,6 +176,56 @@ class TestOracleEquivalence:
             a = random_element(rng, ctx)
             b = random_element(rng, ctx)
             assert shuffle_product(a, b) == shuffle_product_enumerated(a, b)
+
+
+class TestOneFactorWords:
+    """A word of one factor has an empty tail, so its products only
+    multiply heads and never enter the tail-mixing recursion."""
+
+    @staticmethod
+    def one_factor(rng, ctx):
+        return random_element(rng, ctx, max_terms=4, max_word_len=1)
+
+    @pytest.mark.parametrize("ring, lam", BAXTER_IDENTITY_CONFIGS, ids=str)
+    def test_matches_the_oracle(self, ring, lam):
+        ctx = Context(ring, ring.coeff(lam), ("x", "y"))
+        rng = random.Random(13)
+        for _ in range(25):
+            short, short2, other = self.one_factor(rng, ctx), self.one_factor(rng, ctx), random_element(rng, ctx)
+            for a, b in ((short, other), (other, short), (short, short2)):
+                assert shuffle_product(a, b) == shuffle_product_enumerated(a, b)
+
+    def test_coefficients_cancelling_mod_9(self):
+        ctx = Context(Zmod(9), Zmod(9).coeff(3), ("x", "y"))
+        x, y = variable(ctx, "x"), variable(ctx, "y")
+        a = x.scaled(3) + scalar(ctx, 3)
+        b = tensor_word(ctx, Monomial.of(y=1), UNIT_MONOMIAL).scaled(3) + x.scaled(6)
+        assert shuffle_product(a, b) == shuffle_product_enumerated(a, b) == zero(ctx)
+        # x*y from two term pairs: 1 + 8 = 0 mod 9
+        c = shuffle_product(x + y.scaled(8), x + y)
+        assert c == shuffle_product_enumerated(x + y.scaled(8), x + y)
+        assert c == tensor_word(ctx, Monomial.of(x=2)) + tensor_word(ctx, Monomial.of(y=2)).scaled(8)
+
+    def test_kernel_is_not_entered(self, monkeypatch):
+        calls = []
+        mix = shuffle_module._mix
+
+        def counting(*args):
+            calls.append(1)
+            return mix(*args)
+
+        monkeypatch.setattr(shuffle_module, "_mix", counting)
+        ctx = Context(RAT, RAT.coeff(2), ("x", "y"))
+        rng = random.Random(17)
+        long_word = tensor_word(ctx, Monomial.of(x=1), UNIT_MONOMIAL, Monomial.of(y=2))
+        for _ in range(10):
+            short = self.one_factor(rng, ctx)
+            shuffle_product(short, long_word)
+            shuffle_product(long_word, short)
+            shuffle_product(short, self.one_factor(rng, ctx))
+        assert calls == []
+        shuffle_product(long_word, unit_word(ctx, 1))
+        assert calls
 
 
 class TestBaxterOperator:

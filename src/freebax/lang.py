@@ -24,7 +24,7 @@ from fractions import Fraction
 
 from . import series as sr
 from .poly import Poly
-from .rings import Coeff
+from .rings import Coeff, inverse, is_unit
 from .shuffle import (
     Context,
     baxter_P,
@@ -141,7 +141,7 @@ def _shown(tok: str) -> str:
     kind = _KIND.get(tok[:1], "nat")
     if kind == "end":
         return "end of input"
-    return repr(int(tok)) if kind == "nat" else repr(tok)
+    return tok if kind == "nat" else repr(tok)
 
 
 def _tokenize(src: str) -> list:
@@ -335,8 +335,6 @@ def _lit_coeff(node: Lit, ctx: Context) -> Coeff:
         if node.num % node.den:
             raise EvalError(f"{node.num}/{node.den} is not an integer")
         return ring.coeff(node.num // node.den)
-    from .rings import inverse, is_unit
-
     den = ring.coeff(node.den)
     if not is_unit(den):
         raise EvalError(f"{node.den} is not invertible in {ring}")

@@ -104,18 +104,61 @@ def _join_terms(parts: list[tuple[bool, str]]) -> str:
     return out
 
 
+class _TermStore:
+    """The arithmetic shared by Poly, Element and BarElement: a finite sum
+    stored as an unsorted dict ``_raw`` from keys (monomials or words) to
+    nonzero raw values of ``ring`` (see ``Ring.raw``), never mutated.  A
+    subclass supplies ``ring``, ``_check`` and ``_new``, which builds its
+    own kind from a key -> raw value dict, and binds ``__hash__``, which a
+    frozen dataclass would otherwise replace."""
+
+    def __hash__(self):
+        return hash((self.ring, frozenset(self._raw.items())))
+
+    def raw_items(self):
+        """The (key, raw value) pairs in no particular order."""
+        return self._raw.items()
+
+    def is_zero(self) -> bool:
+        return not self._raw
+
+    def coefficient(self, key) -> Coeff:
+        return self.ring.coeff(self._raw.get(key, 0))
+
+    def __add__(self, other):
+        self._check(other)
+        acc = dict(self._raw)
+        get = acc.get
+        for k, v in other._raw.items():
+            acc[k] = get(k, 0) + v
+        return self._new(acc)
+
+    def __neg__(self):
+        return self._new({k: -v for k, v in self._raw.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __rmul__(self, other):
+        if isinstance(other, (Coeff, int)):
+            return self.scaled(other)
+        return NotImplemented
+
+    def scaled(self, c: Coeff | int):
+        cv = self.ring.raw(c)
+        return self._new({k: cv * v for k, v in self._raw.items()})
+
+
 @dataclass(frozen=True)
-class Poly:
-    """A finite sum of monomials with nonzero coefficients from one ring,
-    stored as an unsorted dict ``_raw`` from monomials to raw values of
-    ``ring`` (see ``Ring.raw``) and sorted only for ``terms``.  Build one
-    with ``from_terms`` or ``from_raw``; the dict is never mutated."""
+class Poly(_TermStore):
+    """A finite sum of monomials with nonzero coefficients from one ring: a
+    term store keyed by monomials, sorted only for ``terms``.  Build one
+    with ``from_terms`` or ``from_raw``."""
 
     ring: Ring
     _raw: dict
 
-    def __hash__(self):
-        return hash((self.ring, frozenset(self._raw.items())))
+    __hash__ = _TermStore.__hash__
 
     @property
     def terms(self) -> tuple[tuple[Monomial, Coeff], ...]:
@@ -123,10 +166,6 @@ class Poly:
         coeff = self.ring.coeff
         ordered = sorted(self._raw.items(), key=lambda t: t[0].sort_key, reverse=True)
         return tuple((m, coeff(v)) for m, v in ordered)
-
-    def raw_items(self):
-        """The (monomial, raw value) pairs in no particular order."""
-        return self._raw.items()
 
     @staticmethod
     def from_raw(ring: Ring, acc: dict) -> Poly:
@@ -159,19 +198,8 @@ class Poly:
         if other.ring != self.ring:
             raise RingMismatchError(f"mixed rings {self.ring} and {other.ring}")
 
-    def __add__(self, other: Poly) -> Poly:
-        self._check(other)
-        acc = dict(self._raw)
-        get = acc.get
-        for m, v in other._raw.items():
-            acc[m] = get(m, 0) + v
+    def _new(self, acc: dict) -> Poly:
         return Poly.from_raw(self.ring, acc)
-
-    def __neg__(self) -> Poly:
-        return Poly.from_raw(self.ring, {m: -v for m, v in self._raw.items()})
-
-    def __sub__(self, other: Poly) -> Poly:
-        return self + (-other)
 
     def __mul__(self, other) -> Poly:
         if isinstance(other, (Coeff, int)):
@@ -185,29 +213,14 @@ class Poly:
                 acc[m] = get(m, 0) + v1 * v2
         return Poly.from_raw(self.ring, acc)
 
-    def __rmul__(self, other):
-        if isinstance(other, (Coeff, int)):
-            return self.scaled(other)
-        return NotImplemented
-
-    def scaled(self, c: Coeff | int) -> Poly:
-        cv = self.ring.raw(c)
-        return Poly.from_raw(self.ring, {m: cv * v for m, v in self._raw.items()})
-
     def __pow__(self, k: int) -> Poly:
         # a monomial's powers stay one term; a sum's grow
         return power(self, k, lambda: Poly.one(self.ring), len(self._raw) <= 1)
-
-    def is_zero(self) -> bool:
-        return not self._raw
 
     def is_nilpotent(self) -> bool:
         # N(C[X]) = N(C)[X]: a polynomial is nilpotent exactly when all of
         # its coefficients are.
         return all(is_nilpotent(c) for _, c in self.terms)
-
-    def coefficient(self, mono: Monomial) -> Coeff:
-        return self.ring.coeff(self._raw.get(mono, 0))
 
     def variables(self) -> set[str]:
         out: set[str] = set()

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from math import comb
 from operator import mul
 
-from .poly import UNIT_MONOMIAL, Poly
+from .poly import UNIT_MONOMIAL, Poly, _TermStore
 from .rings import Coeff, Ring, RingMismatchError, is_zero_divisor
 from .series import Series, truncate
 from .shuffle import Context, ContextMismatchError, Element, Word, _RawTerms
@@ -50,14 +50,16 @@ class BarElement(_RawTerms):
     level: int
     _raw: dict
 
-    def __hash__(self):
-        return hash((self.ring, self.level, frozenset(self._raw.items())))
+    __hash__ = _TermStore.__hash__
 
     def _check(self, other: BarElement):
         if not isinstance(other, BarElement):
             raise TypeError(f"expected a bar element, got {other!r}")
         if other.ring != self.ring:
             raise RingMismatchError("bar elements over different rings")
+
+    def _new(self, acc: dict) -> BarElement:
+        return _normalized(self.ring, self.level, acc)
 
     def _padded(self, level: int) -> dict:
         if level == self.level:
@@ -74,12 +76,6 @@ class BarElement(_RawTerms):
             acc[w] = get(w, 0) + v
         return _normalized(self.ring, level, acc)
 
-    def __neg__(self) -> BarElement:
-        return _normalized(self.ring, self.level, {w: -v for w, v in self._raw.items()})
-
-    def __sub__(self, other: BarElement) -> BarElement:
-        return self + (-other)
-
     def __mul__(self, other):
         if isinstance(other, (Coeff, int)):
             return self.scaled(other)
@@ -93,15 +89,6 @@ class BarElement(_RawTerms):
                 w = tuple(map(mul, wa, wb))
                 acc[w] = get(w, 0) + va * vb
         return _normalized(self.ring, level, acc)
-
-    def __rmul__(self, other):
-        if isinstance(other, (Coeff, int)):
-            return self.scaled(other)
-        return NotImplemented
-
-    def scaled(self, c: Coeff | int) -> BarElement:
-        cv = self.ring.raw(c)
-        return _normalized(self.ring, self.level, {w: cv * v for w, v in self._raw.items()})
 
     def to_obj(self):
         return {"level": self.level, "terms": self._terms_obj()}

@@ -16,7 +16,7 @@ import itertools
 from dataclasses import dataclass
 from math import comb
 
-from .poly import UNIT_MONOMIAL, Monomial, Poly, _join_terms, _term_str
+from .poly import UNIT_MONOMIAL, Monomial, Poly, _join_terms, _term_str, _TermStore
 from .rings import Coeff, Ring, RingMismatchError, lambda_valuation, power
 
 Word = tuple[Monomial, ...]
@@ -52,22 +52,15 @@ def word_str(word: Word) -> str:
     return "T(" + ",".join(str(m) for m in word) + ")"
 
 
-class _RawTerms:
-    """Shared by Element and BarElement, which keep an unsorted dict ``_raw``
-    from words to raw values of ``ring`` and sort it only for ``terms``."""
+class _RawTerms(_TermStore):
+    """The word display shared by Element and BarElement, whose keys are
+    words: the dict is sorted only for ``terms``."""
 
     @property
     def terms(self) -> tuple[tuple[Word, Coeff], ...]:
         """The terms as (word, Coeff) pairs sorted by word."""
         coeff = self.ring.coeff
         return tuple((w, coeff(v)) for w, v in sorted(self._raw.items(), key=lambda t: word_key(t[0])))
-
-    def raw_items(self):
-        """The (word, raw value) pairs in no particular order."""
-        return self._raw.items()
-
-    def is_zero(self) -> bool:
-        return not self._raw
 
     def _terms_obj(self) -> list:
         return [{"coeff": str(c), "word": [m.to_obj() for m in w]} for w, c in self.terms]
@@ -84,8 +77,7 @@ class Element(_RawTerms):
     ctx: Context
     _raw: dict
 
-    def __hash__(self):
-        return hash((self.ctx, frozenset(self._raw.items())))
+    __hash__ = _TermStore.__hash__
 
     @property
     def ring(self) -> Ring:
@@ -97,19 +89,8 @@ class Element(_RawTerms):
         if other.ctx != self.ctx:
             raise ContextMismatchError("elements belong to different contexts")
 
-    def __add__(self, other: Element) -> Element:
-        self._check(other)
-        acc = dict(self._raw)
-        get = acc.get
-        for w, v in other._raw.items():
-            acc[w] = get(w, 0) + v
+    def _new(self, acc: dict) -> Element:
         return from_raw(self.ctx, acc)
-
-    def __neg__(self) -> Element:
-        return from_raw(self.ctx, {w: -v for w, v in self._raw.items()})
-
-    def __sub__(self, other: Element) -> Element:
-        return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, Element):
@@ -118,22 +99,11 @@ class Element(_RawTerms):
             return self.scaled(other)
         return NotImplemented
 
-    def __rmul__(self, other):
-        if isinstance(other, (Coeff, int)):
-            return self.scaled(other)
-        return NotImplemented
-
     def __pow__(self, k: int) -> Element:
-        # one word of one factor keeps one term; longer words' tails grow
-        single = len(self._raw) == 1 and len(next(iter(self._raw))) == 1
+        # zero, or one word of one factor, keeps at most one term; longer
+        # words' tails grow
+        single = len(self._raw) <= 1 and all(len(w) == 1 for w in self._raw)
         return power(self, k, lambda: one(self.ctx), single)
-
-    def scaled(self, c: Coeff | int) -> Element:
-        cv = self.ring.raw(c)
-        return from_raw(self.ctx, {w: cv * v for w, v in self._raw.items()})
-
-    def coefficient(self, word: Word) -> Coeff:
-        return self.ring.coeff(self._raw.get(word, 0))
 
     def to_obj(self):
         return {"kind": "element", "terms": self._terms_obj()}

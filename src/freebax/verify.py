@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from math import comb, factorial, isqrt
+from math import factorial, isqrt
 
 from . import sequences as sq
 from . import series as sr
@@ -68,6 +68,14 @@ def _report(claim, inputs, verdict, detail) -> WitnessReport:
     return WitnessReport(claim, tuple((k, str(v)) for k, v in inputs), verdict, detail)
 
 
+def _first_failure(claim, inputs, passed: str, failures, describe) -> WitnessReport:
+    """FAIL with ``describe`` of the first item of ``failures``, which is
+    drawn no further, or PASS with the text ``passed`` when it is empty."""
+    for bad in failures:
+        return _report(claim, inputs, False, describe(bad))
+    return _report(claim, inputs, True, passed)
+
+
 # --- randomized element generation (fixed seeds make probes reproducible) ---
 
 def random_coeff(rng: random.Random, ring: Ring) -> Coeff:
@@ -99,6 +107,13 @@ def random_element(
         )
         acc[word] = acc.get(word, 0) + ctx.ring.raw(random_coeff(rng, ctx.ring))
     return from_raw(ctx, acc)
+
+
+def _random_pairs(rng: random.Random, ctx: Context, n: int):
+    """n pairs of default-shaped random elements, each drawn left first."""
+    for _ in range(n):
+        a = random_element(rng, ctx)
+        yield a, random_element(rng, ctx)
 
 
 def random_nonzero_element(rng, ctx, **kw) -> Element:
@@ -249,11 +264,10 @@ def lemma_power_suite(trials: int = 20, seed: int = DEFAULT_SEED) -> list[Witnes
     y -> P(x*y) n times from the unit satisfies
     (iterate n) * (iterate 1) = (n+1) * (iterate n+1)  and
     P(x)^n = n! * (iterate n)."""
-    reports = []
-    for ring in (RAT, Zmod(9)):
+
+    def failures(ring):
         ctx = Context(ring, ring.zero(), ("x", "y"))
         rng = random.Random(f"{seed}:{ring}")
-        failures = []
         for _ in range(trials):
             x = random_element(rng, ctx, max_terms=2, max_word_len=2)
             p_of_x = baxter_P(x)  # also the iterate at n = 1: P(x * 1)
@@ -262,20 +276,17 @@ def lemma_power_suite(trials: int = 20, seed: int = DEFAULT_SEED) -> list[Witnes
             for n in range(6):
                 pnext = baxter_P(shuffle_product(x, pn))
                 if shuffle_product(pn, p_of_x) != pnext.scaled(n + 1):
-                    failures.append(("product-identity", x, n))
+                    yield "product-identity", x, n
                 if ppow != pn.scaled(factorial(n)):
-                    failures.append(("factorial-identity", x, n))
+                    yield "factorial-identity", x, n
                 pn = pnext
                 ppow = shuffle_product(ppow, p_of_x)
-        reports.append(
-            _report(
-                f"lemma-power ring={ring}",
-                [("trials", trials)],
-                not failures,
-                "both identities held for n <= 5" if not failures else f"failed at {failures[0]}",
-            )
-        )
-    return reports
+
+    return [
+        _first_failure(f"lemma-power ring={ring}", [("trials", trials)], "both identities held for n <= 5",
+                       failures(ring), "failed at {}".format)
+        for ring in (RAT, Zmod(9))
+    ]
 
 
 def _squarefree(m: int) -> bool:
@@ -377,48 +388,32 @@ BAXTER_IDENTITY_CONFIGS = (
 
 
 def suite_baxter_identity(seed=DEFAULT_SEED, precision=DEFAULT_PRECISION, pairs=200):
-    reports = []
-    for ring, lam in BAXTER_IDENTITY_CONFIGS:
+    def residuals(ring, lam):
         ctx = Context(ring, ring.coeff(lam), ("x", "y"))
-        rng = random.Random(f"{seed}:{ring}:{lam}")
-        bad = None
-        for _ in range(pairs):
-            x = random_element(rng, ctx)
-            y = random_element(rng, ctx)
+        for x, y in _random_pairs(random.Random(f"{seed}:{ring}:{lam}"), ctx, pairs):
             residual = _identity_residual(x, y)
             if not residual.is_zero():
-                bad = (x, y, residual)
-                break
-        reports.append(
-            _report(
-                f"baxter-identity ring={ring} lambda={lam}",
-                [("pairs", pairs)],
-                bad is None,
-                f"residual 0 on {pairs} random pairs" if bad is None else f"residual {bad[2]}",
-            )
-        )
-    return reports
+                yield residual
+
+    return [
+        _first_failure(f"baxter-identity ring={ring} lambda={lam}", [("pairs", pairs)],
+                       f"residual 0 on {pairs} random pairs", residuals(ring, lam), "residual {}".format)
+        for ring, lam in BAXTER_IDENTITY_CONFIGS
+    ]
 
 
 def suite_prop_unit(seed=DEFAULT_SEED, precision=DEFAULT_PRECISION):
-    reports = []
-    for lam in (0, 1, 2, 5):
-        ctx = Context(INT, INT.coeff(lam))
-        bad = None
+    def mismatches(ctx):
         for m in range(7):
             for n in range(7):
-                computed = shuffle_product(unit_word(ctx, m), unit_word(ctx, n))
-                if computed != closed_form_unit_product(ctx, m, n):
-                    bad = (m, n)
-        reports.append(
-            _report(
-                f"prop-unit lambda={lam}",
-                [("range", "m, n <= 6")],
-                bad is None,
-                "closed form = computed product" if bad is None else f"mismatch at {bad}",
-            )
-        )
-    return reports
+                if shuffle_product(unit_word(ctx, m), unit_word(ctx, n)) != closed_form_unit_product(ctx, m, n):
+                    yield m, n
+
+    return [
+        _first_failure(f"prop-unit lambda={lam}", [("range", "m, n <= 6")], "closed form = computed product",
+                       mismatches(Context(INT, INT.coeff(lam))), "mismatch at {}".format)
+        for lam in (0, 1, 2, 5)
+    ]
 
 
 def _delannoy(m: int, n: int) -> int:
@@ -430,41 +425,29 @@ def _delannoy(m: int, n: int) -> int:
 def suite_oracle_equivalence(seed=DEFAULT_SEED, precision=DEFAULT_PRECISION):
     """Recursion equals enumeration on generic words, and the enumerator's
     counts satisfy the three-term lattice-path recursion."""
-    reports = []
-    counts_ok = all(
-        len(enumerate_mixable_shuffles(m, n)) == _delannoy(m, n)
-        for m in range(7)
-        for n in range(7)
+    counts = (
+        (m, n) for m in range(7) for n in range(7) if len(enumerate_mixable_shuffles(m, n)) != _delannoy(m, n)
     )
-    reports.append(
-        _report(
-            "mixable-shuffle-counts",
-            [("range", "m, n <= 6")],
-            counts_ok,
-            "enumeration sizes match the lattice-path recursion",
-        )
-    )
-    names = tuple("abcdefghij")
-    bad = None
-    for lam in (0, 1, 2):
-        ctx = Context(INT, INT.coeff(lam), names)
-        for m in range(5):
-            for n in range(5):
-                wa = tuple(Monomial.of(**{names[i]: 1}) for i in range(m + 1))
-                wb = tuple(Monomial.of(**{names[m + 1 + j]: 1}) for j in range(n + 1))
-                a = element(ctx, {wa: INT.one()})
-                b = element(ctx, {wb: INT.one()})
-                if shuffle_product(a, b) != shuffle_product_enumerated(a, b):
-                    bad = (lam, m, n)
-    reports.append(
-        _report(
-            "product-oracle-equivalence",
-            [("range", "m, n <= 4; lambda in {0,1,2}")],
-            bad is None,
-            "recursion = enumeration" if bad is None else f"mismatch at {bad}",
-        )
-    )
-    return reports
+
+    def products():
+        names = tuple("abcdefghij")
+        for lam in (0, 1, 2):
+            ctx = Context(INT, INT.coeff(lam), names)
+            for m in range(5):
+                for n in range(5):
+                    wa = tuple(Monomial.of(**{names[i]: 1}) for i in range(m + 1))
+                    wb = tuple(Monomial.of(**{names[m + 1 + j]: 1}) for j in range(n + 1))
+                    a = element(ctx, {wa: INT.one()})
+                    b = element(ctx, {wb: INT.one()})
+                    if shuffle_product(a, b) != shuffle_product_enumerated(a, b):
+                        yield lam, m, n
+
+    return [
+        _first_failure("mixable-shuffle-counts", [("range", "m, n <= 6")],
+                       "enumeration sizes match the lattice-path recursion", counts, "size mismatch at {}".format),
+        _first_failure("product-oracle-equivalence", [("range", "m, n <= 4; lambda in {0,1,2}")],
+                       "recursion = enumeration", products(), "mismatch at {}".format),
+    ]
 
 
 def suite_charp(seed=DEFAULT_SEED, precision=DEFAULT_PRECISION):
@@ -496,115 +479,78 @@ def suite_lemma_power(seed=DEFAULT_SEED, precision=DEFAULT_PRECISION):
 
 
 def suite_phi_homomorphism(seed=DEFAULT_SEED, precision=DEFAULT_PRECISION, pairs=100):
-    reports = []
-    bad = None
     length = 10
-    for lam in (0, 1, 2, 3):
-        ctx = Context(INT, INT.coeff(lam))
-        for top in range(11):
-            rng = random.Random(f"{seed}:{lam}:{top}")
-            bs = [random_coeff(rng, INT) for _ in range(top + 1)]
-            combo = element(ctx, {(UNIT_MONOMIAL,) * (n + 1): b for n, b in enumerate(bs)})
-            if sq.phi(combo, length) != sq.phi_constants(ctx, bs, length):
-                bad = (lam, top)
-    reports.append(
-        _report(
-            "phi-constants-closed-form",
-            [("range", "indices <= 10; lambda in {0,1,2,3}")],
-            bad is None,
-            "recursive phi = closed form" if bad is None else f"mismatch at {bad}",
-        )
-    )
-    for ring, lam in ((INT, 1), (INT, 2), (RAT, 1)):
+
+    def constants():
+        for lam in (0, 1, 2, 3):
+            ctx = Context(INT, INT.coeff(lam))
+            for top in range(11):
+                rng = random.Random(f"{seed}:{lam}:{top}")
+                bs = [random_coeff(rng, INT) for _ in range(top + 1)]
+                combo = element(ctx, {(UNIT_MONOMIAL,) * (n + 1): b for n, b in enumerate(bs)})
+                if sq.phi(combo, length) != sq.phi_constants(ctx, bs, length):
+                    yield lam, top
+
+    def homomorphism(ring, lam):
         ctx = Context(ring, ring.coeff(lam), ("x", "y"))
-        rng = random.Random(f"{seed}:{ring}:{lam}:hom")
-        bad = None
-        for _ in range(pairs):
-            a = random_element(rng, ctx)
-            b = random_element(rng, ctx)
+        for a, b in _random_pairs(random.Random(f"{seed}:{ring}:{lam}:hom"), ctx, pairs):
             pa, pb = sq.phi(a, length), sq.phi(b, length)
             if sq.phi(shuffle_product(a, b), length) != pa * pb:
-                bad = (a, b, "multiplicative")
-                break
+                yield "multiplicative"
             if sq.phi(baxter_P(a), length) != sq.p_prime(pa):
-                bad = (a, None, "operator")
-                break
-        reports.append(
-            _report(
-                f"phi-homomorphism ring={ring} lambda={lam}",
-                [("pairs", pairs), ("length", length)],
-                bad is None,
-                "multiplicative and operator-compatible" if bad is None else f"failed: {bad[2]}",
-            )
-        )
-    return reports
+                yield "operator"
+
+    return [
+        _first_failure("phi-constants-closed-form", [("range", "indices <= 10; lambda in {0,1,2,3}")],
+                       "recursive phi = closed form", constants(), "mismatch at {}".format),
+    ] + [
+        _first_failure(f"phi-homomorphism ring={ring} lambda={lam}", [("pairs", pairs), ("length", length)],
+                       "multiplicative and operator-compatible", homomorphism(ring, lam), "failed: {}".format)
+        for ring, lam in ((INT, 1), (INT, 2), (RAT, 1))
+    ]
 
 
 def suite_ideal_quotient(seed=DEFAULT_SEED, precision=DEFAULT_PRECISION, pairs=100):
-    reports = []
+    def mod_failures():
+        ctx = Context(INT, INT.coeff(2), ("x", "y"))
+        for a, b in _random_pairs(random.Random(f"{seed}:mod"), ctx, pairs):
+            for m in (4, 5):
+                if reduce_mod(shuffle_product(a, b), m) != shuffle_product(reduce_mod(a, m), reduce_mod(b, m)):
+                    yield "product"
+                if reduce_mod(baxter_P(a), m) != baxter_P(reduce_mod(a, m)):
+                    yield "operator"
 
-    ctx = Context(INT, INT.coeff(2), ("x", "y"))
-    rng = random.Random(f"{seed}:mod")
-    bad = None
-    for _ in range(pairs):
-        a = random_element(rng, ctx)
-        b = random_element(rng, ctx)
-        for m in (4, 5):
-            if reduce_mod(shuffle_product(a, b), m) != shuffle_product(reduce_mod(a, m), reduce_mod(b, m)):
-                bad = (a, b, m, "product")
-            if reduce_mod(baxter_P(a), m) != baxter_P(reduce_mod(a, m)):
-                bad = (a, None, m, "operator")
-    reports.append(
-        _report(
-            "quotient-mod-homomorphism",
-            [("pairs", pairs), ("moduli", "4, 5")],
-            bad is None,
-            "reduction commutes with product and operator" if bad is None else f"failed {bad[3]}",
-        )
-    )
+    def vars_failures():
+        ctx = Context(INT, INT.coeff(1), ("x", "y", "z"))
+        spec = variable_ideal("x")
+        for a, b in _random_pairs(random.Random(f"{seed}:vars"), ctx, pairs):
+            if reduce_vars(shuffle_product(a, b), ("x",)) != shuffle_product(
+                reduce_vars(a, ("x",)), reduce_vars(b, ("x",))
+            ):
+                yield "product"
+            if reduce_vars(baxter_P(a), ("x",)) != baxter_P(reduce_vars(a, ("x",))):
+                yield "operator"
+            if reduce_vars(a, ("x",)).is_zero() != baxter_ideal_member(a, spec):
+                yield "kernel"
 
-    ctx3 = Context(INT, INT.coeff(1), ("x", "y", "z"))
-    rng = random.Random(f"{seed}:vars")
-    spec = variable_ideal("x")
-    bad = None
-    for _ in range(pairs):
-        a = random_element(rng, ctx3)
-        b = random_element(rng, ctx3)
-        if reduce_vars(shuffle_product(a, b), ("x",)) != shuffle_product(
-            reduce_vars(a, ("x",)), reduce_vars(b, ("x",))
-        ):
-            bad = (a, b, "product")
-        if reduce_vars(baxter_P(a), ("x",)) != baxter_P(reduce_vars(a, ("x",))):
-            bad = (a, None, "operator")
-        if reduce_vars(a, ("x",)).is_zero() != baxter_ideal_member(a, spec):
-            bad = (a, None, "kernel")
-    reports.append(
-        _report(
-            "quotient-vars-homomorphism",
-            [("pairs", pairs), ("killed", "x")],
-            bad is None,
-            "reduction is a homomorphism with the predicted kernel" if bad is None else f"failed {bad[2]}",
-        )
-    )
+    def scalar_failures():
+        ctx = Context(INT, INT.coeff(2), ("x",))
+        rng = random.Random(f"{seed}:scalar")
+        spec = scalar_ideal(INT.coeff(2))
+        for _ in range(pairs):
+            a = random_element(rng, ctx)
+            if baxter_ideal_member(a, spec) != (lambda_adic_valuation(a) >= 1):
+                yield a
 
-    ctx2 = Context(INT, INT.coeff(2), ("x",))
-    rng = random.Random(f"{seed}:scalar")
-    spec2 = scalar_ideal(INT.coeff(2))
-    bad = None
-    for _ in range(pairs):
-        a = random_element(rng, ctx2)
-        member = baxter_ideal_member(a, spec2)
-        if member != (lambda_adic_valuation(a) >= 1):
-            bad = a
-    reports.append(
-        _report(
-            "scalar-membership-valuation",
-            [("pairs", pairs), ("generator", 2)],
-            bad is None,
-            "membership in (2) = valuation >= 1" if bad is None else f"failed on {bad}",
-        )
-    )
-    return reports
+    return [
+        _first_failure("quotient-mod-homomorphism", [("pairs", pairs), ("moduli", "4, 5")],
+                       "reduction commutes with product and operator", mod_failures(), "failed {}".format),
+        _first_failure("quotient-vars-homomorphism", [("pairs", pairs), ("killed", "x")],
+                       "reduction is a homomorphism with the predicted kernel", vars_failures(),
+                       "failed {}".format),
+        _first_failure("scalar-membership-valuation", [("pairs", pairs), ("generator", 2)],
+                       "membership in (2) = valuation >= 1", scalar_failures(), "failed on {}".format),
+    ]
 
 
 SUITES = {

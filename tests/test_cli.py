@@ -160,7 +160,9 @@ class TestEvaluation:
 # the parser with one method per precedence level that this one replaced.
 # The only differences allowed since are the end-of-input texts: "found
 # None" became "found end of input", and "unexpected token None" became
-# "unexpected end of input".
+# "unexpected end of input"; and a number token is shown as written, not by
+# its integer value ("x٣" said "unexpected trailing input 3", "U 007" said
+# "found 7").
 LONG_LITERAL = "7" * 5000
 GOLDEN_PARSE_ERRORS = [
     ("U(1", None, "expected ')', found end of input", 3),
@@ -183,7 +185,7 @@ GOLDEN_PARSE_ERRORS = [
     ("é", None, "unexpected character 'é'", 0),
     ("x²", None, "unexpected character '²'", 1),
     (") é", None, "unexpected character 'é'", 2),
-    ("x٣", None, "unexpected trailing input 3", 1),
+    ("x٣", None, "unexpected trailing input ٣", 1),
     ("1 +", None, "unexpected end of input", 3),
     ("", None, "unexpected end of input", 0),
     ("   ", None, "unexpected end of input", 3),
@@ -201,6 +203,8 @@ GOLDEN_PARSE_ERRORS = [
     ("lam(1)", None, "unexpected trailing input '('", 3),
     ("1/x", None, "expected 'nat', found 'x'", 2),
     ("U 5", None, "expected '(', found 5", 2),
+    ("U 007", None, "expected '(', found 007", 2),
+    ("U(1) 007", None, "unexpected trailing input 007", 5),
     ("U(007 x", None, "expected ')', found 'x'", 6),
     ("U(1,2)", None, "expected ')', found ','", 3),
     ("T(x y)", None, "expected ')', found 'y'", 4),
@@ -390,6 +394,18 @@ class TestCommandLine:
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert "nests deeper" in proc.stderr and "Traceback" not in proc.stderr
+
+    def test_power_of_zero_is_fast(self):
+        # zero is squared in about 2*log2(k) products; multiplying by the
+        # base took k - 1 of them, over 10 s at this exponent
+        src = os.path.dirname(os.path.dirname(freebax.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-m", "freebax.cli", "eval", "0^3000000"],
+            capture_output=True, text=True, env=env, timeout=10,
+        )
+        assert proc.returncode == 0
+        assert proc.stdout == "0\n"
 
     def test_long_flat_sum_exits_zero_without_traceback(self):
         flat = " + ".join(["U(1)"] * 3000)

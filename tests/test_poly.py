@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from freebax import INT, RAT, Coeff, Monomial, Poly, RingMismatchError, Zmod
+from freebax import INT, RAT, Coeff, Context, Monomial, Poly, RingMismatchError, Zmod, bar, element
 from freebax.poly import UNIT_MONOMIAL
 
 
@@ -242,3 +242,67 @@ class TestSerialization:
             {"coeff": "3", "monomial": [["x", 2]]},
             {"coeff": "1", "monomial": []},
         ]
+
+
+# Poly, Element and BarElement share one term store; per ring, each case
+# gives a function that builds a value from (key, Coeff) pairs, three keys,
+# and a key that is never used
+def _poly_store(ring):
+    keys = [Monomial.of(x=2, y=1), UNIT_MONOMIAL, y]
+    return (lambda pairs: Poly.from_terms(ring, dict(pairs))), keys, Monomial.of(x=5)
+
+
+def _element_store(ring):
+    ctx = Context(ring, ring.coeff(2), ("x", "y"))
+    return (lambda pairs: element(ctx, dict(pairs))), [(x, y), (UNIT_MONOMIAL, x), (y,)], (x, x, x)
+
+
+def _bar_store(ring):
+    keys = [(x, y), (UNIT_MONOMIAL, x), (y, UNIT_MONOMIAL)]
+    return (lambda pairs: bar(ring, 2, dict(pairs))), keys, (x, x)
+
+
+STORES = {"Poly": _poly_store, "Element": _element_store, "BarElement": _bar_store}
+
+
+def _sample(store, ring):
+    build, keys, absent = STORES[store](ring)
+    pairs = [(k, ring.coeff(c)) for k, c in zip(keys, (2, -1, 5))]
+    return build, pairs, absent
+
+
+@pytest.mark.parametrize("store", STORES)
+class TestTermStoreContract:
+    def test_insertion_order_does_not_matter(self, store):
+        build, pairs, _ = _sample(store, INT)
+        forward, backward = build(pairs), build(reversed(pairs))
+        assert forward == backward
+        assert hash(forward) == hash(backward)
+
+    def test_negation_and_difference(self, store):
+        build, pairs, _ = _sample(store, INT)
+        a = build(pairs)
+        assert not a.is_zero() and (a + (-a)).is_zero()
+        assert a - a == a + (-a)
+
+    def test_scaling(self, store):
+        build, pairs, _ = _sample(store, INT)
+        a = build(pairs)
+        assert 3 * a == a.scaled(3) != a
+        build9, pairs9, _ = _sample(store, Zmod(9))
+        a9 = build9(pairs9)
+        assert not a9.is_zero() and a9.scaled(9).is_zero()
+
+    def test_coefficient(self, store):
+        build, pairs, absent = _sample(store, INT)
+        a = build(pairs)
+        assert a.coefficient(pairs[0][0]) == INT.coeff(2)
+        assert a.coefficient(absent) == INT.zero()
+
+    def test_foreign_ring_is_rejected(self, store):
+        build, pairs, _ = _sample(store, INT)
+        build9, pairs9, _ = _sample(store, Zmod(9))
+        a, b = build(pairs), build9(pairs9)
+        for op in (lambda: a + b, lambda: a - b, lambda: a * b):
+            with pytest.raises(RingMismatchError):
+                op()

@@ -425,6 +425,16 @@ class TestPowerMethodChoice:
         assert (x + Poly.one(INT)) ** 16 == (x + Poly.one(INT)) ** 8 * (x + Poly.one(INT)) ** 8
         assert len(log) == 15 + 7 + 7 + 1
 
+    def test_zero_is_squared(self, monkeypatch):
+        import freebax.shuffle as sh
+
+        ctx = ctx_int(1, ("x",))
+        u = unit_word(ctx, 1)
+        log = self.count_products(monkeypatch, sh, "shuffle_product")
+        assert (u - u) ** 16 == zero(ctx)
+        assert len(log) <= 8
+        assert zero(ctx) ** 0 == one(ctx)
+
 
 class TestElementContract:
     def test_insertion_order_does_not_matter(self):

@@ -23,6 +23,8 @@ from freebax import (
     tensor_word,
     unit_word,
 )
+import freebax.sequences as sq
+from freebax import verify
 from freebax.lang import evaluate_source
 from freebax.verify import SUITES, random_element
 
@@ -208,3 +210,78 @@ class TestSuites:
         assert obj["verdict"] == "pass"
         assert "factor0" in obj["inputs"]
         assert rep.line().startswith("PASS")
+
+
+class TestFailurePaths:
+    """A referee that disagrees makes its check FAIL, naming the first
+    mismatch, and the check draws nothing after it."""
+
+    def test_prop_unit(self, monkeypatch):
+        real = verify.closed_form_unit_product
+
+        def rigged(ctx, m, n):
+            out = real(ctx, m, n)
+            return out + one(ctx) if (m, n) in ((2, 3), (4, 1)) else out
+
+        monkeypatch.setattr(verify, "closed_form_unit_product", rigged)
+        reports = verify.suite_prop_unit()
+        assert [r.verdict for r in reports] == [False] * 4
+        assert {r.detail for r in reports} == {"mismatch at (2, 3)"}
+
+    def test_mixable_shuffle_counts(self, monkeypatch):
+        table = {(m, n): verify._delannoy(m, n) for m in range(7) for n in range(7)}
+        monkeypatch.setattr(verify, "_delannoy", lambda m, n: table[m, n] + ((m, n) in ((3, 2), (5, 5))))
+        counts, oracle = verify.suite_oracle_equivalence()
+        assert counts.claim == "mixable-shuffle-counts" and not counts.verdict
+        assert counts.detail == "size mismatch at (3, 2)"
+        assert oracle.verdict
+
+    def test_product_oracle(self, monkeypatch):
+        real = verify.shuffle_product_enumerated
+
+        def rigged(a, b):
+            ((wa, _),), ((wb, _),) = a.raw_items(), b.raw_items()
+            out = real(a, b)
+            if (a.ctx.lam.value, len(wa) - 1, len(wb) - 1) in ((1, 2, 3), (2, 0, 0)):
+                return out + one(a.ctx)
+            return out
+
+        monkeypatch.setattr(verify, "shuffle_product_enumerated", rigged)
+        counts, oracle = verify.suite_oracle_equivalence()
+        assert counts.verdict
+        assert oracle.claim == "product-oracle-equivalence" and not oracle.verdict
+        assert oracle.detail == "mismatch at (1, 2, 3)"
+
+    def test_phi_constants(self, monkeypatch):
+        real = sq.phi_constants
+
+        def rigged(ctx, bs, length):
+            out = real(ctx, bs, length)
+            if (ctx.lam.value, len(bs) - 1) in ((1, 4), (3, 10)):
+                return out + sq.seq_one(ctx, length)
+            return out
+
+        monkeypatch.setattr(sq, "phi_constants", rigged)
+        constants, *homomorphism = verify.suite_phi_homomorphism(pairs=2)
+        assert constants.claim == "phi-constants-closed-form" and not constants.verdict
+        assert constants.detail == "mismatch at (1, 4)"
+        assert all(r.verdict for r in homomorphism)
+
+    def test_scalar_membership(self, monkeypatch):
+        real = verify.lambda_adic_valuation
+        seen = []
+
+        def rigged(a):
+            seen.append(a)
+            v = real(a)
+            if len(seen) in (3, 7):
+                return 0 if v >= 1 else 1  # flips membership in (2)
+            return v
+
+        monkeypatch.setattr(verify, "lambda_adic_valuation", rigged)
+        reports = {r.claim: r for r in verify.suite_ideal_quotient(pairs=20)}
+        scalar = reports.pop("scalar-membership-valuation")
+        assert not scalar.verdict
+        assert scalar.detail == f"failed on {seen[2]}"
+        assert len(seen) == 3
+        assert all(r.verdict for r in reports.values())

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 
+from ._record import record
 from .rings import Coeff, Zmod
 from .shuffle import Context, Element, from_raw
 
@@ -20,7 +20,7 @@ class TrivialIdealWarning(UserWarning):
     """A nonzero scalar generates the whole ring of rationals."""
 
 
-@dataclass(frozen=True)
+@record
 class IdealSpec:
     kind: str
     names: tuple[str, ...] = ()

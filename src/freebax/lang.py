@@ -19,10 +19,10 @@ from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import series as sr
+from ._record import record
 from .poly import Poly
 from .rings import Coeff, inverse, is_unit
 from .shuffle import (
@@ -60,56 +60,56 @@ class EvalError(ValueError):
 
 # --- AST ---
 
-@dataclass(frozen=True)
+@record
 class Lit:
     num: int
     den: int = 1
 
-@dataclass(frozen=True)
+@record
 class LamRef:
     pass
 
-@dataclass(frozen=True)
+@record
 class VarRef:
     name: str
 
-@dataclass(frozen=True)
+@record
 class Neg:
     arg: object
 
-@dataclass(frozen=True)
+@record
 class Add:
     left: object
     right: object
 
-@dataclass(frozen=True)
+@record
 class Sub:
     left: object
     right: object
 
-@dataclass(frozen=True)
+@record
 class Mul:
     left: object
     right: object
 
-@dataclass(frozen=True)
+@record
 class Pow:
     base: object
     exponent: int
 
-@dataclass(frozen=True)
+@record
 class POp:
     arg: object
 
-@dataclass(frozen=True)
+@record
 class Tensor:
     factors: tuple
 
-@dataclass(frozen=True)
+@record
 class UnitWord:
     degree: int
 
-@dataclass(frozen=True)
+@record
 class Geom:
     ratio: object
 

@@ -5,8 +5,7 @@ alphabet used everywhere else.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import record
 from .rings import Coeff, Ring, RingMismatchError, is_nilpotent, power
 
 
@@ -14,7 +13,7 @@ from .rings import Coeff, Ring, RingMismatchError, is_nilpotent, power
 _INTERNED: dict[tuple[tuple[str, int], ...], Monomial] = {}
 
 
-@dataclass(frozen=True, eq=False, init=False)
+@record(interned=True)
 class Monomial:
     """A power product of variables, stored as sorted (name, exponent) pairs
     with strictly positive exponents; the empty product is the unit.
@@ -109,8 +108,8 @@ class _TermStore:
     stored as an unsorted dict ``_raw`` from keys (monomials or words) to
     nonzero raw values of ``ring`` (see ``Ring.raw``), never mutated.  A
     subclass supplies ``ring``, ``_check`` and ``_new``, which builds its
-    own kind from a key -> raw value dict, and binds ``__hash__``, which a
-    frozen dataclass would otherwise replace."""
+    own kind from a key -> raw value dict, and binds ``__hash__``, which
+    ``record`` would otherwise generate over the fields."""
 
     def __hash__(self):
         return hash((self.ring, frozenset(self._raw.items())))
@@ -149,7 +148,7 @@ class _TermStore:
         return self._new({k: cv * v for k, v in self._raw.items()})
 
 
-@dataclass(frozen=True)
+@record
 class Poly(_TermStore):
     """A finite sum of monomials with nonzero coefficients from one ring: a
     term store keyed by monomials, sorted only for ``terms``.  Build one

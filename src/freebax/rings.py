@@ -4,15 +4,16 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
+
+from ._record import record
 
 
 class RingMismatchError(ValueError):
     """Operands belong to different coefficient rings."""
 
 
-@dataclass(frozen=True)
+@record
 class Ring:
     """Descriptor of a coefficient ring: ``int``, ``rat`` or ``mod`` (m >= 2)."""
 
@@ -68,7 +69,7 @@ def Zmod(m: int) -> Ring:
     return Ring("mod", m)
 
 
-@dataclass(frozen=True)
+@record
 class Coeff:
     """An element of a coefficient ring, always kept in normal form:
     rationals gcd-reduced with positive denominator, residues in [0, m)."""

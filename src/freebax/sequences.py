@@ -26,10 +26,10 @@ entry of its tail's image.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from math import comb
 from operator import mul
 
+from ._record import record
 from .poly import UNIT_MONOMIAL, Poly, _TermStore
 from .rings import Coeff, Ring, RingMismatchError, is_zero_divisor
 from .series import Series, truncate
@@ -40,7 +40,7 @@ class PhiInjectivityWarning(UserWarning):
     """The weight is a zero divisor, so phi need not be injective."""
 
 
-@dataclass(frozen=True)
+@record
 class BarElement(_RawTerms):
     """Words of one fixed length mapped to nonzero raw ring values, trimmed
     so that (unless the level is 1) not every word ends with the unit
@@ -139,7 +139,7 @@ def bar_scalar(ring: Ring, c: Coeff) -> BarElement:
     return bar(ring, 1, {(UNIT_MONOMIAL,): c})
 
 
-@dataclass(frozen=True)
+@record
 class SequenceElement:
     """The first len(entries) components of a sequence-model element;
     entry k is entries[k-1]."""

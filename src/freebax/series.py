@@ -8,8 +8,7 @@ determine truncated outputs exactly.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import record
 from .poly import UNIT_MONOMIAL
 from .rings import Coeff, power
 from .shuffle import (
@@ -25,7 +24,7 @@ from .shuffle import (
 )
 
 
-@dataclass(frozen=True)
+@record
 class Series:
     """Known up to ``precision``: the finite element of the words of degree
     <= precision.  Build one with ``make_series`` or ``embed``."""

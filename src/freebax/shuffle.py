@@ -13,9 +13,9 @@ recursion on tails (the production path) and a direct enumeration over all
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from math import comb
 
+from ._record import record
 from .poly import UNIT_MONOMIAL, Monomial, Poly, _join_terms, _term_str, _TermStore
 from .rings import Coeff, Ring, RingMismatchError, lambda_valuation, power
 
@@ -26,7 +26,7 @@ class ContextMismatchError(RingMismatchError):
     """Operands live in algebras with different contexts."""
 
 
-@dataclass(frozen=True)
+@record
 class Context:
     """The algebra context: coefficient ring, weight and variable set."""
 
@@ -69,7 +69,7 @@ class _RawTerms(_TermStore):
         return _join_terms([_term_str(c, word_str(w)) for w, c in self.terms])
 
 
-@dataclass(frozen=True)
+@record
 class Element(_RawTerms):
     """A finite element of the algebra: words mapped to nonzero raw ring
     values.  Build one with ``element``; the dict is never mutated."""
@@ -256,7 +256,7 @@ def element_power(a: Element, k: int) -> Element:
 
 # --- the product, enumeration route (test oracle) ---
 
-@dataclass(frozen=True)
+@record
 class MixableShuffle:
     """An (m,n)-shuffle together with a set of merged adjacent pairs.
 

@@ -9,11 +9,11 @@ so a reader can re-parse and re-check them by hand.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from math import factorial, isqrt
 
 from . import sequences as sq
 from . import series as sr
+from ._record import record
 from .ideals import baxter_ideal_member, reduce_mod, reduce_vars, scalar_ideal, variable_ideal
 from .poly import UNIT_MONOMIAL, Monomial, Poly
 from .rings import INT, RAT, Coeff, Ring, Zmod, characteristic, inverse, is_prime
@@ -45,7 +45,7 @@ class PreconditionError(ValueError):
     """A witness was requested outside the hypotheses it needs."""
 
 
-@dataclass(frozen=True)
+@record
 class WitnessReport:
     claim: str
     inputs: tuple[tuple[str, str], ...]
@@ -276,15 +276,15 @@ def lemma_power_suite(trials: int = 20, seed: int = DEFAULT_SEED) -> list[Witnes
             for n in range(6):
                 pnext = baxter_P(shuffle_product(x, pn))
                 if shuffle_product(pn, p_of_x) != pnext.scaled(n + 1):
-                    yield "product-identity", x, n
+                    yield "product-identity", n, x
                 if ppow != pn.scaled(factorial(n)):
-                    yield "factorial-identity", x, n
+                    yield "factorial-identity", n, x
                 pn = pnext
                 ppow = shuffle_product(ppow, p_of_x)
 
     return [
         _first_failure(f"lemma-power ring={ring}", [("trials", trials)], "both identities held for n <= 5",
-                       failures(ring), "failed at {}".format)
+                       failures(ring), lambda f: "{} failed at n = {}, x = {}".format(*f))
         for ring in (RAT, Zmod(9))
     ]
 
@@ -293,7 +293,7 @@ def _squarefree(m: int) -> bool:
     return all(m % (d * d) for d in range(2, isqrt(m) + 1))
 
 
-@dataclass(frozen=True)
+@record
 class ReducednessReport:
     ctx: Context
     char: int
@@ -496,16 +496,17 @@ def suite_phi_homomorphism(seed=DEFAULT_SEED, precision=DEFAULT_PRECISION, pairs
         for a, b in _random_pairs(random.Random(f"{seed}:{ring}:{lam}:hom"), ctx, pairs):
             pa, pb = sq.phi(a, length), sq.phi(b, length)
             if sq.phi(shuffle_product(a, b), length) != pa * pb:
-                yield "multiplicative"
+                yield "multiplicative", a, b
             if sq.phi(baxter_P(a), length) != sq.p_prime(pa):
-                yield "operator"
+                yield "operator", a, b
 
     return [
         _first_failure("phi-constants-closed-form", [("range", "indices <= 10; lambda in {0,1,2,3}")],
                        "recursive phi = closed form", constants(), "mismatch at {}".format),
     ] + [
         _first_failure(f"phi-homomorphism ring={ring} lambda={lam}", [("pairs", pairs), ("length", length)],
-                       "multiplicative and operator-compatible", homomorphism(ring, lam), "failed: {}".format)
+                       "multiplicative and operator-compatible", homomorphism(ring, lam),
+                       lambda f: "failed: {}; a = {}, b = {}".format(*f))
         for ring, lam in ((INT, 1), (INT, 2), (RAT, 1))
     ]
 
@@ -516,9 +517,9 @@ def suite_ideal_quotient(seed=DEFAULT_SEED, precision=DEFAULT_PRECISION, pairs=1
         for a, b in _random_pairs(random.Random(f"{seed}:mod"), ctx, pairs):
             for m in (4, 5):
                 if reduce_mod(shuffle_product(a, b), m) != shuffle_product(reduce_mod(a, m), reduce_mod(b, m)):
-                    yield "product"
+                    yield f"product mod {m}", a, b
                 if reduce_mod(baxter_P(a), m) != baxter_P(reduce_mod(a, m)):
-                    yield "operator"
+                    yield f"operator mod {m}", a, b
 
     def vars_failures():
         ctx = Context(INT, INT.coeff(1), ("x", "y", "z"))
@@ -527,11 +528,11 @@ def suite_ideal_quotient(seed=DEFAULT_SEED, precision=DEFAULT_PRECISION, pairs=1
             if reduce_vars(shuffle_product(a, b), ("x",)) != shuffle_product(
                 reduce_vars(a, ("x",)), reduce_vars(b, ("x",))
             ):
-                yield "product"
+                yield "product", a, b
             if reduce_vars(baxter_P(a), ("x",)) != baxter_P(reduce_vars(a, ("x",))):
-                yield "operator"
+                yield "operator", a, b
             if reduce_vars(a, ("x",)).is_zero() != baxter_ideal_member(a, spec):
-                yield "kernel"
+                yield "kernel", a, b
 
     def scalar_failures():
         ctx = Context(INT, INT.coeff(2), ("x",))
@@ -542,12 +543,14 @@ def suite_ideal_quotient(seed=DEFAULT_SEED, precision=DEFAULT_PRECISION, pairs=1
             if baxter_ideal_member(a, spec) != (lambda_adic_valuation(a) >= 1):
                 yield a
 
+    def on_pair(f):
+        return "failed {}; a = {}, b = {}".format(*f)
+
     return [
         _first_failure("quotient-mod-homomorphism", [("pairs", pairs), ("moduli", "4, 5")],
-                       "reduction commutes with product and operator", mod_failures(), "failed {}".format),
+                       "reduction commutes with product and operator", mod_failures(), on_pair),
         _first_failure("quotient-vars-homomorphism", [("pairs", pairs), ("killed", "x")],
-                       "reduction is a homomorphism with the predicted kernel", vars_failures(),
-                       "failed {}".format),
+                       "reduction is a homomorphism with the predicted kernel", vars_failures(), on_pair),
         _first_failure("scalar-membership-valuation", [("pairs", pairs), ("generator", 2)],
                        "membership in (2) = valuation >= 1", scalar_failures(), "failed on {}".format),
     ]

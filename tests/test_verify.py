@@ -285,3 +285,80 @@ class TestFailurePaths:
         assert scalar.detail == f"failed on {seen[2]}"
         assert len(seen) == 3
         assert all(r.verdict for r in reports.values())
+
+    @staticmethod
+    def drawn_pairs(monkeypatch):
+        """Record the random pairs verify's checks draw, in order."""
+        real, seen = verify._random_pairs, []
+
+        def recording(rng, ctx, n):
+            for pair in real(rng, ctx, n):
+                seen.append(pair)
+                yield pair
+
+        monkeypatch.setattr(verify, "_random_pairs", recording)
+        return seen
+
+    @staticmethod
+    def reparses(a):
+        return evaluate_source(str(a), a.ctx) == a
+
+    def test_lemma_power_names_n_and_x(self, monkeypatch):
+        real = verify.factorial
+        monkeypatch.setattr(verify, "factorial", lambda n: real(n) + (n == 3))
+        real_draw, xs = verify.random_element, []
+
+        def recording(*args, **kwargs):
+            xs.append(real_draw(*args, **kwargs))
+            return xs[-1]
+
+        monkeypatch.setattr(verify, "random_element", recording)
+        reports = verify.lemma_power_suite(trials=3)
+        assert [r.verdict for r in reports] == [False, False]
+        for report in reports:
+            x = [a for a in xs if str(a.ctx.ring) in report.claim][-1]
+            assert report.detail == f"factorial-identity failed at n = 3, x = {x}"
+            assert self.reparses(x)
+
+    def test_phi_homomorphism_names_the_pair(self, monkeypatch):
+        real, calls = sq.p_prime, []
+
+        def rigged(s):
+            calls.append(s)
+            out = real(s)
+            return out + sq.seq_one(s.ctx, len(s.entries)) if len(calls) == 3 else out
+
+        monkeypatch.setattr(sq, "p_prime", rigged)
+        pairs = self.drawn_pairs(monkeypatch)
+        constants, *homomorphism = verify.suite_phi_homomorphism(pairs=5)
+        assert constants.verdict
+        assert [r.verdict for r in homomorphism] == [False, True, True]
+        a, b = pairs[2]
+        assert homomorphism[0].detail == f"failed: operator; a = {a}, b = {b}"
+        assert len(pairs) == 3 + 5 + 5  # the failing check draws no further
+        assert self.reparses(a) and self.reparses(b)
+
+    def test_quotient_checks_name_the_pair(self, monkeypatch):
+        real_product, products = verify.shuffle_product, []
+        real_member, members = verify.baxter_ideal_member, []
+
+        def rigged_product(a, b):
+            products.append(a)
+            out = real_product(a, b)
+            return out + one(a.ctx) if len(products) == 3 else out
+
+        def rigged_member(a, spec):
+            members.append(a)
+            return real_member(a, spec) != (len(members) == 2)
+
+        monkeypatch.setattr(verify, "shuffle_product", rigged_product)
+        monkeypatch.setattr(verify, "baxter_ideal_member", rigged_member)
+        pairs = self.drawn_pairs(monkeypatch)
+        mod, kernel, scalar = verify.suite_ideal_quotient(pairs=5)
+        # the third product is the left side of the first pair's check mod 5
+        a, b = pairs[0]
+        assert not mod.verdict and mod.detail == f"failed product mod 5; a = {a}, b = {b}"
+        a, b = pairs[2]
+        assert not kernel.verdict and kernel.detail == f"failed kernel; a = {a}, b = {b}"
+        assert scalar.verdict
+        assert len(pairs) == 1 + 2

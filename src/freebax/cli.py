@@ -11,7 +11,7 @@ import sys
 from . import sequences as sq
 from . import series as sr
 from .ideals import baxter_ideal_member, scalar_ideal, variable_ideal
-from .lang import RESERVED, EvalError, ParseError, evaluate, parse
+from .lang import RESERVED, EvalError, ParseError, evaluate_source
 from .rings import INT, RAT, Ring, Zmod, parse_coeff
 from .shuffle import Context, Element, enumerate_mixable_shuffles
 from .verify import DEFAULT_PRECISION, DEFAULT_SEED, SUITES, PreconditionError, run_suites
@@ -93,14 +93,14 @@ def _emit(args, payload: dict, text: str) -> None:
 
 def _cmd_eval(args) -> int:
     ctx = _context(args)
-    value = evaluate(parse(args.expression, ctx.variables), ctx, args.precision)
+    value = evaluate_source(args.expression, ctx, args.precision)
     _emit(args, {"command": "eval", "context": ctx.to_obj(), "result": value.to_obj()}, str(value))
     return 0
 
 
 def _cmd_phi(args) -> int:
     ctx = _context(args)
-    value = evaluate(parse(args.expression, ctx.variables), ctx, args.precision)
+    value = evaluate_source(args.expression, ctx, args.precision)
     if isinstance(value, sr.Series):
         image = sq.phi_series(value, args.length)
     else:
@@ -118,7 +118,7 @@ def _parse_gens(ctx: Context, text: str):
 def _cmd_ideal_member(args) -> int:
     ctx = _context(args)
     spec = _parse_gens(ctx, args.gens)
-    value = evaluate(parse(args.expression, ctx.variables), ctx, args.precision)
+    value = evaluate_source(args.expression, ctx, args.precision)
     if not isinstance(value, Element):
         raise EvalError("ideal membership applies to finite elements")
     member = baxter_ideal_member(value, spec)
@@ -134,38 +134,37 @@ def _cmd_ideal_member(args) -> int:
 def _cmd_verify(args) -> int:
     reports = run_suites(args.suite, seed=args.seed, precision=args.precision)
     ok = all(r.verdict for r in reports)
+    payload = {
+        "command": "verify",
+        "suites": args.suite,
+        "report": [r.to_obj() for r in reports],
+        "ok": ok,
+    }
     if args.json:
-        payload = {
-            "command": "verify",
-            "context": _context(args).to_obj(),
-            "suites": args.suite,
-            "report": [r.to_obj() for r in reports],
-            "ok": ok,
-        }
-        print(json.dumps(payload, sort_keys=True))
-    else:
-        for r in reports:
-            print(r.line())
-        print(f"{sum(r.verdict for r in reports)}/{len(reports)} checks passed")
+        # the suites build their own contexts; only the JSON report names
+        # the one the flags give, so only it reads them
+        payload["context"] = _context(args).to_obj()
+    lines = [r.line() for r in reports]
+    lines.append(f"{sum(r.verdict for r in reports)}/{len(reports)} checks passed")
+    _emit(args, payload, "\n".join(lines))
     return 0 if ok else 1
 
 
 def _cmd_enumerate(args) -> int:
     shuffles = enumerate_mixable_shuffles(args.m, args.n)
-    if args.json:
-        payload = {
-            "command": "enumerate-shuffles",
-            "m": args.m,
-            "n": args.n,
-            "count": len(shuffles),
-            "shuffles": [s.to_obj() for s in shuffles],
-        }
-        print(json.dumps(payload, sort_keys=True))
-    else:
-        for s in shuffles:
-            merges = ",".join(str(k) for k in s.merges)
-            print(f"sigma=({','.join(str(v) for v in s.sigma)}) merges=[{merges}]")
-        print(f"count {len(shuffles)}")
+    payload = {
+        "command": "enumerate-shuffles",
+        "m": args.m,
+        "n": args.n,
+        "count": len(shuffles),
+        "shuffles": [s.to_obj() for s in shuffles],
+    }
+    lines = []
+    for s in shuffles:
+        merges = ",".join(str(k) for k in s.merges)
+        lines.append(f"sigma=({','.join(str(v) for v in s.sigma)}) merges=[{merges}]")
+    lines.append(f"count {len(shuffles)}")
+    _emit(args, payload, "\n".join(lines))
     return 0
 
 

@@ -354,9 +354,9 @@ def _chain(node, kinds):
     return node, steps
 
 
-def _sum(node, evaluate_operand, from_acc):
+def _sum(node, evaluate_operand, ctx: Context):
     """Evaluate an Add/Sub chain in one dict: the raw terms of each operand
-    go in as soon as it is evaluated, and ``from_acc`` normalizes the dict
+    go in as soon as it is evaluated, and ``from_raw`` normalizes the dict
     once.  A series operand adds its finite part and caps the precision, so
     the result is the finite sum cut at the lowest series precision, which
     is what adding the operands pairwise gives."""
@@ -375,7 +375,7 @@ def _sum(node, evaluate_operand, from_acc):
         else:
             for k, v in value.raw_items():
                 acc[k] = get(k, 0) + v
-    total = from_acc(acc)
+    total = from_raw(ctx, acc)
     return total if precision is None else sr.embed(total, precision)
 
 
@@ -387,27 +387,6 @@ def _product(node, evaluate_operand):
     for _, operand in steps:
         value = value * evaluate_operand(operand)
     return value
-
-
-def _eval_poly(node, ctx: Context) -> Poly:
-    ring = ctx.ring
-    if type(node) in (Add, Sub):
-        return _sum(node, lambda operand: _eval_poly(operand, ctx), lambda acc: Poly.from_raw(ring, acc))
-    if type(node) is Mul:
-        return _product(node, lambda operand: _eval_poly(operand, ctx))
-    if isinstance(node, Lit):
-        return Poly.constant(_lit_coeff(node, ctx))
-    if isinstance(node, LamRef):
-        return Poly.constant(ctx.lam)
-    if isinstance(node, VarRef):
-        if node.name not in ctx.variables:
-            raise EvalError(f"unknown variable {node.name!r}")
-        return Poly.variable(ring, node.name)
-    if isinstance(node, Neg):
-        return -_eval_poly(node.arg, ctx)
-    if isinstance(node, Pow):
-        return _eval_poly(node.base, ctx) ** node.exponent
-    raise EvalError(f"word factors must be polynomial expressions, got {type(node).__name__}")
 
 
 def _as_scalar(value, what: str) -> Coeff:
@@ -422,19 +401,24 @@ def _as_scalar(value, what: str) -> Coeff:
 
 def evaluate(node, ctx: Context, precision: int = 12):
     """Evaluate an AST to a finite element, or to a series once geom
-    appears anywhere in the expression.  Each word-factor node is evaluated
-    once per call, however many words share it."""
+    appears anywhere in the expression.  A word factor is evaluated like
+    any other node, as a degree-0 element: the embedding of the base
+    algebra, whose products are those of polynomials.  Each word-factor
+    node is evaluated once per call, however many words share it."""
     factors: dict = {}  # id of a word-factor node -> its Poly; lives for this call
 
     def word_factor(f) -> Poly:
         poly = factors.get(id(f))
         if poly is None:
-            poly = factors[id(f)] = _eval_poly(f, ctx)
+            e = value(f)
+            if isinstance(e, sr.Series) or any(len(w) != 1 for w, _ in e.raw_items()):
+                raise EvalError("word factors must evaluate to polynomials, elements of degree 0")
+            poly = factors[id(f)] = Poly(ctx.ring, {w[0]: v for w, v in e.raw_items()})
         return poly
 
     def value(node):
         if type(node) in (Add, Sub):
-            return _sum(node, value, lambda acc: from_raw(ctx, acc))
+            return _sum(node, value, ctx)
         if type(node) is Mul:
             return _product(node, value)
         if isinstance(node, Lit):

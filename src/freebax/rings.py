@@ -79,19 +79,12 @@ class Coeff:
 
     def __post_init__(self):
         if self.ring.kind == "rat":
-            object.__setattr__(self, "value", Fraction(self.value))
+            if type(self.value) is not Fraction:  # a Fraction is already reduced
+                object.__setattr__(self, "value", Fraction(self.value))
         elif not isinstance(self.value, int):
             raise TypeError(f"{self.ring} coefficient must be an int, got {self.value!r}")
         elif self.ring.kind == "mod":
             object.__setattr__(self, "value", self.value % self.ring.modulus)
-
-    @classmethod
-    def _make(cls, ring: Ring, value) -> Coeff:
-        # fast path for arithmetic results that are already normalized
-        c = object.__new__(cls)
-        object.__setattr__(c, "ring", ring)
-        object.__setattr__(c, "value", value)
-        return c
 
     def _coerce(self, other) -> Coeff:
         if isinstance(other, int):
@@ -106,18 +99,12 @@ class Coeff:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        v = self.value + other.value
-        if self.ring.kind == "mod":
-            v %= self.ring.modulus
-        return Coeff._make(self.ring, v)
+        return Coeff(self.ring, self.value + other.value)
 
     __radd__ = __add__
 
     def __neg__(self):
-        v = -self.value
-        if self.ring.kind == "mod":
-            v %= self.ring.modulus
-        return Coeff._make(self.ring, v)
+        return Coeff(self.ring, -self.value)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -132,19 +119,15 @@ class Coeff:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        v = self.value * other.value
-        if self.ring.kind == "mod":
-            v %= self.ring.modulus
-        return Coeff._make(self.ring, v)
+        return Coeff(self.ring, self.value * other.value)
 
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
         if not isinstance(k, int) or k < 0:
             raise ValueError("exponent must be a nonnegative integer")
-        if self.ring.kind == "mod":
-            return Coeff._make(self.ring, pow(self.value, k, self.ring.modulus))
-        return Coeff._make(self.ring, self.value ** k)
+        # the modulus is None outside Z/m, where pow is the plain power
+        return Coeff(self.ring, pow(self.value, k, self.ring.modulus))
 
     def is_zero(self) -> bool:
         return self.value == 0

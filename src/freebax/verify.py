@@ -110,10 +110,11 @@ def random_element(
 
 
 def _random_pairs(rng: random.Random, ctx: Context, n: int):
-    """n pairs of default-shaped random elements, each drawn left first."""
+    """n pairs of default-shaped nonzero random elements, each drawn left
+    first: a zero member would satisfy every probed identity trivially."""
     for _ in range(n):
-        a = random_element(rng, ctx)
-        yield a, random_element(rng, ctx)
+        a = random_nonzero_element(rng, ctx)
+        yield a, random_nonzero_element(rng, ctx)
 
 
 def random_nonzero_element(rng, ctx, **kw) -> Element:

@@ -1,9 +1,11 @@
 import json
+import operator
 import os
 import random
 import subprocess
 import sys
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings
@@ -17,14 +19,23 @@ from freebax.cli import main
 from freebax.lang import (
     MAX_NESTING,
     MAX_UNIT_DEGREE,
+    Add,
     EvalError,
+    Geom,
+    Lit,
     ParseError,
+    POp,
+    Tensor,
+    UnitWord,
+    VarRef,
     evaluate,
     evaluate_source,
     parse,
     render,
 )
-from freebax.verify import SUITES, random_element
+from freebax.poly import Poly
+from freebax.shuffle import tensor_word
+from freebax.verify import BAXTER_IDENTITY_CONFIGS, SUITES, random_element
 
 BAXTER_SOURCE = "P(x) * P(y) - P(x*P(y)) - P(y*P(x)) - lam*P(x*y)"
 
@@ -110,20 +121,36 @@ class TestEvaluation:
         ctx = Context(INT, INT.coeff(1), ("x", "y"))
         expanded = evaluate_source("T(x^2*y, x) + T(x^2*y, 1) - 3*T(x, x^2*y) - 3*T(1, x^2*y) + T(x) + T(1)", ctx)
         seen = []
-        eval_poly = lang._eval_poly
+        build_variable = lang.variable
 
-        def recording(node, ctx):
-            seen.append(id(node))
-            return eval_poly(node, ctx)
+        def recording(ctx, name):
+            seen.append(name)
+            return build_variable(ctx, name)
 
-        monkeypatch.setattr(lang, "_eval_poly", recording)
+        monkeypatch.setattr(lang, "variable", recording)
         tree = parse("T(x^2*y, x + 1) - 3*T(x+1, x^2*y) + T(x + 1)", ctx.variables)
         assert evaluate(tree, ctx) == expanded
-        # every node of the two distinct factors x^2*y and x+1, once each
-        assert len(seen) == len(set(seen)) == 7
+        # the two distinct factors x^2*y and x+1 once each: once per
+        # occurrence would read x, y twice and x three times
+        assert sorted(seen) == ["x", "x", "y"]
         # the memo does not outlive the call
         evaluate(tree, ctx)
-        assert len(seen) == 2 * len(set(seen))
+        assert sorted(seen) == ["x", "x", "x", "x", "y", "y"]
+
+    @pytest.mark.parametrize("factor", [UnitWord(1), POp(VarRef("x")), Geom(Lit(2)), Add(UnitWord(2), Lit(1))],
+                             ids=["unit-word", "P", "geom", "sum"])
+    def test_a_factor_of_positive_degree_or_a_series_is_rejected(self, factor):
+        ctx = Context(INT, INT.coeff(1), ("x",))
+        with pytest.raises(EvalError, match="word factors must evaluate to polynomials"):
+            evaluate(Tensor((factor,)), ctx)
+        with pytest.raises(EvalError):
+            evaluate(Tensor((VarRef("x"), factor)), ctx)
+
+    def test_a_factor_of_degree_zero_is_its_polynomial(self):
+        # the parser never builds these: T(U(0)) and T(T(x)) are parse errors
+        ctx = Context(INT, INT.coeff(1), ("x",))
+        assert evaluate(Tensor((UnitWord(0), VarRef("x"))), ctx) == evaluate_source("T(1, x)", ctx)
+        assert evaluate(Tensor((Tensor((VarRef("x"),)),)), ctx) == evaluate_source("T(x)", ctx)
 
     def test_power_of_a_series(self):
         ctx = Context(Zmod(9), Zmod(9).coeff(3))
@@ -594,6 +621,41 @@ def pairwise_fold(operands, signs, ctx, precision):
     return total
 
 
+def literals(ring):
+    """(source, Coeff) pairs of literals p/q whose denominator the ring can
+    divide by."""
+    nats = st.integers(0, 12)
+    if ring.kind == "int":
+        return st.tuples(nats, st.integers(1, 4)).map(lambda t: (f"{t[0] * t[1]}/{t[1]}", ring.coeff(t[0])))
+    if ring.kind == "rat":
+        return st.tuples(nats, st.integers(1, 6)).map(lambda t: (f"{t[0]}/{t[1]}", ring.coeff(Fraction(*t))))
+    units = [q for q in range(1, ring.modulus) if gcd(q, ring.modulus) == 1]
+    return st.tuples(nats, st.sampled_from(units)).map(
+        lambda t: (f"{t[0]}/{t[1]}", ring.coeff(t[0] * pow(t[1], -1, ring.modulus))))
+
+
+def polynomial_sources(ctx):
+    """(source, Poly) pairs of polynomial expressions, each Poly built by
+    Poly arithmetic alone."""
+    ring = ctx.ring
+    leaves = st.one_of(
+        literals(ring).map(lambda lit: (lit[0], Poly.constant(lit[1]))),
+        st.just(("lam", Poly.constant(ctx.lam))),
+        st.sampled_from(ctx.variables).map(lambda v: (v, Poly.variable(ring, v))),
+    )
+    ops = {"+": operator.add, "-": operator.sub, "*": operator.mul}
+
+    def extend(children):
+        return st.one_of(
+            children.map(lambda c: (f"-({c[0]})", -c[1])),
+            st.tuples(children, st.integers(0, 4)).map(lambda t: (f"({t[0][0]})^{t[1]}", t[0][1] ** t[1])),
+            st.tuples(children, st.sampled_from("+-*"), children).map(
+                lambda t: (f"({t[0][0]}) {t[1]} ({t[2][0]})", ops[t[1]](t[0][1], t[2][1]))),
+        )
+
+    return st.recursive(leaves, extend, max_leaves=4)
+
+
 class TestProperties:
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.sampled_from(SOURCE_PIECES), max_size=40).map("".join),
@@ -603,6 +665,14 @@ class TestProperties:
             parse(src, variables)
         except ParseError:
             pass
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(BAXTER_IDENTITY_CONFIGS), st.data())
+    def test_word_factors_evaluate_as_polynomials(self, config, data):
+        ring, lam = config
+        ctx = Context(ring, ring.coeff(lam), ("x", "y"))
+        (e, pe), (e2, pe2) = data.draw(polynomial_sources(ctx)), data.draw(polynomial_sources(ctx))
+        assert evaluate_source(f"T({e}, {e2})", ctx) == tensor_word(ctx, pe, pe2)
 
     @settings(max_examples=100, deadline=None)
     @given(signed_sums(), st.sampled_from(CONTEXTS[2:4]), st.integers(0, 4))

@@ -200,6 +200,14 @@ class TestSuites:
         reports = run_suites(["prop-unit", "charp", "weight0-nilpotent", "ideal-quotient"])
         assert reports and all(r.verdict for r in reports)
 
+    @pytest.mark.parametrize("ring, lam", verify.BAXTER_IDENTITY_CONFIGS, ids=str)
+    def test_random_pairs_have_no_zero_member(self, ring, lam):
+        # a zero member satisfies every probed identity, so it probes nothing
+        ctx = Context(ring, ring.coeff(lam), ("x", "y"))
+        pairs = list(verify._random_pairs(random.Random(f"7:{ring}:{lam}"), ctx, 200))
+        assert len(pairs) == 200
+        assert not any(a.is_zero() or b.is_zero() for a, b in pairs)
+
     def test_unknown_suite(self):
         with pytest.raises(ValueError):
             run_suites(["no-such-suite"])

@@ -11,10 +11,10 @@ import sys
 from . import sequences as sq
 from . import series as sr
 from .ideals import baxter_ideal_member, scalar_ideal, variable_ideal
-from .lang import RESERVED, EvalError, ParseError, evaluate_source
+from .lang import NAME, RESERVED, EvalError, evaluate_source
 from .rings import INT, RAT, Ring, Zmod, parse_coeff
 from .shuffle import Context, Element, enumerate_mixable_shuffles
-from .verify import DEFAULT_PRECISION, DEFAULT_SEED, SUITES, PreconditionError, run_suites
+from .verify import DEFAULT_PRECISION, DEFAULT_SEED, SUITES, run_suites
 
 
 def _ring_arg(text: str) -> Ring:
@@ -30,16 +30,24 @@ def _ring_arg(text: str) -> Ring:
     raise argparse.ArgumentTypeError(f"unknown ring {text!r} (use int, rat or mod:<m>)")
 
 
-def _vars_arg(text: str) -> tuple[str, ...]:
+def _names(text: str) -> tuple[str, ...]:
+    """Comma-separated variable names, each a name the parser reads."""
     if not text:
         return ()
     names = tuple(v.strip() for v in text.split(","))
     for v in names:
-        if not v.isidentifier():
-            raise argparse.ArgumentTypeError(f"invalid variable name {v!r}")
+        if not NAME.fullmatch(v):
+            raise ValueError(f"invalid variable name {v!r}")
         if v in RESERVED:
-            raise argparse.ArgumentTypeError(f"{v!r} is a reserved word")
+            raise ValueError(f"{v!r} is a reserved word")
     return names
+
+
+def _vars_arg(text: str) -> tuple[str, ...]:
+    try:
+        return _names(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -79,11 +87,6 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _context(args) -> Context:
-    lam = parse_coeff(args.ring, args.lam)
-    return Context(args.ring, lam, args.vars)
-
-
 def _emit(args, payload: dict, text: str) -> None:
     if args.json:
         print(json.dumps(payload, sort_keys=True))
@@ -91,15 +94,13 @@ def _emit(args, payload: dict, text: str) -> None:
         print(text)
 
 
-def _cmd_eval(args) -> int:
-    ctx = _context(args)
+def _cmd_eval(args, ctx: Context) -> int:
     value = evaluate_source(args.expression, ctx, args.precision)
     _emit(args, {"command": "eval", "context": ctx.to_obj(), "result": value.to_obj()}, str(value))
     return 0
 
 
-def _cmd_phi(args) -> int:
-    ctx = _context(args)
+def _cmd_phi(args, ctx: Context) -> int:
     value = evaluate_source(args.expression, ctx, args.precision)
     if isinstance(value, sr.Series):
         image = sq.phi_series(value, args.length)
@@ -112,11 +113,10 @@ def _cmd_phi(args) -> int:
 def _parse_gens(ctx: Context, text: str):
     if text.startswith("scalar:"):
         return scalar_ideal(parse_coeff(ctx.ring, text[len("scalar:"):]))
-    return variable_ideal(*_vars_arg(text))
+    return variable_ideal(*_names(text))
 
 
-def _cmd_ideal_member(args) -> int:
-    ctx = _context(args)
+def _cmd_ideal_member(args, ctx: Context) -> int:
     spec = _parse_gens(ctx, args.gens)
     value = evaluate_source(args.expression, ctx, args.precision)
     if not isinstance(value, Element):
@@ -131,7 +131,7 @@ def _cmd_ideal_member(args) -> int:
     return 0
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args, ctx: Context) -> int:
     reports = run_suites(args.suite, seed=args.seed, precision=args.precision)
     ok = all(r.verdict for r in reports)
     payload = {
@@ -139,18 +139,16 @@ def _cmd_verify(args) -> int:
         "suites": args.suite,
         "report": [r.to_obj() for r in reports],
         "ok": ok,
+        # the suites build their own contexts; this one is the flags'
+        "context": ctx.to_obj(),
     }
-    if args.json:
-        # the suites build their own contexts; only the JSON report names
-        # the one the flags give, so only it reads them
-        payload["context"] = _context(args).to_obj()
     lines = [r.line() for r in reports]
     lines.append(f"{sum(r.verdict for r in reports)}/{len(reports)} checks passed")
     _emit(args, payload, "\n".join(lines))
     return 0 if ok else 1
 
 
-def _cmd_enumerate(args) -> int:
+def _cmd_enumerate(args, ctx: Context) -> int:
     shuffles = enumerate_mixable_shuffles(args.m, args.n)
     payload = {
         "command": "enumerate-shuffles",
@@ -180,8 +178,9 @@ _DISPATCH = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _DISPATCH[args.command](args)
-    except (ParseError, EvalError, PreconditionError, ValueError) as exc:
+        ctx = Context(args.ring, parse_coeff(args.ring, args.lam), args.vars)
+        return _DISPATCH[args.command](args, ctx)
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -36,6 +36,8 @@ from .shuffle import (
 )
 
 RESERVED = ("P", "T", "U", "geom", "lam")
+# a name token: variables and reserved words alike
+NAME = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 
 # Deepest nesting an expression may have: the whole expression is level 1,
 # and each bracket and each unary minus opens one more.  Parsing and
@@ -120,7 +122,7 @@ class Geom:
 # alternative that matched it would: a name starts with an ASCII letter or
 # "_", punctuation is one character, and anything else that passed _BAD is
 # a run of decimal digits (``\d``, so Unicode digits count).
-_TOKEN = re.compile(r"\s*(\d+|[A-Za-z_][A-Za-z_0-9]*|[()+\-*^/,]|\S)")
+_TOKEN = re.compile(rf"\s*(\d+|{NAME.pattern}|[()+\-*^/,]|\S)")
 # the characters no token can start or continue: each is a catch-all match
 _BAD = re.compile(r"[^\s\dA-Za-z_()+\-*^/,]")
 _KIND = {
@@ -239,20 +241,20 @@ class _Parser:
             else:
                 e = Lit(int(tok))
         elif kind == "name":
-            if tok == "lam":
-                e = LamRef()
-            elif tok in ("P", "T", "U", "geom"):
-                if in_word:
-                    raise self.error(
-                        f"{tok!r} cannot appear inside T(...): word factors must be "
-                        "polynomial expressions",
-                        i,
-                    )
-                e = self.constructor(tok)
-            elif self.variables is not None and tok not in self.variables:
-                raise self.error(f"unknown variable {tok!r}", i)
-            else:
+            if tok not in RESERVED:
+                if self.variables is not None and tok not in self.variables:
+                    raise self.error(f"unknown variable {tok!r}", i)
                 e = VarRef(tok)
+            elif tok == "lam":
+                e = LamRef()
+            elif in_word:
+                raise self.error(
+                    f"{tok!r} cannot appear inside T(...): word factors must be "
+                    "polynomial expressions",
+                    i,
+                )
+            else:
+                e = self.constructor(tok)
         elif kind == "(":
             e = self.expr(in_word, 1)
             self.expect(")")

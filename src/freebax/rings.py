@@ -259,7 +259,10 @@ def parse_coeff(ring: Ring, text: str) -> Coeff:
     """Parse a coefficient literal: a decimal integer, or p/q over the rationals."""
     text = text.strip()
     if ring.kind == "rat":
-        return Coeff(ring, Fraction(text))
+        try:
+            return Coeff(ring, Fraction(text))
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {ring} coefficient {text!r}") from None
     try:
         return Coeff(ring, int(text))
     except ValueError:

@@ -1,27 +1,29 @@
 """The sequence model of the free Baxter algebra.
 
-A bar element is a linear combination of fixed-length monomial words,
-identified with its padding by trailing unit factors (the canonical
-representative is the shortest one).  Unlike the shuffle algebra, words
-here multiply factor by factor at a common level.  Sequences of bar
-elements carry the componentwise algebra structure and the summing
-operator P'; the morphism ``phi`` realizes the shuffle algebra inside it
-by sending a word to head-sequence times P' of the tail's image.
+A bar element is a linear combination of monomial words, each identified
+with its padding by trailing unit factors (the direct limit of the tensor
+powers under w -> w (x) 1).  Words multiply factor by factor, the shorter
+one padded with units.  Sequences of bar elements carry the componentwise
+algebra structure and the summing operator P'; the morphism ``phi``
+realizes the shuffle algebra inside it by sending a word to head-sequence
+times P' of the tail's image.
 
-A bar element stores an unsorted dict from words to raw ring values:
-``int``, or over the rationals ``int`` or ``Fraction`` (integral
-rationals enter as ints, whose arithmetic is several times faster).
-Values are reduced mod m, zeros are dropped and the words are trimmed.
-Arithmetic stays on raw values; the sorted ``(word, Coeff)`` view
-``terms`` is built only when something reads it, such as rendering and
-``to_obj``.
+A bar element stores an unsorted dict from trimmed words (no trailing
+unit factor, but a word of units keeps one) to raw ring values: ``int``,
+or over the rationals ``int`` or ``Fraction`` (integral rationals enter
+as ints, whose arithmetic is several times faster), reduced mod m and
+nonzero.  Sums are the term store's, and a product of trimmed words is
+trimmed, so words are trimmed only where padded ones come in: in ``bar``
+and ``t_sequence``.  Only the display pads: ``level`` is the length of the
+longest word, and the sorted ``(word, Coeff)`` view ``terms`` pads every
+word to it, built only when something reads it, such as ``to_obj``.
 
 ``phi`` does not multiply sequences.  Entry k of phi(m0 (x) w') is
-t(m0)_k * lam * sum_{j<k} phi(w')_j.  That partial sum has level at most
-k-1, so padded with units to level k it has a unit in slot k, while
-t(m0)_k is unit everywhere but slot k: the product just appends m0 in
-slot k.  So the image of a word is built from one running prefix sum per
-entry of its tail's image.
+t(m0)_k * lam * sum_{j<k} phi(w')_j.  The words of that partial sum have
+at most k-1 factors, while t(m0)_k is unit everywhere but slot k: the
+product pads each word to k-1 factors and appends m0, or leaves it as it
+is when m0 is the unit.  So the image of a word is built from one running
+prefix sum per entry of its tail's image.
 """
 from __future__ import annotations
 
@@ -33,7 +35,7 @@ from ._record import record
 from .poly import UNIT_MONOMIAL, Poly, _TermStore
 from .rings import Coeff, Ring, RingMismatchError, is_zero_divisor
 from .series import Series, truncate
-from .shuffle import Context, ContextMismatchError, Element, Word, _RawTerms
+from .shuffle import Context, ContextMismatchError, Element, Word, _RawTerms, word_key
 
 
 class PhiInjectivityWarning(UserWarning):
@@ -42,15 +44,31 @@ class PhiInjectivityWarning(UserWarning):
 
 @record
 class BarElement(_RawTerms):
-    """Words of one fixed length mapped to nonzero raw ring values, trimmed
-    so that (unless the level is 1) not every word ends with the unit
-    factor.  Build one with ``bar``; the dict is never mutated."""
+    """Unit-padded words mapped to nonzero raw ring values, each word
+    stored trimmed (see the module docstring).  Build one with ``bar``; the
+    dict is never mutated."""
 
     ring: Ring
-    level: int
     _raw: dict
 
     __hash__ = _TermStore.__hash__
+
+    @property
+    def level(self) -> int:
+        """The length of the longest trimmed word, or 1 for zero."""
+        return max(map(len, self._raw), default=1)
+
+    @property
+    def terms(self) -> tuple[tuple[Word, Coeff], ...]:
+        """The terms as (word, Coeff) pairs, each word padded with units to
+        the level, sorted by word."""
+        level = self.level
+        coeff = self.ring.coeff
+        padded = [(w + (UNIT_MONOMIAL,) * (level - len(w)), v) for w, v in self._raw.items()]
+        return tuple((w, coeff(v)) for w, v in sorted(padded, key=lambda t: word_key(t[0])))
+
+    def coefficient(self, word: Word) -> Coeff:
+        return self.ring.coeff(self._raw.get(_trimmed(word), 0))
 
     def _check(self, other: BarElement):
         if not isinstance(other, BarElement):
@@ -59,76 +77,49 @@ class BarElement(_RawTerms):
             raise RingMismatchError("bar elements over different rings")
 
     def _new(self, acc: dict) -> BarElement:
-        return _normalized(self.ring, self.level, acc)
-
-    def _padded(self, level: int) -> dict:
-        if level == self.level:
-            return self._raw
-        pad = (UNIT_MONOMIAL,) * (level - self.level)
-        return {w + pad: v for w, v in self._raw.items()}
-
-    def __add__(self, other: BarElement) -> BarElement:
-        self._check(other)
-        level = max(self.level, other.level)
-        acc = dict(self._padded(level))
-        get = acc.get
-        for w, v in other._padded(level).items():
-            acc[w] = get(w, 0) + v
-        return _normalized(self.ring, level, acc)
+        return BarElement(self.ring, self.ring.reduce(acc))
 
     def __mul__(self, other):
         if isinstance(other, (Coeff, int)):
             return self.scaled(other)
         self._check(other)
-        level = max(self.level, other.level)
-        right = other._padded(level).items()
+        right = other._raw.items()
         acc: dict = {}
         get = acc.get
-        for wa, va in self._padded(level).items():
+        for wa, va in self._raw.items():
             for wb, vb in right:
-                w = tuple(map(mul, wa, wb))
+                # the longer word's last factor, or the product of two
+                # non-unit last factors, is not the unit: already trimmed
+                w = tuple(map(mul, wa, wb)) + wa[len(wb):] + wb[len(wa):]
                 acc[w] = get(w, 0) + va * vb
-        return _normalized(self.ring, level, acc)
+        return self._new(acc)
 
     def to_obj(self):
         return {"level": self.level, "terms": self._terms_obj()}
 
 
-def _normalized(ring: Ring, level: int, acc: dict) -> BarElement:
-    """Reduce raw values mod m, drop zeros and strip the trailing columns in
-    which every word has the unit factor."""
-    acc = ring.reduce(acc)
-    if not acc:
-        return BarElement(ring, 1, {})
-    strip = level - 1
-    for w in acc:
-        run = 0
-        for f in reversed(w):
-            if f is not UNIT_MONOMIAL:
-                break
-            run += 1
-        strip = min(strip, run)
-        if strip == 0:
-            return BarElement(ring, level, acc)
-    if strip:
-        acc = {w[:-strip]: v for w, v in acc.items()}
-    return BarElement(ring, level - strip, acc)
+def _trimmed(word: Word) -> Word:
+    """``word`` without its trailing unit factors; a word of units keeps one."""
+    n = len(word)
+    while n > 1 and word[n - 1] is UNIT_MONOMIAL:
+        n -= 1
+    return word[:n]
 
 
 def bar(ring: Ring, level: int, mapping) -> BarElement:
-    """Normalize and canonicalize a level + word -> Coeff mapping."""
+    """The bar element of a mapping from words of ``level`` factors to Coeffs."""
     if level < 1:
         raise ValueError("bar level must be positive")
     acc = {}
     for w, c in dict(mapping).items():
         if len(w) != level:
             raise ValueError(f"word length {len(w)} != level {level}")
-        acc[w] = ring.raw(c)
-    return _normalized(ring, level, acc)
+        acc[_trimmed(w)] = ring.raw(c)
+    return BarElement(ring, ring.reduce(acc))
 
 
 def bar_zero(ring: Ring) -> BarElement:
-    return BarElement(ring, 1, {})
+    return BarElement(ring, {})
 
 
 def bar_one(ring: Ring) -> BarElement:
@@ -218,38 +209,40 @@ def t_sequence(ctx: Context, p: Poly, length: int) -> SequenceElement:
     if p.ring != ctx.ring:
         raise RingMismatchError(f"polynomial ring {p.ring} != {ctx.ring}")
     entries = []
-    for k in range(1, length + 1):
-        prefix = (UNIT_MONOMIAL,) * (k - 1)
-        entries.append(_normalized(ctx.ring, k, {prefix + (m,): v for m, v in p.raw_items()}))
+    for k in range(length):
+        prefix = (UNIT_MONOMIAL,) * k
+        entries.append(BarElement(ctx.ring, {_trimmed(prefix + (m,)): v for m, v in p.raw_items()}))
     return SequenceElement(ctx, tuple(entries))
 
 
 def _word_images(word: Word, ctx: Context, length: int, memo: dict) -> list[dict]:
     """The raw images of ``word`` and of each of its suffixes, memoized by
-    suffix: entry k - 1 of an image maps words of exactly k factors (not
-    trimmed) to raw values, not yet reduced mod m."""
+    suffix: entry k - 1 of an image maps trimmed words to raw values, not
+    yet reduced mod m."""
     lam = ctx.ring.raw(ctx.lam)
     images = None
     for i in range(len(word) - 1, -1, -1):
         suffix = word[i:]
         hit = memo.get(suffix)
         if hit is None:
-            head = (word[i],)
+            # a unit head leaves each trimmed word as it is
+            head = () if word[i] is UNIT_MONOMIAL else (word[i],)
             if images is None:
                 # t(m0): m0 in slot k of a level-k word, all earlier slots unit
-                hit = [{(UNIT_MONOMIAL,) * k + head: 1} for k in range(length)]
+                hit = [{(UNIT_MONOMIAL,) * k + head if head else (UNIT_MONOMIAL,): 1} for k in range(length)]
             else:
                 hit = [{}]
                 prefix: dict = {}
-                pad = (UNIT_MONOMIAL,)
-                for tail_entry in images[:-1]:
-                    # prefix: the sum of the tail's entries so far, padded to
-                    # the level of the latest one
-                    prefix = {w + pad: v for w, v in prefix.items()}
-                    get = prefix.get
+                get = prefix.get
+                for k, tail_entry in enumerate(images[:-1], 1):
+                    # prefix: the sum of the tail's first k entries, whose
+                    # words have at most k factors
                     for w, v in tail_entry.items():
                         prefix[w] = get(w, 0) + v
-                    hit.append({w + head: r for w, v in prefix.items() if (r := lam * v)})
+                    hit.append({
+                        w + (UNIT_MONOMIAL,) * (k - len(w)) + head if head else w: r
+                        for w, v in prefix.items() if (r := lam * v)
+                    })
             memo[suffix] = hit
         images = hit
     return images
@@ -281,7 +274,7 @@ def phi(a: Element, length: int) -> SequenceElement:
             get = target.get
             for word, v in image.items():
                 target[word] = get(word, 0) + cv * v
-    return SequenceElement(ctx, tuple(_normalized(ring, k, e) for k, e in enumerate(acc, 1)))
+    return SequenceElement(ctx, tuple(BarElement(ring, ring.reduce(e)) for e in acc))
 
 
 def phi_constants(ctx: Context, coeffs, length: int) -> SequenceElement:

@@ -15,8 +15,8 @@ from . import sequences as sq
 from . import series as sr
 from ._record import record
 from .ideals import baxter_ideal_member, reduce_mod, reduce_vars, scalar_ideal, variable_ideal
-from .poly import UNIT_MONOMIAL, Monomial, Poly
-from .rings import INT, RAT, Coeff, Ring, Zmod, characteristic, inverse, is_prime
+from .poly import UNIT_MONOMIAL, Monomial
+from .rings import INT, RAT, Coeff, Ring, Zmod, characteristic, inverse, is_nilpotent, is_prime
 from .rings import is_unit as coeff_is_unit
 from .rings import is_zero_divisor as coeff_is_zero_divisor
 from .shuffle import (
@@ -25,7 +25,6 @@ from .shuffle import (
     baxter_P,
     element,
     closed_form_unit_product,
-    degree_components,
     element_power,
     enumerate_mixable_shuffles,
     from_raw,
@@ -188,11 +187,8 @@ def nilradical_member_weight0(a: Element) -> bool:
         raise PreconditionError("the nilradical description needs positive characteristic")
     if not a.ctx.lam.is_zero():
         raise PreconditionError("the nilradical description needs weight zero")
-    head = degree_components(a).get(0)
-    if head is None:
-        return True
-    poly = Poly.from_raw(a.ctx.ring, {w[0]: v for w, v in head.raw_items()})
-    return poly.is_nilpotent()
+    coeff = a.ring.coeff
+    return all(is_nilpotent(coeff(v)) for w, v in a.raw_items() if len(w) == 1)
 
 
 def complete_zero_divisor_witness(ctx: Context, precision: int) -> WitnessReport:

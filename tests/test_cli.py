@@ -587,6 +587,29 @@ class TestCommandLine:
             main(["--vars", "lam", "eval", "1"])
         assert err.value.code == 2
 
+    @pytest.mark.parametrize("name", ["é", "xé"])
+    def test_variable_names_are_names_the_parser_reads(self, capsys, name):
+        with pytest.raises(SystemExit) as err:
+            main(["--vars", name, "eval", "1"])
+        assert err.value.code == 2
+        assert f"argument --vars: invalid variable name {name!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, message", [
+        (("--ring", "rat", "--lambda", "1/0", "eval", "1"), "zero denominator in rat coefficient '1/0'"),
+        (("--ring", "rat", "ideal-member", "--gens", "scalar:1/0", "U(1)"),
+         "zero denominator in rat coefficient '1/0'"),
+        (("--vars", "x", "ideal-member", "--gens", "x,1y", "T(x)"), "invalid variable name '1y'"),
+        (("--vars", "x", "ideal-member", "--gens", "x,", "T(x)"), "invalid variable name ''"),
+        (("--vars", "x", "ideal-member", "--gens", "lam", "T(x)"), "'lam' is a reserved word"),
+        (("--lambda", "foo", "verify", "charp"), "invalid int coefficient 'foo'"),
+        (("--lambda", "foo", "enumerate-shuffles", "1", "1"), "invalid int coefficient 'foo'"),
+    ], ids=["rat-lambda", "rat-scalar-gens", "digit-gens", "empty-gens", "reserved-gens",
+            "verify-lambda", "enumerate-lambda"])
+    def test_bad_flag_values_exit_two_without_traceback(self, capsys, argv, message):
+        # exit 1 means only that a check failed
+        assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
+        assert run_cli(capsys, "--json", *argv) == (2, "", f"error: {message}\n")
+
 
 # text over the grammar's alphabet, with characters it does not know
 SOURCE_PIECES = (

@@ -149,6 +149,75 @@ class TestBarContract:
         assert prod.level == 1 and prod.is_zero()
 
 
+BAR_RINGS = [INT, RAT, Zmod(6)]
+BAR_FACTORS = st.sampled_from([UNIT_MONOMIAL, x, y, xy, Monomial.of(x=2)])
+
+
+@st.composite
+def padded_bars(draw, ring):
+    """A level from 1 to 4 and a word -> Coeff mapping at that level, its
+    words ending in runs of unit factors of any length."""
+    level = draw(st.integers(1, 4))
+    mapping = {}
+    for _ in range(draw(st.integers(0, 4))):
+        units = draw(st.integers(0, level))
+        head = draw(st.lists(BAR_FACTORS, min_size=level - units, max_size=level - units))
+        num, den = draw(st.integers(-4, 4)), draw(st.integers(1, 3))
+        mapping[tuple(head) + (UNIT_MONOMIAL,) * units] = ring.coeff(
+            Fraction(num, den) if ring == RAT else num
+        )
+    return level, mapping
+
+
+def pad_to(mapping, level):
+    return {w + (UNIT_MONOMIAL,) * (level - len(w)): c for w, c in mapping.items()}
+
+
+def reference_terms(ring, level, mapping):
+    """The (level, terms) a bar element should show for a mapping at
+    ``level``: zeros dropped, then all-unit trailing columns cut down to
+    level 1."""
+    terms = {w: c for w, c in mapping.items() if not c.is_zero()}
+    while level > 1 and all(w[-1] is UNIT_MONOMIAL for w in terms):
+        level -= 1
+        terms = {w[:-1]: c for w, c in terms.items()}
+    return level, terms
+
+
+class TestTrimmedStore:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), ring=st.sampled_from(BAR_RINGS))
+    def test_sum_and_product_match_padding_by_hand(self, data, ring):
+        (la, ma), (lb, mb) = data.draw(padded_bars(ring)), data.draw(padded_bars(ring))
+        a, b = bar(ring, la, ma), bar(ring, lb, mb)
+        level = max(la, lb)
+        pa, pb = pad_to(ma, level), pad_to(mb, level)
+        total = dict(pa)
+        for w, c in pb.items():
+            total[w] = total.get(w, ring.zero()) + c
+        product = {}
+        for wa, ca in pa.items():
+            for wb, cb in pb.items():
+                w = tuple(f * g for f, g in zip(wa, wb))
+                product[w] = product.get(w, ring.zero()) + ca * cb
+        for got, want in ((a + b, total), (a * b, product)):
+            assert (got.level, dict(got.terms)) == reference_terms(ring, level, want)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), ring=st.sampled_from(BAR_RINGS))
+    def test_padding_does_not_change_an_element(self, data, ring):
+        b = bar(ring, *data.draw(padded_bars(ring)))
+        terms = dict(b.terms)
+        for level in range(b.level, b.level + 3):
+            padded = pad_to(terms, level)
+            assert bar(ring, level, padded) == b
+            for w, c in padded.items():
+                short = w
+                while len(short) > 1 and short[-1] is UNIT_MONOMIAL:
+                    short = short[:-1]
+                assert b.coefficient(w) == c == b.coefficient(w[:b.level]) == b.coefficient(short)
+
+
 class TestSequences:
     def test_identity_sequence(self):
         ctx = ctx_of(INT, 1)
@@ -276,6 +345,80 @@ monomials = st.builds(Monomial.of, x=st.integers(0, 2), y=st.integers(0, 2))
 words = st.lists(monomials, min_size=1, max_size=3).map(tuple)
 
 
+# phi of words of one to three factors over int, rat and mod:6, some
+# ending in units, as text and --json
+PHI_MIXED_GOLDENS = [
+    pytest.param(
+        ['--ring', 'int', '--lambda', '2', '--vars', 'x,y', 'phi', 'T(x) + T(x,1,y) - 2*T(1,1,1) + T(y,x,1)', '--len', '4'],
+        (
+            '[1] T(x)\n'
+            '[2] T(1,x)\n'
+            '[3] -8*T(1,1,1) + T(1,1,x) + 4*T(1,x,y) + 4*T(y,1,x)\n'
+            '[4] -24*T(1,1,1,1) + T(1,1,1,x) + 8*T(1,1,x,y) + 4*T(1,x,1,y) + 4*T(1,y,1,x) + 8*T(y,1,1'
+            ',x)\n'
+        ),
+        (
+            '{"command": "phi", "context": {"lambda": "2", "ring": "int", "variables": ["x", "y"]}, "'
+            'result": {"entries": [{"level": 1, "terms": [{"coeff": "1", "word": [[["x", 1]]]}]}, {"l'
+            'evel": 2, "terms": [{"coeff": "1", "word": [[], [["x", 1]]]}]}, {"level": 3, "terms": [{'
+            '"coeff": "-8", "word": [[], [], []]}, {"coeff": "1", "word": [[], [], [["x", 1]]]}, {"co'
+            'eff": "4", "word": [[], [["x", 1]], [["y", 1]]]}, {"coeff": "4", "word": [[["y", 1]], []'
+            ', [["x", 1]]]}]}, {"level": 4, "terms": [{"coeff": "-24", "word": [[], [], [], []]}, {"c'
+            'oeff": "1", "word": [[], [], [], [["x", 1]]]}, {"coeff": "8", "word": [[], [], [["x", 1]'
+            '], [["y", 1]]]}, {"coeff": "4", "word": [[], [["x", 1]], [], [["y", 1]]]}, {"coeff": "4"'
+            ', "word": [[], [["y", 1]], [], [["x", 1]]]}, {"coeff": "8", "word": [[["y", 1]], [], [],'
+            ' [["x", 1]]]}]}], "kind": "sequence"}}\n'
+        ),
+        id='int',
+    ),
+    pytest.param(
+        ['--ring', 'rat', '--lambda', '1/2', '--vars', 'x,y', 'phi', '1/2*T(x,y,1) + T(1,x) - 2/3*U(2) + T(y)', '--len', '4'],
+        (
+            '[1] T(y)\n'
+            '[2] T(1,y) + 1/2*T(x,1)\n'
+            '[3] -1/6*T(1,1,1) + T(1,1,y) + 1/2*T(1,x,1) + 1/8*T(1,y,x) + 1/2*T(x,1,1)\n'
+            '[4] -1/2*T(1,1,1,1) + T(1,1,1,y) + 1/2*T(1,1,x,1) + 1/4*T(1,1,y,x) + 1/2*T(1,x,1,1) + 1/'
+            '8*T(1,y,1,x) + 1/2*T(x,1,1,1)\n'
+        ),
+        (
+            '{"command": "phi", "context": {"lambda": "1/2", "ring": "rat", "variables": ["x", "y"]},'
+            ' "result": {"entries": [{"level": 1, "terms": [{"coeff": "1", "word": [[["y", 1]]]}]}, {'
+            '"level": 2, "terms": [{"coeff": "1", "word": [[], [["y", 1]]]}, {"coeff": "1/2", "word":'
+            ' [[["x", 1]], []]}]}, {"level": 3, "terms": [{"coeff": "-1/6", "word": [[], [], []]}, {"'
+            'coeff": "1", "word": [[], [], [["y", 1]]]}, {"coeff": "1/2", "word": [[], [["x", 1]], []'
+            ']}, {"coeff": "1/8", "word": [[], [["y", 1]], [["x", 1]]]}, {"coeff": "1/2", "word": [[['
+            '"x", 1]], [], []]}]}, {"level": 4, "terms": [{"coeff": "-1/2", "word": [[], [], [], []]}'
+            ', {"coeff": "1", "word": [[], [], [], [["y", 1]]]}, {"coeff": "1/2", "word": [[], [], [['
+            '"x", 1]], []]}, {"coeff": "1/4", "word": [[], [], [["y", 1]], [["x", 1]]]}, {"coeff": "1'
+            '/2", "word": [[], [["x", 1]], [], []]}, {"coeff": "1/8", "word": [[], [["y", 1]], [], [['
+            '"x", 1]]]}, {"coeff": "1/2", "word": [[["x", 1]], [], [], []]}]}], "kind": "sequence"}}\n'
+        ),
+        id='rat',
+    ),
+    pytest.param(
+        ['--ring', 'mod:6', '--lambda', '5', '--vars', 'x,y', 'phi', 'T(x,1) + 3*T(1,y,x) + 4*U(1) + 5*T(y,1,1)', '--len', '4'],
+        (
+            '[1] 0\n'
+            '[2] 2*T(1,1) + 5*T(1,x)\n'
+            '[3] 4*T(1,1,1) + 4*T(1,1,x) + 5*T(1,1,y) + 3*T(x,y,1)\n'
+            '[4] 3*T(1,1,1,x) + 3*T(1,1,1,y) + 3*T(1,x,y,1) + 3*T(x,1,y,1) + 3*T(x,y,1,1)\n'
+        ),
+        (
+            '{"command": "phi", "context": {"lambda": "5", "ring": "mod:6", "variables": ["x", "y"]},'
+            ' "result": {"entries": [{"level": 1, "terms": []}, {"level": 2, "terms": [{"coeff": "2",'
+            ' "word": [[], []]}, {"coeff": "5", "word": [[], [["x", 1]]]}]}, {"level": 3, "terms": [{'
+            '"coeff": "4", "word": [[], [], []]}, {"coeff": "4", "word": [[], [], [["x", 1]]]}, {"coe'
+            'ff": "5", "word": [[], [], [["y", 1]]]}, {"coeff": "3", "word": [[["x", 1]], [["y", 1]],'
+            ' []]}]}, {"level": 4, "terms": [{"coeff": "3", "word": [[], [], [], [["x", 1]]]}, {"coef'
+            'f": "3", "word": [[], [], [], [["y", 1]]]}, {"coeff": "3", "word": [[], [["x", 1]], [["y'
+            '", 1]], []]}, {"coeff": "3", "word": [[["x", 1]], [], [["y", 1]], []]}, {"coeff": "3", "'
+            'word": [[["x", 1]], [["y", 1]], [], []]}]}], "kind": "sequence"}}\n'
+        ),
+        id='mod6',
+    ),
+]
+
+
 class TestPhiReferee:
     @settings(max_examples=150, deadline=None)
     @given(
@@ -296,6 +439,15 @@ class TestPhiReferee:
         assert capsys.readouterr().out == PHI_GOLDEN_TEXT
         assert main(["--json", *argv]) == 0
         assert capsys.readouterr().out == PHI_GOLDEN_JSON
+
+    @pytest.mark.parametrize("argv, text, payload", PHI_MIXED_GOLDENS)
+    def test_golden_cli_output_on_mixed_lengths(self, capsys, argv, text, payload):
+        # words of one to three factors, some ending in units, summed into
+        # each entry
+        assert main(argv) == 0
+        assert capsys.readouterr() == (text, "")
+        assert main(["--json", *argv]) == 0
+        assert capsys.readouterr() == (payload, "")
 
 
 PHI_GOLDEN_TEXT = (

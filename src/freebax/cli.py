@@ -7,10 +7,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 
 from . import sequences as sq
 from . import series as sr
-from .ideals import baxter_ideal_member, scalar_ideal, variable_ideal
+from .ideals import TrivialIdealWarning, baxter_ideal_member, scalar_ideal, variable_ideal
 from .lang import NAME, RESERVED, EvalError, evaluate_source
 from .rings import INT, RAT, Ring, Zmod, parse_coeff
 from .shuffle import Context, Element, enumerate_mixable_shuffles
@@ -177,12 +178,23 @@ _DISPATCH = {
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        ctx = Context(args.ring, parse_coeff(args.ring, args.lam), args.vars)
-        return _DISPATCH[args.command](args, ctx)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    with warnings.catch_warnings():
+        show = warnings.showwarning
+
+        def show_warning(message, category, *rest, **kwargs):
+            # the library's own warnings are one line, like an error
+            if issubclass(category, (sq.PhiInjectivityWarning, TrivialIdealWarning)):
+                print(f"warning: {message}", file=sys.stderr)
+            else:
+                show(message, category, *rest, **kwargs)
+
+        warnings.showwarning = show_warning
+        try:
+            ctx = Context(args.ring, parse_coeff(args.ring, args.lam), args.vars)
+            return _DISPATCH[args.command](args, ctx)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
 
 
 if __name__ == "__main__":

@@ -6,9 +6,13 @@ words in all order-preserving ways, optionally merging an adjacent pair
 coming from opposite words at the cost of one factor of lambda, while the
 two head factors always multiply in the base algebra.
 
-Two independent implementations of the product live here: a quasi-shuffle
-recursion on tails (the production path) and a direct enumeration over all
-(shuffle, merge-set) pairs (the oracle the recursion is tested against).
+Two independent implementations of the product live here.  The production
+path, ``shuffle_product``, takes one of two routes per term pair: a tail of
+one or two factors is inserted straight into the other tail (the insertion
+form of the mixable shuffle), and every other pair goes through the
+memoized quasi-shuffle recursion on tails, whose memo collapses the
+repeated tail pairs of series products.  The oracle both routes are tested
+against is a direct enumeration over all (shuffle, merge-set) pairs.
 """
 from __future__ import annotations
 
@@ -182,44 +186,117 @@ def degree_components(a: Element) -> dict[int, Element]:
     return {d: Element(a.ctx, split[d]) for d in sorted(split)}
 
 
-# --- the product, recursion route ---
+# --- the product, production routes ---
 #
-# One recurrence on tails u, v:
+# The tail of a product of two words is mix(u, v) of their tails, and
+# ``shuffle_product`` computes it by one of two routes per term pair.
+#
+# ``_mix`` is the one memoized recursion, on tails u, v:
 #   mix(u, v) = u0 (x) mix(u', v)  +  v0 (x) mix(u, v')  +  lam (u0 v0) (x) mix(u', v')
 # with one memo per product, shared by all its term pairs.  The memo is what
 # keeps series products small: their tails are all-unit words, so the tail
 # pairs of different branches coincide and collapse into one entry instead
 # of being expanded once per lattice path.  Monomials are interned, so
 # hashing a word stays in C.  Coefficients are raw ring values throughout.
+#
+# ``_insert`` is the insertion form of the same sum (Ebrahimi-Fard and Guo,
+# "Mixable shuffles, quasi-shuffles and Hopf algebras"): the first factor of
+# the shorter tail goes after each prefix of the longer one, alone or merged
+# with the next factor at weight lam, and the rest of the shorter tail is
+# placed the same way in what follows.  It adds each word straight into the
+# product's dict, with no memo and no intermediate dict, where ``_mix``
+# would build a dict for every suffix of the long tail.  It takes a pair
+# only when the shorter tail has at most INSERT_MAX factors, which keeps
+# the words it emits per pair at O(len^2) however few letters the tails
+# use, and never when the longer tail is one factor repeated: there the
+# insertions all give the same few words, which the memo collapses.
+
+INSERT_MAX = 2  # the most factors of a tail that ``_insert`` places
+
 
 def _mix(u: Word, v: Word, lam_raw, memo: dict):
-    if not u:
-        return {v: 1}
-    if not v:
-        return {u: 1}
+    """mix(u, v) as a tail -> raw weight dict; u and v are nonempty, so
+    the recursion builds no dict for an empty tail."""
     key = (u, v)
     hit = memo.get(key)
     if hit is not None:
         return hit
     out: dict = {}
     get = out.get
-    for tail, c in _mix(u[1:], v, lam_raw, memo).items():
-        w = (u[0],) + tail
-        prev = get(w)
-        out[w] = c if prev is None else prev + c
-    for tail, c in _mix(u, v[1:], lam_raw, memo).items():
-        w = (v[0],) + tail
-        prev = get(w)
-        out[w] = c if prev is None else prev + c
-    if lam_raw:
-        merged = u[0] * v[0]
-        for tail, c in _mix(u[1:], v[1:], lam_raw, memo).items():
-            w = (merged,) + tail
-            c = c * lam_raw
+    u1, v1 = u[1:], v[1:]
+    h = (u[0],)
+    if u1:
+        # out is empty and the tails are distinct: no lookup needed
+        for tail, c in _mix(u1, v, lam_raw, memo).items():
+            out[h + tail] = c
+    else:
+        out[h + v] = 1
+    h = (v[0],)
+    if v1:
+        for tail, c in _mix(u, v1, lam_raw, memo).items():
+            w = h + tail
             prev = get(w)
             out[w] = c if prev is None else prev + c
+    else:
+        w = h + u
+        prev = get(w)
+        out[w] = 1 if prev is None else prev + 1
+    if lam_raw:
+        h = (u[0] * v[0],)
+        if u1 and v1:
+            for tail, c in _mix(u1, v1, lam_raw, memo).items():
+                w = h + tail
+                c = c * lam_raw
+                prev = get(w)
+                out[w] = c if prev is None else prev + c
+        else:
+            w = h + (u1 or v1)
+            prev = get(w)
+            out[w] = lam_raw if prev is None else prev + lam_raw
     memo[key] = out
     return out
+
+
+def _insert(acc: dict, pre: Word, long: Word, short: Word, c, lam_raw) -> None:
+    """Add c * (pre (x) mix(long, short)) to acc: short[0] goes after each
+    prefix long[:i], alone or, when lam is nonzero, merged with long[i] at
+    weight lam, and the rest of short is placed in what follows."""
+    s = short[0]
+    alone = (s,)
+    rest = short[1:]
+    cl = c * lam_raw if lam_raw else None
+    get = acc.get
+    p = pre  # pre + long[:i]
+    for i in range(len(long) + 1):
+        tail = long[i:]
+        if rest:
+            _insert(acc, p + alone, tail, rest, c, lam_raw)
+        else:
+            w = p + alone + tail
+            prev = get(w)
+            acc[w] = c if prev is None else prev + c
+        if not tail:
+            return
+        f = tail[0]
+        if cl is not None:
+            merged = p + (f * s,)
+            if rest:
+                _insert(acc, merged, tail[1:], rest, cl, lam_raw)
+            else:
+                w = merged + tail[1:]
+                prev = get(w)
+                acc[w] = cl if prev is None else prev + cl
+        p = p + (f,)
+
+
+def _parts(a: Element) -> list:
+    """Each word of a as (head, tail, value, tail length, whether the tail
+    is one factor repeated)."""
+    parts = []
+    for w, v in a._raw.items():
+        t = w[1:]
+        parts.append((w[0], t, v, len(t), t.count(w[-1]) == len(t)))
+    return parts
 
 
 def shuffle_product(a: Element, b: Element) -> Element:
@@ -228,20 +305,26 @@ def shuffle_product(a: Element, b: Element) -> Element:
     memo: dict = {}
     acc: dict = {}
     aget = acc.get
-    for wa, ca in a._raw.items():
-        ta = wa[1:]
-        for wb, cb in b._raw.items():
+    b_parts = _parts(b)
+    for ha, ta, ca, na, ra in _parts(a):
+        for hb, tb, cb, nb, rb in b_parts:
             c = ca * cb
-            head = wa[0] * wb[0]
-            tb = wb[1:]
-            if not ta or not tb:
-                # _mix((), v) = {v: 1}: a one-factor word only multiplies heads
-                w = (head,) + (ta or tb)
+            head = (ha * hb,)
+            if not na or not nb:
+                # mix((), v) = v: a one-factor word only multiplies heads
+                w = head + (ta or tb)
                 prev = aget(w)
                 acc[w] = c if prev is None else prev + c
                 continue
+            if nb <= na:
+                long, short, n, repeated = ta, tb, nb, ra
+            else:
+                long, short, n, repeated = tb, ta, na, rb
+            if n <= INSERT_MAX and not repeated:
+                _insert(acc, head, long, short, c, lam_raw)
+                continue
             for tail, weight in _mix(ta, tb, lam_raw, memo).items():
-                w = (head,) + tail
+                w = head + tail
                 t = c * weight
                 prev = aget(w)
                 acc[w] = t if prev is None else prev + t

@@ -610,6 +610,29 @@ class TestCommandLine:
         assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
         assert run_cli(capsys, "--json", *argv) == (2, "", f"error: {message}\n")
 
+    @pytest.mark.parametrize("argv, text, payload, warning", [
+        (
+            ("--vars", "x", "--ring", "mod:6", "--lambda", "2", "phi", "T(x,1)", "--len", "4"),
+            "[1] 0\n[2] 2*T(1,x)\n[3] 4*T(1,1,x)\n[4] 0\n",
+            '{"command": "phi", "context": {"lambda": "2", "ring": "mod:6", "variables": ["x"]}, '
+            '"result": {"entries": [{"level": 1, "terms": []}, {"level": 2, "terms": [{"coeff": "2", '
+            '"word": [[], [["x", 1]]]}]}, {"level": 3, "terms": [{"coeff": "4", "word": [[], [], '
+            '[["x", 1]]]}]}, {"level": 1, "terms": []}], "kind": "sequence"}}\n',
+            "lambda = 2 is a zero divisor in mod:6; phi may not be injective",
+        ),
+        (
+            ("--ring", "rat", "--vars", "x", "ideal-member", "x", "--gens", "scalar:2"),
+            "true\n",
+            '{"command": "ideal-member", "context": {"lambda": "1", "ring": "rat", "variables": ["x"]}, '
+            '"result": {"ideal": "(2)", "member": true}}\n',
+            "every nonzero scalar generates the whole ring of rationals",
+        ),
+    ], ids=["phi-zero-divisor", "rat-scalar-ideal"])
+    def test_library_warnings_are_one_line(self, capsys, argv, text, payload, warning):
+        # no source path, line number or source line, in either mode
+        assert run_cli(capsys, *argv) == (0, text, f"warning: {warning}\n")
+        assert run_cli(capsys, "--json", *argv) == (0, payload, f"warning: {warning}\n")
+
 
 # text over the grammar's alphabet, with characters it does not know
 SOURCE_PIECES = (

@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import freebax.shuffle as shuffle_module
 from freebax import (
@@ -178,6 +180,18 @@ class TestOracleEquivalence:
             assert shuffle_product(a, b) == shuffle_product_enumerated(a, b)
 
 
+def count_calls(monkeypatch, name):
+    calls = []
+    original = getattr(shuffle_module, name)
+
+    def counting(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(shuffle_module, name, counting)
+    return calls
+
+
 class TestOneFactorWords:
     """A word of one factor has an empty tail, so its products only
     multiply heads and never enter the tail-mixing recursion."""
@@ -207,14 +221,7 @@ class TestOneFactorWords:
         assert c == tensor_word(ctx, Monomial.of(x=2)) + tensor_word(ctx, Monomial.of(y=2)).scaled(8)
 
     def test_kernel_is_not_entered(self, monkeypatch):
-        calls = []
-        mix = shuffle_module._mix
-
-        def counting(*args):
-            calls.append(1)
-            return mix(*args)
-
-        monkeypatch.setattr(shuffle_module, "_mix", counting)
+        calls = count_calls(monkeypatch, "_mix")
         ctx = Context(RAT, RAT.coeff(2), ("x", "y"))
         rng = random.Random(17)
         long_word = tensor_word(ctx, Monomial.of(x=1), UNIT_MONOMIAL, Monomial.of(y=2))
@@ -224,8 +231,64 @@ class TestOneFactorWords:
             shuffle_product(long_word, short)
             shuffle_product(short, self.one_factor(rng, ctx))
         assert calls == []
-        shuffle_product(long_word, unit_word(ctx, 1))
+        # a tail of repeated unit factors still enters the memoized kernel
+        shuffle_product(long_word, unit_word(ctx, 3))
         assert calls
+
+
+LETTERS = (UNIT_MONOMIAL, Monomial.of(x=1), Monomial.of(y=1), Monomial.of(x=1, y=1))
+
+
+def words_of(min_factors, max_factors):
+    return st.lists(st.sampled_from(LETTERS), min_size=min_factors, max_size=max_factors).map(tuple)
+
+
+def elements_of(ctx, words):
+    return st.dictionaries(words, st.integers(1, 8), min_size=1, max_size=2).map(lambda m: element(ctx, m))
+
+
+class TestKernelRoutes:
+    """A term pair whose shorter tail has at most INSERT_MAX factors is
+    inserted straight into the product, unless the longer tail is one
+    factor repeated; every other pair enters the memoized ``_mix``."""
+
+    def test_short_tail_is_inserted(self, monkeypatch):
+        mixed, inserted = count_calls(monkeypatch, "_mix"), count_calls(monkeypatch, "_insert")
+        ctx = Context(RAT, RAT.coeff(2), ("x", "y"))
+        x, y = Monomial.of(x=1), Monomial.of(y=1)
+        long_word = tensor_word(ctx, UNIT_MONOMIAL, x, y, UNIT_MONOMIAL, x)
+        for short in (tensor_word(ctx, y, x), tensor_word(ctx, x, UNIT_MONOMIAL, UNIT_MONOMIAL),
+                      tensor_word(ctx, x, y)):
+            assert shuffle_product(long_word, short) == shuffle_product_enumerated(long_word, short)
+            assert shuffle_product(short, long_word) == shuffle_product_enumerated(short, long_word)
+        assert inserted and mixed == []
+
+    def test_long_tails_and_repeated_factors_enter_mix(self, monkeypatch):
+        mixed, inserted = count_calls(monkeypatch, "_mix"), count_calls(monkeypatch, "_insert")
+        ctx = Context(RAT, RAT.coeff(2), ("x", "y"))
+        x, y = Monomial.of(x=1), Monomial.of(y=1)
+        pairs = [
+            # two tails of three or more factors
+            (tensor_word(ctx, x, y, x, UNIT_MONOMIAL), tensor_word(ctx, y, UNIT_MONOMIAL, x, y, x)),
+            # a short tail against a tail of repeated unit factors
+            (tensor_word(ctx, x, y), unit_word(ctx, 4)),
+            (unit_word(ctx, 2), unit_word(ctx, 1)),
+        ]
+        for a, b in pairs:
+            assert shuffle_product(a, b) == shuffle_product_enumerated(a, b)
+            assert shuffle_product(b, a) == shuffle_product_enumerated(b, a)
+        assert mixed and inserted == []
+
+    @settings(max_examples=150, deadline=None)
+    @given(config=st.sampled_from(BAXTER_IDENTITY_CONFIGS), data=st.data(), swap=st.booleans())
+    def test_short_tails_match_the_oracle(self, config, data, swap):
+        ring, lam = config
+        ctx = Context(ring, ring.coeff(lam), ("x", "y"))
+        # one tail of 1-2 factors, the other of up to 6
+        short = data.draw(elements_of(ctx, words_of(2, 3)))
+        other = data.draw(elements_of(ctx, words_of(1, 7)))
+        a, b = (other, short) if swap else (short, other)
+        assert shuffle_product(a, b) == shuffle_product_enumerated(a, b)
 
 
 class TestBaxterOperator:

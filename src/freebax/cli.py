@@ -5,6 +5,7 @@ Exit codes: 0 success, 1 verification failure, 2 usage/parse error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import warnings
@@ -25,7 +26,11 @@ def _ring_arg(text: str) -> Ring:
         return RAT
     if text.startswith("mod:"):
         try:
-            return Zmod(int(text[4:]))
+            m = int(text[4:])
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid modulus {text[4:]!r} in ring {text!r}") from None
+        try:
+            return Zmod(m)
         except ValueError as exc:
             raise argparse.ArgumentTypeError(str(exc)) from None
     raise argparse.ArgumentTypeError(f"unknown ring {text!r} (use int, rat or mod:<m>)")
@@ -51,7 +56,25 @@ def _vars_arg(text: str) -> tuple[str, ...]:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+def _precision_arg(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        # the words argparse uses for a bad int
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"precision must be nonnegative, not {n}")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser.  It is built once per set of registered suite
+    names and then shared, so callers must not change it."""
+    return _parser(tuple(sorted(SUITES)))
+
+
+@functools.cache
+def _parser(suites: tuple[str, ...]) -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="freebax",
         description="Exact computation in free Baxter algebras of arbitrary weight.",
@@ -59,7 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--ring", type=_ring_arg, default=INT, help="coefficient ring: int, rat or mod:<m>")
     ap.add_argument("--lambda", dest="lam", default="1", help="the weight (a coefficient literal)")
     ap.add_argument("--vars", type=_vars_arg, default=(), help="comma-separated variable names")
-    ap.add_argument("--precision", type=int, default=DEFAULT_PRECISION, help="series truncation degree")
+    ap.add_argument("--precision", type=_precision_arg, default=DEFAULT_PRECISION, help="series truncation degree")
     ap.add_argument("--seed", type=int, default=DEFAULT_SEED, help="seed for randomized probes")
     ap.add_argument("--json", action="store_true", help="emit a machine-readable report")
 
@@ -79,7 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="comma-separated variables, or scalar:<c>")
 
     p_verify = sub.add_parser("verify", help="run verification suites")
-    p_verify.add_argument("suite", nargs="+", choices=sorted(SUITES) + ["all"])
+    p_verify.add_argument("suite", nargs="+", choices=[*suites, "all"])
 
     p_enum = sub.add_parser("enumerate-shuffles", help="list all mixable shuffles of two tails")
     p_enum.add_argument("m", type=int)
@@ -88,16 +111,19 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _emit(args, payload: dict, text: str) -> None:
+def _emit(args, payload, text) -> None:
+    """Print the ``--json`` payload or the text.  Both are zero-argument
+    callables, and only the one printed is called."""
     if args.json:
-        print(json.dumps(payload, sort_keys=True))
+        print(json.dumps(payload(), sort_keys=True))
     else:
-        print(text)
+        print(text())
 
 
 def _cmd_eval(args, ctx: Context) -> int:
     value = evaluate_source(args.expression, ctx, args.precision)
-    _emit(args, {"command": "eval", "context": ctx.to_obj(), "result": value.to_obj()}, str(value))
+    _emit(args, lambda: {"command": "eval", "context": ctx.to_obj(), "result": value.to_obj()},
+          lambda: str(value))
     return 0
 
 
@@ -107,7 +133,8 @@ def _cmd_phi(args, ctx: Context) -> int:
         image = sq.phi_series(value, args.length)
     else:
         image = sq.phi(value, args.length)
-    _emit(args, {"command": "phi", "context": ctx.to_obj(), "result": image.to_obj()}, str(image))
+    _emit(args, lambda: {"command": "phi", "context": ctx.to_obj(), "result": image.to_obj()},
+          lambda: str(image))
     return 0
 
 
@@ -125,9 +152,9 @@ def _cmd_ideal_member(args, ctx: Context) -> int:
     member = baxter_ideal_member(value, spec)
     _emit(
         args,
-        {"command": "ideal-member", "context": ctx.to_obj(),
-         "result": {"ideal": str(spec), "member": member}},
-        "true" if member else "false",
+        lambda: {"command": "ideal-member", "context": ctx.to_obj(),
+                 "result": {"ideal": str(spec), "member": member}},
+        lambda: "true" if member else "false",
     )
     return 0
 
@@ -135,35 +162,47 @@ def _cmd_ideal_member(args, ctx: Context) -> int:
 def _cmd_verify(args, ctx: Context) -> int:
     reports = run_suites(args.suite, seed=args.seed, precision=args.precision)
     ok = all(r.verdict for r in reports)
-    payload = {
-        "command": "verify",
-        "suites": args.suite,
-        "report": [r.to_obj() for r in reports],
-        "ok": ok,
-        # the suites build their own contexts; this one is the flags'
-        "context": ctx.to_obj(),
-    }
-    lines = [r.line() for r in reports]
-    lines.append(f"{sum(r.verdict for r in reports)}/{len(reports)} checks passed")
-    _emit(args, payload, "\n".join(lines))
+
+    def payload():
+        return {
+            "command": "verify",
+            "suites": args.suite,
+            "report": [r.to_obj() for r in reports],
+            "ok": ok,
+            # the suites build their own contexts; this one is the flags'
+            "context": ctx.to_obj(),
+        }
+
+    def text():
+        lines = [r.line() for r in reports]
+        lines.append(f"{sum(r.verdict for r in reports)}/{len(reports)} checks passed")
+        return "\n".join(lines)
+
+    _emit(args, payload, text)
     return 0 if ok else 1
 
 
 def _cmd_enumerate(args, ctx: Context) -> int:
     shuffles = enumerate_mixable_shuffles(args.m, args.n)
-    payload = {
-        "command": "enumerate-shuffles",
-        "m": args.m,
-        "n": args.n,
-        "count": len(shuffles),
-        "shuffles": [s.to_obj() for s in shuffles],
-    }
-    lines = []
-    for s in shuffles:
-        merges = ",".join(str(k) for k in s.merges)
-        lines.append(f"sigma=({','.join(str(v) for v in s.sigma)}) merges=[{merges}]")
-    lines.append(f"count {len(shuffles)}")
-    _emit(args, payload, "\n".join(lines))
+
+    def payload():
+        return {
+            "command": "enumerate-shuffles",
+            "m": args.m,
+            "n": args.n,
+            "count": len(shuffles),
+            "shuffles": [s.to_obj() for s in shuffles],
+        }
+
+    def text():
+        lines = []
+        for s in shuffles:
+            merges = ",".join(str(k) for k in s.merges)
+            lines.append(f"sigma=({','.join(str(v) for v in s.sigma)}) merges=[{merges}]")
+        lines.append(f"count {len(shuffles)}")
+        return "\n".join(lines)
+
+    _emit(args, payload, text)
     return 0
 
 

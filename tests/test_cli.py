@@ -1,3 +1,4 @@
+import argparse
 import json
 import operator
 import os
@@ -15,7 +16,7 @@ import freebax
 import freebax.lang as lang
 import freebax.series as sr
 from freebax import INT, RAT, Context, Element, Zmod, WitnessReport, one, unit_word
-from freebax.cli import main
+from freebax.cli import _parser, build_parser, main
 from freebax.lang import (
     MAX_NESTING,
     MAX_UNIT_DEGREE,
@@ -347,6 +348,48 @@ def run_cli(capsys, *argv):
     return code, out.out, out.err
 
 
+def run_argv(capsys, *argv):
+    """``run_cli`` for a command line argparse may reject, whose
+    ``SystemExit`` code stands for the return code."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+def parse_or_exit(capsys, parser, argv):
+    """The parser's Namespace for argv, or the code and the output of its
+    ``SystemExit``."""
+    try:
+        return parser.parse_args(list(argv))
+    except SystemExit as exc:
+        return exc.code, capsys.readouterr()
+
+
+# every subcommand, a parse error, a bad flag value, command lines argparse
+# rejects, and a run without --vars next to one with it
+REUSED_PARSER_LINES = (
+    ("--ring", "mod:9", "--lambda", "3", "eval", "U(1)*U(1)"),
+    ("--vars", "x,y", "eval", "T(x,y) + 2*T(1,x)"),
+    ("eval", "T(x,y) + 2*T(1,x)"),
+    ("--ring", "rat", "--precision", "4", "eval", "U(1)*geom(2)"),
+    ("--ring", "int", "--lambda", "2", "phi", "U(1)", "--len", "4"),
+    ("--vars", "x,y", "ideal-member", "--gens", "x", "T(x,y) + T(x,1)"),
+    ("ideal-member", "--gens", "scalar:2", "2*U(1) + 4*U(2)"),
+    ("verify", "prop-unit"),
+    ("enumerate-shuffles", "2", "1"),
+    ("eval", "U(1"),
+    ("--lambda", "foo", "eval", "1"),
+    ("--ring", "mod:x", "eval", "1"),
+    ("--precision", "-1", "eval", "1"),
+    ("verify", "no-such-suite"),
+    ("phi", "U(1)", "--len", "x"),
+    ("--help",),
+)
+
+
 GOLDEN_SUM_WORDS = (
     "T(x)", "T(1,y)", "T(x*y,x^2)", "T(y^2,1,x)",
     "T(1)", "T(y)", "T(x^2,y)", "T(x,x)", "T(1,x*y)", "T(y^2,y^2,1)", "T(x,1,y)", "T(x*y)",
@@ -603,12 +646,66 @@ class TestCommandLine:
         (("--vars", "x", "ideal-member", "--gens", "lam", "T(x)"), "'lam' is a reserved word"),
         (("--lambda", "foo", "verify", "charp"), "invalid int coefficient 'foo'"),
         (("--lambda", "foo", "enumerate-shuffles", "1", "1"), "invalid int coefficient 'foo'"),
+        (("--ring", "mod:x", "eval", "1"), "argument --ring: invalid modulus 'x' in ring 'mod:x'"),
+        (("--ring", "mod:", "eval", "1"), "argument --ring: invalid modulus '' in ring 'mod:'"),
+        (("--precision", "-1", "eval", "1"), "argument --precision: precision must be nonnegative, not -1"),
+        (("--precision", "-1", "verify", "charp"),
+         "argument --precision: precision must be nonnegative, not -1"),
     ], ids=["rat-lambda", "rat-scalar-gens", "digit-gens", "empty-gens", "reserved-gens",
-            "verify-lambda", "enumerate-lambda"])
+            "verify-lambda", "enumerate-lambda", "modulus-word", "modulus-empty",
+            "eval-precision", "verify-precision"])
     def test_bad_flag_values_exit_two_without_traceback(self, capsys, argv, message):
-        # exit 1 means only that a check failed
-        assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
-        assert run_cli(capsys, "--json", *argv) == (2, "", f"error: {message}\n")
+        # exit 1 means only that a check failed; argparse reports a flag it
+        # rejects itself after the usage line
+        if message.startswith("argument "):
+            err = build_parser().format_usage() + f"freebax: error: {message}\n"
+        else:
+            err = f"error: {message}\n"
+        assert run_argv(capsys, *argv) == (2, "", err)
+        assert run_argv(capsys, "--json", *argv) == (2, "", err)
+
+    def test_reused_parser_leaks_no_state(self, capsys):
+        argvs = [flag + argv for argv in REUSED_PARSER_LINES for flag in ((), ("--json",))]
+        forward = [run_argv(capsys, *argv) for argv in argvs]
+        backward = [run_argv(capsys, *argv) for argv in reversed(argvs)][::-1]
+        assert forward == backward
+        runs = dict(zip(argvs, forward))
+        assert runs[("--vars", "x,y", "eval", "T(x,y) + 2*T(1,x)")] == (0, "2*T(1,x) + T(x,y)\n", "")
+        assert runs[("eval", "T(x,y) + 2*T(1,x)")] == (2, "", "error: unknown variable 'x' (at position 2)\n")
+        # help text is laid out differently by each Python version
+        code, out, _ = runs[("--help",)]
+        assert code == 0 and out.startswith("usage: freebax")
+        fresh = _parser.__wrapped__(tuple(sorted(SUITES)))
+        for argv in argvs:
+            assert parse_or_exit(capsys, build_parser(), argv) == parse_or_exit(capsys, fresh, argv), argv
+
+    def test_main_builds_the_parser_once(self, capsys, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(parser, *args, **kwargs):
+            built.append(parser)
+            init(parser, *args, **kwargs)
+
+        _parser.cache_clear()
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        assert run_cli(capsys, "eval", "1")[0] == 0
+        once = len(built)
+        assert run_cli(capsys, "--json", "eval", "1")[0] == 0
+        assert once and len(built) == once
+
+    @pytest.mark.parametrize("patched, flag", [("to_obj", ()), ("__str__", ("--json",))],
+                             ids=["text", "json"])
+    def test_only_the_printed_output_is_rendered(self, capsys, monkeypatch, patched, flag):
+        argv = (*flag, "--ring", "mod:9", "--lambda", "3", "eval", "U(1)*U(1)")
+        printed = run_cli(capsys, *argv)
+        assert printed[0] == 0
+
+        def unused(self):
+            raise AssertionError(f"Element.{patched} called")
+
+        monkeypatch.setattr(Element, patched, unused)
+        assert run_cli(capsys, *argv) == printed
 
     @pytest.mark.parametrize("argv, text, payload, warning", [
         (

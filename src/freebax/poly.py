@@ -108,8 +108,9 @@ class _TermStore:
     stored as an unsorted dict ``_raw`` from keys (monomials or words) to
     nonzero raw values of ``ring`` (see ``Ring.raw``), never mutated.  A
     subclass supplies ``ring``, ``_check`` and ``_new``, which builds its
-    own kind from a key -> raw value dict, and binds ``__hash__``, which
-    ``record`` would otherwise generate over the fields."""
+    own kind from a fresh key -> raw value dict, normalized in place, and
+    binds ``__hash__``, which ``record`` would otherwise generate over the
+    fields."""
 
     def __hash__(self):
         return hash((self.ring, frozenset(self._raw.items())))
@@ -168,7 +169,8 @@ class Poly(_TermStore):
 
     @staticmethod
     def from_raw(ring: Ring, acc: dict) -> Poly:
-        """The Poly of a monomial -> raw value dict, reduced by ``Ring.reduce``."""
+        """The Poly of a monomial -> raw value dict, reduced in place by
+        ``Ring.reduce``: the caller owns ``acc`` and hands it over."""
         return Poly(ring, ring.reduce(acc))
 
     @staticmethod

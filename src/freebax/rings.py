@@ -51,11 +51,31 @@ class Ring:
         return v
 
     def reduce(self, acc: dict) -> dict:
-        """A new dict of the raw values reduced mod m, zeros dropped."""
+        """Normalize ``acc``, a key -> raw value dict, in place: values
+        reduced mod m, zeros deleted; returns ``acc`` itself.  The caller
+        owns the dict (it has just built it) and hands it over: nothing
+        else may hold it."""
         if self.kind == "mod":
             m = self.modulus
-            return {k: r for k, v in acc.items() if (r := v % m)}
-        return {k: v for k, v in acc.items() if v}
+            zeros = []
+            for k, v in acc.items():
+                # replacing the value of a present key keeps iteration valid
+                if r := v % m:
+                    acc[k] = r
+                else:
+                    zeros.append(k)
+        else:
+            zeros = [k for k, v in acc.items() if not v]
+        n = len(acc)
+        for k in zeros:
+            del acc[k]
+        if 2 * len(zeros) > n:
+            # most terms cancelled, as in a checked identity: deleting keeps
+            # the table sized for all of them, refilling the dict shrinks it
+            kept = list(acc.items())
+            acc.clear()
+            acc.update(kept)
+        return acc
 
     def __str__(self):
         return f"mod:{self.modulus}" if self.kind == "mod" else self.kind

@@ -149,6 +149,8 @@ class SequenceElement:
         return len(self.entries)
 
     def entry(self, k: int) -> BarElement:
+        if not 1 <= k <= len(self.entries):
+            raise IndexError(f"entry {k} is outside 1..{len(self.entries)}")
         return self.entries[k - 1]
 
     def is_zero(self) -> bool:
@@ -194,12 +196,16 @@ def seq_one(ctx: Context, length: int) -> SequenceElement:
 
 def p_prime(a: SequenceElement) -> SequenceElement:
     """Entry k of the output is lambda times the sum of entries 1..k-1."""
-    lam = a.ctx.lam
+    ring = a.ctx.ring
+    lam = ring.raw(a.ctx.lam)
     out = []
-    prefix = bar_zero(a.ctx.ring)
+    # the running sum of the entries so far, raw and not yet reduced mod m
+    prefix: dict = {}
+    get = prefix.get
     for e in a.entries:
-        out.append(prefix.scaled(lam))
-        prefix = prefix + e
+        out.append(BarElement(ring, ring.reduce({w: lam * v for w, v in prefix.items()})))
+        for w, v in e.raw_items():
+            prefix[w] = get(w, 0) + v
     return SequenceElement(a.ctx, tuple(out))
 
 
@@ -281,15 +287,16 @@ def phi_constants(ctx: Context, coeffs, length: int) -> SequenceElement:
     """Closed form of phi on a combination of pure unit words: for input
     coefficients b_0..b_M (b_n weighting the degree-n unit word), entry n
     of the image is sum_i C(n-1, i) lam^i b_i over i = 0..n-1."""
-    bs = list(coeffs)
+    if length < 1:
+        raise ValueError("sequence length must be at least 1")
+    ring = ctx.ring
+    lam = ring.raw(ctx.lam)
+    # lam^i b_i as raw values, reduced mod m only in each entry
+    terms = [lam ** i * ring.raw(b) for i, b in enumerate(coeffs)]
     entries = []
     for n in range(1, length + 1):
-        total = ctx.ring.zero()
-        for i, b in enumerate(bs):
-            if i > n - 1:
-                break
-            total = total + ctx.ring.coeff(comb(n - 1, i)) * ctx.lam ** i * b
-        entries.append(bar_scalar(ctx.ring, total))
+        total = sum(comb(n - 1, i) * t for i, t in enumerate(terms[:n]))
+        entries.append(BarElement(ring, ring.reduce({(UNIT_MONOMIAL,): total})))
     return SequenceElement(ctx, tuple(entries))
 
 

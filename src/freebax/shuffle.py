@@ -114,8 +114,9 @@ class Element(_RawTerms):
 
 
 def from_raw(ctx: Context, acc: dict) -> Element:
-    """The Element of a word -> raw value dict, reduced by ``Ring.reduce``;
-    outside this module and ``series``, never call ``Element`` directly."""
+    """The Element of a word -> raw value dict, reduced in place by
+    ``Ring.reduce``: the caller owns ``acc`` and hands it over.  Outside
+    this module and ``series``, never call ``Element`` directly."""
     return Element(ctx, ctx.ring.reduce(acc))
 
 

@@ -8,17 +8,28 @@ from hypothesis import strategies as st
 from freebax import (
     INT,
     RAT,
+    UNIT_MONOMIAL,
     Coeff,
+    Context,
+    Monomial,
     RingMismatchError,
     Zmod,
+    bar,
     characteristic,
+    element,
     inverse,
     is_nilpotent,
     is_unit,
     is_zero_divisor,
     lambda_valuation,
+    p_prime,
     parse_coeff,
+    phi,
+    reduce_mod,
+    reduce_vars,
+    shuffle_product,
 )
+from freebax.sequences import PhiInjectivityWarning
 
 
 def egcd(a, b):
@@ -182,3 +193,61 @@ class TestParsing:
     def test_str(self):
         assert str(RAT.coeff(Fraction(-1, 2))) == "-1/2"
         assert str(Zmod(9).coeff(-3)) == "6"
+
+
+class TestInPlaceReduce:
+    """``Ring.reduce`` normalizes the dict it is handed, which its caller
+    has just built; so no operation may hand it an operand's own dict."""
+
+    @pytest.mark.parametrize(
+        "ring, acc, expected",
+        [
+            (INT, {"a": 0, "b": -3, "c": 2}, {"b": -3, "c": 2}),
+            (RAT, {"a": Fraction(0), "b": Fraction(-1, 2), "c": 4}, {"b": Fraction(-1, 2), "c": 4}),
+            (Zmod(9), {"a": 18, "b": -1, "c": 4, "d": 0, "e": 9}, {"b": 8, "c": 4}),
+        ],
+        ids=["int", "rat", "mod9"],
+    )
+    def test_returns_the_dict_it_was_given(self, ring, acc, expected):
+        out = ring.reduce(acc)
+        assert out is acc
+        assert acc == expected
+
+    @given(st.integers(2, 12), st.dictionaries(st.integers(0, 20), st.integers(-50, 50)))
+    def test_residues_in_range_and_no_zeros(self, m, acc):
+        expected = {k: v % m for k, v in acc.items() if v % m}
+        out = Zmod(m).reduce(acc)
+        assert out is acc
+        assert acc == expected
+        assert all(0 < v < m for v in acc.values())
+
+    def test_no_operation_mutates_an_operand(self):
+        x, y = Monomial.of(x=1), Monomial.of(y=1)
+        ctx = Context(INT, INT.coeff(2), ("x", "y"))
+        a = element(ctx, {(x,): INT.coeff(3), (UNIT_MONOMIAL, y): INT.coeff(-6), (x, x): INT.coeff(9)})
+        b = element(ctx, {(y,): INT.coeff(1), (x, y): INT.coeff(-2)})
+        ring9 = Zmod(9)
+        ctx9 = Context(ring9, ring9.coeff(3), ("x", "y"))
+        a9 = element(ctx9, {(x,): ring9.coeff(3), (UNIT_MONOMIAL, y): ring9.coeff(6)})
+        bar_a = bar(ring9, 1, {(x,): ring9.coeff(3)})
+        bar_b = bar(ring9, 2, {(UNIT_MONOMIAL, y): ring9.coeff(6)})
+        s = phi(a, 5)
+        operands = [a, b, a9, bar_a, bar_b, *s.entries]
+        before = [dict(t._raw) for t in operands]
+
+        # the first seven cancel terms, which Ring.reduce deletes in place
+        assert (a + (-a)).is_zero()
+        assert (a - a).is_zero()
+        assert a.scaled(0).is_zero()
+        assert a9.scaled(9).is_zero()
+        assert a9.scaled(3).is_zero()
+        assert (bar_a * bar_b).is_zero()
+        assert reduce_mod(a, 3).is_zero()
+        assert not shuffle_product(a, b).is_zero()
+        assert not reduce_vars(a, ("x",)).is_zero()
+        assert not p_prime(s).is_zero()
+        assert not phi(a, 5).is_zero()
+        with pytest.warns(PhiInjectivityWarning):
+            phi(a9, 5)
+
+        assert [t._raw for t in operands] == before

@@ -1,4 +1,5 @@
 import random
+import warnings
 from fractions import Fraction
 from math import comb
 
@@ -52,6 +53,43 @@ def ctx_of(ring, lam, variables=("x", "y")):
 
 def B(ring, level, *pairs):
     return bar(ring, level, {w: ring.coeff(c) for w, c in pairs})
+
+
+# (ring, weight, phi warns): beyond the integers, the rationals with a
+# non-integral weight, and two moduli whose weight is a zero divisor
+OTHER_RINGS = [
+    pytest.param(RAT, Fraction(3, 2), False, id="rat"),
+    pytest.param(Zmod(9), 3, True, id="mod9-weight3"),
+    pytest.param(Zmod(6), 2, True, id="mod6-weight2"),
+]
+
+
+def sample_coeff(rng, ring):
+    """``random_coeff``, but over the rationals mostly non-integral."""
+    if ring == RAT:
+        return RAT.coeff(Fraction(rng.randint(-9, 9), rng.randint(2, 5)))
+    return random_coeff(rng, ring)
+
+
+def phi_expecting(warns, a, length):
+    """phi(a, length), asserting that it warns exactly when ``warns``."""
+    if warns:
+        with pytest.warns(PhiInjectivityWarning):
+            return phi(a, length)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", PhiInjectivityWarning)
+        return phi(a, length)
+
+
+def p_prime_by_definition(a):
+    """P' from its definition, in bar element arithmetic: entry k is
+    lambda times the sum of entries 1..k-1."""
+    out = []
+    prefix = bar_zero(a.ctx.ring)
+    for e in a.entries:
+        out.append(prefix.scaled(a.ctx.lam))
+        prefix = prefix + e
+    return SequenceElement(a.ctx, tuple(out))
 
 
 class TestBarElements:
@@ -239,27 +277,38 @@ class TestSequences:
             expected = bar(INT, k, {(UNIT_MONOMIAL,) * (k - 1) + (xy,): INT.one()})
             assert prod.entry(k) == expected
 
+    def test_entry_outside_the_range_is_rejected(self):
+        ctx = ctx_of(INT, 2)
+        s = phi(unit_word(ctx, 1), 4)
+        for k in (0, -1, 5):
+            with pytest.raises(IndexError, match=r"1\.\.4"):
+                s.entry(k)
+        assert [s.entry(k) for k in range(1, 5)] == list(s.entries)
+
 
 class TestPPrime:
     def test_on_ones(self):
-        for lam in (1, 2, 3):
-            ctx = ctx_of(INT, lam)
+        cases = [(INT, 1), (INT, 2), (INT, 3)] + [p.values[:2] for p in OTHER_RINGS]
+        for ring, lam in cases:
+            ctx = ctx_of(ring, lam)
             out = p_prime(seq_one(ctx, 6))
             for k in range(1, 7):
-                assert out.entry(k) == bar_scalar(INT, INT.coeff(lam * (k - 1)))
+                assert out.entry(k) == bar_scalar(ring, ring.coeff(lam * (k - 1))), (ring, lam, k)
 
     def test_on_zero(self):
         ctx = ctx_of(INT, 2)
         assert p_prime(seq_zero(ctx, 5)).is_zero()
 
-    @pytest.mark.filterwarnings("ignore::freebax.sequences.PhiInjectivityWarning")
     def test_linear(self):
-        ctx = ctx_of(Zmod(9), 3)
-        rng = random.Random(2)
-        for _ in range(15):
-            a = phi(random_element(rng, ctx), 7)
-            b = phi(random_element(rng, ctx), 7)
-            assert p_prime(a + b) == p_prime(a) + p_prime(b)
+        cases = [(INT, 2, False)] + [p.values for p in OTHER_RINGS]
+        for ring, lam, warns in cases:
+            ctx = ctx_of(ring, lam)
+            rng = random.Random(f"p_prime:{ring}:{lam}")
+            for _ in range(15):
+                a = phi_expecting(warns, random_element(rng, ctx), 7) * sample_coeff(rng, ring)
+                b = phi_expecting(warns, random_element(rng, ctx), 7) * sample_coeff(rng, ring)
+                assert p_prime(a + b) == p_prime(a) + p_prime(b)
+                assert p_prime(a) == p_prime_by_definition(a)
 
 
 class TestTSequence:
@@ -490,16 +539,24 @@ class TestPhiConstants:
         for k in range(1, 7):
             assert out.entry(k) == bar_scalar(INT, INT.coeff(comb(k - 1, 1) * 3))
 
-    @pytest.mark.parametrize("lam", [0, 1, 2, 3])
-    def test_agrees_with_phi(self, lam):
-        ctx = ctx_of(INT, lam)
+    @pytest.mark.parametrize(
+        "ring, lam, warns",
+        [pytest.param(INT, lam, False, id=str(lam)) for lam in range(4)] + OTHER_RINGS,
+    )
+    def test_agrees_with_phi(self, ring, lam, warns):
+        ctx = ctx_of(ring, lam)
         for top in range(11):
-            rng = random.Random(f"consts:{lam}:{top}")
-            bs = [random_coeff(rng, INT) for _ in range(top + 1)]
+            rng = random.Random(f"consts:{ring}:{lam}:{top}")
+            bs = [sample_coeff(rng, ring) for _ in range(top + 1)]
             combo = zero(ctx)
             for n, b in enumerate(bs):
                 combo = combo + unit_word(ctx, n).scaled(b)
-            assert phi(combo, 10) == phi_constants(ctx, bs, 10)
+            assert phi_expecting(warns, combo, 10) == phi_constants(ctx, bs, 10)
+
+    def test_other_ring_is_rejected(self):
+        ctx = ctx_of(INT, 2)
+        with pytest.raises(RingMismatchError, match="coefficient ring rat != int"):
+            phi_constants(ctx, [INT.one(), RAT.coeff(Fraction(1, 2))], 4)
 
     def test_alternating_example_pattern(self):
         # coefficients (0, 1, -1, 1, ...) at weight 2 produce entries 0, 2, 0, 2, ...
@@ -542,6 +599,8 @@ class TestPhiSeries:
                 phi(one(ctx), length)
             with pytest.raises(ValueError, match="length"):
                 phi_series(embed(one(ctx), 3), length)
+            with pytest.raises(ValueError, match="length"):
+                phi_constants(ctx, [INT.one()], length)
 
 
 class TestRendering:

@@ -16,7 +16,7 @@ from .ideals import (
     variable_ideal,
 )
 from .lang import EvalError, ParseError, evaluate, evaluate_source, parse, render
-from .poly import UNIT_MONOMIAL, Monomial, Poly
+from .poly import UNIT_MONOMIAL, Monomial
 from .rings import (
     INT,
     RAT,

@@ -23,7 +23,6 @@ from fractions import Fraction
 
 from . import series as sr
 from ._record import record
-from .poly import Poly
 from .rings import Coeff, inverse, is_unit
 from .shuffle import (
     Context,
@@ -407,16 +406,16 @@ def evaluate(node, ctx: Context, precision: int = 12):
     any other node, as a degree-0 element: the embedding of the base
     algebra, whose products are those of polynomials.  Each word-factor
     node is evaluated once per call, however many words share it."""
-    factors: dict = {}  # id of a word-factor node -> its Poly; lives for this call
+    factors: dict = {}  # id of a word-factor node -> its element; lives for this call
 
-    def word_factor(f) -> Poly:
-        poly = factors.get(id(f))
-        if poly is None:
+    def word_factor(f):
+        e = factors.get(id(f))
+        if e is None:
             e = value(f)
             if isinstance(e, sr.Series) or any(len(w) != 1 for w, _ in e.raw_items()):
                 raise EvalError("word factors must evaluate to polynomials, elements of degree 0")
-            poly = factors[id(f)] = Poly(ctx.ring, {w[0]: v for w, v in e.raw_items()})
-        return poly
+            factors[id(f)] = e
+        return e
 
     def value(node):
         if type(node) in (Add, Sub):

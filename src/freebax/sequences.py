@@ -32,10 +32,10 @@ from math import comb
 from operator import mul
 
 from ._record import record
-from .poly import UNIT_MONOMIAL, Poly, _TermStore
+from .poly import UNIT_MONOMIAL
 from .rings import Coeff, Ring, RingMismatchError, is_zero_divisor
 from .series import Series, truncate
-from .shuffle import Context, ContextMismatchError, Element, Word, _RawTerms, word_key
+from .shuffle import Context, ContextMismatchError, Element, Word, _degree0_raw, _TermStore, word_key
 
 
 class PhiInjectivityWarning(UserWarning):
@@ -43,7 +43,7 @@ class PhiInjectivityWarning(UserWarning):
 
 
 @record
-class BarElement(_RawTerms):
+class BarElement(_TermStore):
     """Unit-padded words mapped to nonzero raw ring values, each word
     stored trimmed (see the module docstring).  Build one with ``bar``; the
     dict is never mutated."""
@@ -209,15 +209,19 @@ def p_prime(a: SequenceElement) -> SequenceElement:
     return SequenceElement(a.ctx, tuple(out))
 
 
-def t_sequence(ctx: Context, p: Poly, length: int) -> SequenceElement:
-    """The generator sequence of a polynomial: entry k puts each term's
-    monomial in slot k of a level-k word, all earlier slots unit."""
-    if p.ring != ctx.ring:
-        raise RingMismatchError(f"polynomial ring {p.ring} != {ctx.ring}")
+def t_sequence(ctx: Context, p: Element, length: int) -> SequenceElement:
+    """The generator sequence of a polynomial, given as a degree-0
+    element: entry k puts each term's monomial in slot k of a level-k word,
+    all earlier slots unit."""
+    if length < 1:
+        raise ValueError("sequence length must be at least 1")
+    if not isinstance(p, Element):
+        raise TypeError(f"expected a degree-0 element, got {p!r}")
+    items = _degree0_raw(ctx, p).items()
     entries = []
     for k in range(length):
         prefix = (UNIT_MONOMIAL,) * k
-        entries.append(BarElement(ctx.ring, {_trimmed(prefix + (m,)): v for m, v in p.raw_items()}))
+        entries.append(BarElement(ctx.ring, {_trimmed(prefix + u): v for u, v in items}))
     return SequenceElement(ctx, tuple(entries))
 
 
@@ -254,6 +258,17 @@ def _word_images(word: Word, ctx: Context, length: int, memo: dict) -> list[dict
     return images
 
 
+def _warn_if_not_injective(ctx: Context) -> None:
+    """Warn, at the caller of phi or phi_constants, when the weight is a
+    zero divisor: the map is still computed, but it need not be injective."""
+    if is_zero_divisor(ctx.lam):
+        warnings.warn(
+            f"lambda = {ctx.lam} is a zero divisor in {ctx.ring}; phi may not be injective",
+            PhiInjectivityWarning,
+            stacklevel=3,
+        )
+
+
 def phi(a: Element, length: int) -> SequenceElement:
     """The canonical morphism into the sequence model, truncated to the
     first ``length`` entries.
@@ -267,12 +282,7 @@ def phi(a: Element, length: int) -> SequenceElement:
         raise ValueError("sequence length must be at least 1")
     ctx = a.ctx
     ring = ctx.ring
-    if is_zero_divisor(ctx.lam):
-        warnings.warn(
-            f"lambda = {ctx.lam} is a zero divisor in {ring}; phi may not be injective",
-            PhiInjectivityWarning,
-            stacklevel=2,
-        )
+    _warn_if_not_injective(ctx)
     acc = [{} for _ in range(length)]
     memo: dict = {}
     for w, cv in a.raw_items():
@@ -289,6 +299,7 @@ def phi_constants(ctx: Context, coeffs, length: int) -> SequenceElement:
     of the image is sum_i C(n-1, i) lam^i b_i over i = 0..n-1."""
     if length < 1:
         raise ValueError("sequence length must be at least 1")
+    _warn_if_not_injective(ctx)
     ring = ctx.ring
     lam = ring.raw(ctx.lam)
     # lam^i b_i as raw values, reduced mod m only in each entry

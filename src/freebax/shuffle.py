@@ -20,7 +20,7 @@ import itertools
 from math import comb
 
 from ._record import record
-from .poly import UNIT_MONOMIAL, Monomial, Poly, _join_terms, _term_str, _TermStore
+from .poly import UNIT_MONOMIAL, Monomial
 from .rings import Coeff, Ring, RingMismatchError, lambda_valuation, power
 
 Word = tuple[Monomial, ...]
@@ -56,9 +56,27 @@ def word_str(word: Word) -> str:
     return "T(" + ",".join(str(m) for m in word) + ")"
 
 
-class _RawTerms(_TermStore):
-    """The word display shared by Element and BarElement, whose keys are
-    words: the dict is sorted only for ``terms``."""
+class _TermStore:
+    """The arithmetic and display shared by Element and BarElement: a
+    finite sum stored as an unsorted dict ``_raw`` from words to nonzero
+    raw values of ``ring`` (see ``Ring.raw``), never mutated, and sorted
+    only for ``terms``.  A subclass supplies ``ring``, ``_check`` and
+    ``_new``, which builds its own kind from a fresh word -> raw value
+    dict, normalized in place, and binds ``__hash__``, which ``record``
+    would otherwise generate over the fields."""
+
+    def __hash__(self):
+        return hash((self.ring, frozenset(self._raw.items())))
+
+    def raw_items(self):
+        """The (word, raw value) pairs in no particular order."""
+        return self._raw.items()
+
+    def is_zero(self) -> bool:
+        return not self._raw
+
+    def coefficient(self, word: Word) -> Coeff:
+        return self.ring.coeff(self._raw.get(word, 0))
 
     @property
     def terms(self) -> tuple[tuple[Word, Coeff], ...]:
@@ -66,15 +84,46 @@ class _RawTerms(_TermStore):
         coeff = self.ring.coeff
         return tuple((w, coeff(v)) for w, v in sorted(self._raw.items(), key=lambda t: word_key(t[0])))
 
+    def __add__(self, other):
+        self._check(other)
+        acc = dict(self._raw)
+        get = acc.get
+        for k, v in other._raw.items():
+            acc[k] = get(k, 0) + v
+        return self._new(acc)
+
+    def __neg__(self):
+        return self._new({k: -v for k, v in self._raw.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __rmul__(self, other):
+        if isinstance(other, (Coeff, int)):
+            return self.scaled(other)
+        return NotImplemented
+
+    def scaled(self, c: Coeff | int):
+        cv = self.ring.raw(c)
+        return self._new({k: cv * v for k, v in self._raw.items()})
+
     def _terms_obj(self) -> list:
         return [{"coeff": str(c), "word": [m.to_obj() for m in w]} for w, c in self.terms]
 
     def __str__(self):
-        return _join_terms([_term_str(c, word_str(w)) for w, c in self.terms])
+        out = ""
+        for w, c in self.terms:
+            neg, a = c.is_negative(), abs(c)
+            body = word_str(w) if a.value == 1 else f"{a}*{word_str(w)}"
+            if out:
+                out += (" - " if neg else " + ") + body
+            else:
+                out = "-" + body if neg else body
+        return out or "0"
 
 
 @record
-class Element(_RawTerms):
+class Element(_TermStore):
     """A finite element of the algebra: words mapped to nonzero raw ring
     values.  Build one with ``element``; the dict is never mutated."""
 
@@ -158,9 +207,22 @@ def variable(ctx: Context, name: str) -> Element:
     return element(ctx, {(Monomial.of(**{name: 1}),): ctx.ring.one()})
 
 
+def _degree0_raw(ctx: Context, f: Element) -> dict:
+    """The raw dict of ``f``, checked to be a degree-0 element of ``ctx``:
+    a polynomial of the base algebra C[X], whose words have one factor."""
+    if f.ctx is not ctx and f.ctx != ctx:
+        raise ContextMismatchError("the polynomial belongs to a different context")
+    raw = f._raw
+    # every word has a factor, so the lengths sum to len(raw) only if all are 1
+    if len(raw) != sum(map(len, raw)):
+        raise ValueError("expected an element of degree 0, whose words have one factor")
+    return raw
+
+
 def tensor_word(ctx: Context, *factors) -> Element:
-    """Build a word from polynomial-valued factors, expanding multilinearly
-    so that the result is supported on monomial words."""
+    """Build a word from factors that are monomials or polynomials, given
+    as degree-0 elements, expanding multilinearly so that the result is
+    supported on monomial words."""
     if not factors:
         raise ValueError("tensor words must have at least one factor")
     # distinct prefixes extended by distinct monomials stay distinct, so
@@ -169,13 +231,11 @@ def tensor_word(ctx: Context, *factors) -> Element:
     for f in factors:
         if isinstance(f, Monomial):
             acc = {w + (f,): v for w, v in acc.items()}
-        elif isinstance(f, Poly):
-            if f.ring != ctx.ring:
-                raise RingMismatchError(f"factor ring {f.ring} != {ctx.ring}")
-            items = f.raw_items()
-            acc = {w + (m,): v * c for w, v in acc.items() for m, c in items}
+        elif isinstance(f, Element):
+            items = _degree0_raw(ctx, f).items()
+            acc = {w + u: v * c for w, v in acc.items() for u, c in items}
         else:
-            raise TypeError(f"word factors must be monomials or polynomials, got {f!r}")
+            raise TypeError(f"word factors must be monomials or degree-0 elements, got {f!r}")
     return from_raw(ctx, acc)
 
 

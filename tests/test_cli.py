@@ -34,8 +34,7 @@ from freebax.lang import (
     parse,
     render,
 )
-from freebax.poly import Poly
-from freebax.shuffle import tensor_word
+from freebax.shuffle import scalar, shuffle_product_enumerated, tensor_word, variable
 from freebax.verify import BAXTER_IDENTITY_CONFIGS, SUITES, random_element
 
 BAXTER_SOURCE = "P(x) * P(y) - P(x*P(y)) - P(y*P(x)) - lam*P(x*y)"
@@ -777,21 +776,30 @@ def literals(ring):
         lambda t: (f"{t[0]}/{t[1]}", ring.coeff(t[0] * pow(t[1], -1, ring.modulus))))
 
 
+def enumerated_power(a, k):
+    """a^k as k products by the enumeration oracle, starting from one."""
+    out = one(a.ctx)
+    for _ in range(k):
+        out = shuffle_product_enumerated(out, a)
+    return out
+
+
 def polynomial_sources(ctx):
-    """(source, Poly) pairs of polynomial expressions, each Poly built by
-    Poly arithmetic alone."""
-    ring = ctx.ring
+    """(source, degree-0 element) pairs of polynomial expressions, each
+    element built by term-store sums and the enumeration oracle's products,
+    never by the production kernel."""
     leaves = st.one_of(
-        literals(ring).map(lambda lit: (lit[0], Poly.constant(lit[1]))),
-        st.just(("lam", Poly.constant(ctx.lam))),
-        st.sampled_from(ctx.variables).map(lambda v: (v, Poly.variable(ring, v))),
+        literals(ctx.ring).map(lambda lit: (lit[0], scalar(ctx, lit[1]))),
+        st.just(("lam", scalar(ctx, ctx.lam))),
+        st.sampled_from(ctx.variables).map(lambda v: (v, variable(ctx, v))),
     )
-    ops = {"+": operator.add, "-": operator.sub, "*": operator.mul}
+    ops = {"+": operator.add, "-": operator.sub, "*": shuffle_product_enumerated}
 
     def extend(children):
         return st.one_of(
             children.map(lambda c: (f"-({c[0]})", -c[1])),
-            st.tuples(children, st.integers(0, 4)).map(lambda t: (f"({t[0][0]})^{t[1]}", t[0][1] ** t[1])),
+            st.tuples(children, st.integers(0, 4)).map(
+                lambda t: (f"({t[0][0]})^{t[1]}", enumerated_power(t[0][1], t[1]))),
             st.tuples(children, st.sampled_from("+-*"), children).map(
                 lambda t: (f"({t[0][0]}) {t[1]} ({t[2][0]})", ops[t[1]](t[0][1], t[2][1]))),
         )

@@ -1,3 +1,4 @@
+import contextlib
 import random
 import warnings
 from fractions import Fraction
@@ -12,7 +13,6 @@ from freebax import (
     RAT,
     Context,
     Monomial,
-    Poly,
     SequenceElement,
     Zmod,
     bar,
@@ -31,12 +31,15 @@ from freebax import (
     seq_zero,
     shuffle_product,
     t_sequence,
+    tensor_word,
     unit_word,
+    variable,
     zero,
 )
 from freebax.cli import main
 from freebax.poly import UNIT_MONOMIAL
 from freebax.rings import Coeff, RingMismatchError
+from freebax.shuffle import ContextMismatchError
 from freebax.sequences import PhiInjectivityWarning
 from freebax.series import embed
 from freebax.shuffle import word_key
@@ -71,13 +74,22 @@ def sample_coeff(rng, ring):
     return random_coeff(rng, ring)
 
 
-def phi_expecting(warns, a, length):
-    """phi(a, length), asserting that it warns exactly when ``warns``."""
+@contextlib.contextmanager
+def injectivity_warning(warns):
+    """Assert that the block warns PhiInjectivityWarning exactly when
+    ``warns``."""
     if warns:
         with pytest.warns(PhiInjectivityWarning):
-            return phi(a, length)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", PhiInjectivityWarning)
+            yield
+    else:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", PhiInjectivityWarning)
+            yield
+
+
+def phi_expecting(warns, a, length):
+    """phi(a, length), asserting that it warns exactly when ``warns``."""
+    with injectivity_warning(warns):
         return phi(a, length)
 
 
@@ -265,13 +277,13 @@ class TestSequences:
 
     def test_zero_annihilates(self):
         ctx = ctx_of(INT, 1)
-        s = t_sequence(ctx, Poly.variable(INT, "x"), 5)
+        s = t_sequence(ctx, variable(ctx, "x"), 5)
         assert (s * seq_zero(ctx, 5)).is_zero()
 
     def test_t_product_entry_formula(self):
         ctx = ctx_of(INT, 1)
-        tx = t_sequence(ctx, Poly.variable(INT, "x"), 6)
-        ty = t_sequence(ctx, Poly.variable(INT, "y"), 6)
+        tx = t_sequence(ctx, variable(ctx, "x"), 6)
+        ty = t_sequence(ctx, variable(ctx, "y"), 6)
         prod = tx * ty
         for k in range(1, 7):
             expected = bar(INT, k, {(UNIT_MONOMIAL,) * (k - 1) + (xy,): INT.one()})
@@ -314,17 +326,40 @@ class TestPPrime:
 class TestTSequence:
     def test_unit_gives_identity(self):
         ctx = ctx_of(INT, 1)
-        assert t_sequence(ctx, Poly.one(INT), 5) == seq_one(ctx, 5)
+        assert t_sequence(ctx, one(ctx), 5) == seq_one(ctx, 5)
 
     def test_slot_placement(self):
         ctx = ctx_of(INT, 1)
-        tx = t_sequence(ctx, Poly.variable(INT, "x"), 4)
+        tx = t_sequence(ctx, variable(ctx, "x"), 4)
         assert tx.entry(3) == bar(INT, 3, {(UNIT_MONOMIAL, UNIT_MONOMIAL, x): INT.one()})
 
     def test_additive(self):
         ctx = ctx_of(INT, 1)
-        px, py = Poly.variable(INT, "x"), Poly.variable(INT, "y")
+        px, py = variable(ctx, "x"), variable(ctx, "y")
         assert t_sequence(ctx, px + py, 5) == t_sequence(ctx, px, 5) + t_sequence(ctx, py, 5)
+
+    def test_nonpositive_length_rejected(self):
+        ctx = ctx_of(INT, 1)
+        for length in (0, -1):
+            with pytest.raises(ValueError, match="length"):
+                t_sequence(ctx, one(ctx), length)
+
+    def test_positive_degree_rejected(self):
+        ctx = ctx_of(INT, 1)
+        for p in (unit_word(ctx, 1), variable(ctx, "x") + tensor_word(ctx, x, y)):
+            with pytest.raises(ValueError, match="degree 0"):
+                t_sequence(ctx, p, 3)
+
+    def test_other_context_rejected(self):
+        ctx = ctx_of(INT, 1)
+        for other in (ctx_of(INT, 2), ctx_of(Zmod(5), 1), ctx_of(INT, 1, ("x",))):
+            with pytest.raises(ContextMismatchError):
+                t_sequence(ctx, variable(other, "x"), 3)
+
+    def test_other_values_rejected(self):
+        ctx = ctx_of(INT, 1)
+        with pytest.raises(TypeError, match="degree-0 element"):
+            t_sequence(ctx, x, 3)
 
 
 class TestPhi:
@@ -343,17 +378,13 @@ class TestPhi:
         assert phi(one(ctx), 8) == seq_one(ctx, 8)
 
     def test_single_recursion_step(self):
-        from freebax import tensor_word
-
         ctx = ctx_of(INT, 2)
         w = tensor_word(ctx, x, y)
         lhs = phi(w, 8)
-        rhs = t_sequence(ctx, Poly.variable(INT, "x"), 8) * p_prime(
-            t_sequence(ctx, Poly.variable(INT, "y"), 8)
-        )
+        rhs = t_sequence(ctx, variable(ctx, "x"), 8) * p_prime(t_sequence(ctx, variable(ctx, "y"), 8))
         assert lhs == rhs
         # and the homomorphism route: w = x * P(y)
-        via_product = phi(shuffle_product(fbvar(ctx, "x"), baxter_P(fbvar(ctx, "y"))), 8)
+        via_product = phi(shuffle_product(variable(ctx, "x"), baxter_P(variable(ctx, "y"))), 8)
         assert via_product == rhs
 
     def test_homomorphism(self):
@@ -383,7 +414,7 @@ def phi_by_definition(a, length):
 
 
 def word_by_definition(ctx, w, length):
-    head = t_sequence(ctx, Poly.from_terms(ctx.ring, {w[0]: ctx.ring.one()}), length)
+    head = t_sequence(ctx, tensor_word(ctx, w[0]), length)
     if len(w) == 1:
         return head
     return head * p_prime(word_by_definition(ctx, w[1:], length))
@@ -521,12 +552,6 @@ PHI_GOLDEN_JSON = (
 )
 
 
-def fbvar(ctx, name):
-    from freebax import variable
-
-    return variable(ctx, name)
-
-
 class TestPhiConstants:
     def test_unit_vector(self):
         ctx = ctx_of(INT, 2)
@@ -551,7 +576,20 @@ class TestPhiConstants:
             combo = zero(ctx)
             for n, b in enumerate(bs):
                 combo = combo + unit_word(ctx, n).scaled(b)
-            assert phi_expecting(warns, combo, 10) == phi_constants(ctx, bs, 10)
+            with injectivity_warning(warns):
+                constants = phi_constants(ctx, bs, 10)
+            assert phi_expecting(warns, combo, 10) == constants
+
+    def test_warns_when_weight_is_a_zero_divisor(self):
+        ctx = ctx_of(Zmod(6), 2)
+        with pytest.warns(PhiInjectivityWarning, match="lambda = 2 is a zero divisor in mod:6"):
+            phi_constants(ctx, [1, 1], 3)
+
+    @pytest.mark.parametrize("lam", range(4))
+    def test_integers_stay_silent(self, lam):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert phi_constants(ctx_of(INT, lam), [1, 1], 3).length == 3
 
     def test_other_ring_is_rejected(self):
         ctx = ctx_of(INT, 2)

@@ -477,17 +477,6 @@ class TestPowerMethodChoice:
         assert g ** 16 == expected
         assert len(log) == 4
 
-    def test_poly_squares_only_a_monomial(self, monkeypatch):
-        from freebax.poly import Poly
-
-        x = Poly.variable(INT, "x")
-        log = self.count_products(monkeypatch, Poly, "__mul__")
-        assert x ** 16 == Poly.from_terms(INT, {Monomial.of(x=16): INT.one()})
-        assert len(log) == 4
-        del log[:]
-        assert (x + Poly.one(INT)) ** 16 == (x + Poly.one(INT)) ** 8 * (x + Poly.one(INT)) ** 8
-        assert len(log) == 15 + 7 + 7 + 1
-
     def test_zero_is_squared(self, monkeypatch):
         import freebax.shuffle as sh
 
@@ -635,6 +624,43 @@ class TestGrading:
             full = degree_components(shuffle_product(a, b)).get(d, zero(ctx))
             cutprod = degree_components(shuffle_product(cut(a), cut(b))).get(d, zero(ctx))
             assert full == cutprod
+
+
+class TestTensorWord:
+    """Word factors are monomials or polynomials, given as degree-0
+    elements of the word's context."""
+
+    ctx = Context(Zmod(6), Zmod(6).coeff(2), ("x", "y"))
+    x, y = Monomial.of(x=1), Monomial.of(y=1)
+
+    def test_degree0_factors_expand_multilinearly(self):
+        ctx, x, y = self.ctx, self.x, self.y
+        px, py = variable(ctx, "x"), variable(ctx, "y")
+        expected = tensor_word(ctx, x, y, x) + tensor_word(ctx, UNIT_MONOMIAL, y, x).scaled(3)
+        assert tensor_word(ctx, px + scalar(ctx, 3), py, x) == expected
+        assert tensor_word(ctx, px.scaled(2), py.scaled(3)) == zero(ctx)  # 6 = 0 mod 6
+        assert tensor_word(ctx, x, zero(ctx)) == zero(ctx)
+
+    def test_positive_degree_is_rejected(self):
+        ctx = self.ctx
+        for f in (unit_word(ctx, 1), variable(ctx, "x") + tensor_word(ctx, self.x, self.y)):
+            with pytest.raises(ValueError, match="degree 0"):
+                tensor_word(ctx, self.x, f)
+
+    def test_other_context_is_rejected(self):
+        ring = Zmod(6)
+        for other in (Context(ring, ring.coeff(1), ("x", "y")), Context(INT, INT.coeff(2), ("x", "y")),
+                      Context(ring, ring.coeff(2), ("x",))):
+            with pytest.raises(ContextMismatchError):
+                tensor_word(self.ctx, variable(other, "x"))
+        assert issubclass(ContextMismatchError, RingMismatchError)
+
+    def test_other_values_are_rejected(self):
+        for f in (3, "x", self.ctx.ring.coeff(1)):
+            with pytest.raises(TypeError, match="monomials or degree-0 elements"):
+                tensor_word(self.ctx, self.x, f)
+        with pytest.raises(ValueError, match="at least one factor"):
+            tensor_word(self.ctx)
 
 
 class TestContextChecks:

@@ -49,6 +49,7 @@ from .sequences import (
     t_sequence,
 )
 from .series import (
+    DEFAULT_PRECISION,
     Series,
     complete_P,
     complete_product,
@@ -69,7 +70,6 @@ from .shuffle import (
     closed_form_unit_product,
     degree_components,
     element,
-    element_power,
     enumerate_mixable_shuffles,
     lambda_adic_valuation,
     one,
@@ -83,7 +83,6 @@ from .shuffle import (
     zero,
 )
 from .verify import (
-    DEFAULT_PRECISION,
     DEFAULT_SEED,
     SUITES,
     PreconditionError,

@@ -16,7 +16,7 @@ from .ideals import TrivialIdealWarning, baxter_ideal_member, scalar_ideal, vari
 from .lang import NAME, RESERVED, EvalError, evaluate_source
 from .rings import INT, RAT, Ring, Zmod, parse_coeff
 from .shuffle import Context, Element, enumerate_mixable_shuffles
-from .verify import DEFAULT_PRECISION, DEFAULT_SEED, SUITES, run_suites
+from .verify import DEFAULT_SEED, SUITES, run_suites
 
 
 def _ring_arg(text: str) -> Ring:
@@ -67,14 +67,10 @@ def _precision_arg(text: str) -> int:
     return n
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """The CLI's parser.  It is built once per set of registered suite
-    names and then shared, so callers must not change it."""
-    return _parser(tuple(sorted(SUITES)))
-
-
 @functools.cache
-def _parser(suites: tuple[str, ...]) -> argparse.ArgumentParser:
+def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once and shared: callers must not change
+    it.  ``run_suites`` checks the suite names."""
     ap = argparse.ArgumentParser(
         prog="freebax",
         description="Exact computation in free Baxter algebras of arbitrary weight.",
@@ -82,7 +78,7 @@ def _parser(suites: tuple[str, ...]) -> argparse.ArgumentParser:
     ap.add_argument("--ring", type=_ring_arg, default=INT, help="coefficient ring: int, rat or mod:<m>")
     ap.add_argument("--lambda", dest="lam", default="1", help="the weight (a coefficient literal)")
     ap.add_argument("--vars", type=_vars_arg, default=(), help="comma-separated variable names")
-    ap.add_argument("--precision", type=_precision_arg, default=DEFAULT_PRECISION, help="series truncation degree")
+    ap.add_argument("--precision", type=_precision_arg, default=sr.DEFAULT_PRECISION, help="series truncation degree")
     ap.add_argument("--seed", type=int, default=DEFAULT_SEED, help="seed for randomized probes")
     ap.add_argument("--json", action="store_true", help="emit a machine-readable report")
 
@@ -93,7 +89,7 @@ def _parser(suites: tuple[str, ...]) -> argparse.ArgumentParser:
 
     p_phi = sub.add_parser("phi", help="map an expression into the sequence model")
     p_phi.add_argument("expression")
-    p_phi.add_argument("--len", dest="length", type=int, default=DEFAULT_PRECISION,
+    p_phi.add_argument("--len", dest="length", type=int, default=sr.DEFAULT_PRECISION,
                        help="number of sequence entries")
 
     p_ideal = sub.add_parser("ideal-member", help="test membership in a Baxter ideal")
@@ -102,7 +98,7 @@ def _parser(suites: tuple[str, ...]) -> argparse.ArgumentParser:
                          help="comma-separated variables, or scalar:<c>")
 
     p_verify = sub.add_parser("verify", help="run verification suites")
-    p_verify.add_argument("suite", nargs="+", choices=[*suites, "all"])
+    p_verify.add_argument("suite", nargs="+", help=f"{', '.join(SUITES)} or all")
 
     p_enum = sub.add_parser("enumerate-shuffles", help="list all mixable shuffles of two tails")
     p_enum.add_argument("m", type=int)

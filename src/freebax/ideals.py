@@ -65,14 +65,21 @@ def coeff_in_scalar_ideal(value, gen: Coeff) -> bool:
     return value % math.gcd(gen.value, ring.modulus) == 0
 
 
+def _check_variables(ctx: Context, names, what: str) -> None:
+    unknown = set(names) - set(ctx.variables)
+    if unknown:
+        raise ValueError(f"{what} {sorted(unknown)} are not context variables")
+
+
+def _divisible(word, names) -> bool:
+    """Whether some factor of ``word`` is divisible by one of ``names``."""
+    return any(m.divisible_by(v) for m in word for v in names)
+
+
 def baxter_ideal_member(a: Element, spec: IdealSpec) -> bool:
     if spec.kind == "vars":
-        unknown = set(spec.names) - set(a.ctx.variables)
-        if unknown:
-            raise ValueError(f"generators {sorted(unknown)} are not context variables")
-        return all(
-            any(m.divisible_by(v) for m in w for v in spec.names) for w, _ in a.raw_items()
-        )
+        _check_variables(a.ctx, spec.names, "generators")
+        return all(_divisible(w, spec.names) for w, _ in a.raw_items())
     if spec.generator.ring != a.ctx.ring:
         raise ValueError("scalar generator belongs to a different ring")
     return all(coeff_in_scalar_ideal(v, spec.generator) for _, v in a.raw_items())
@@ -93,13 +100,6 @@ def reduce_vars(a: Element, names) -> Element:
     """Quotient by the ideal generated by the given variables: kill every
     word with a factor divisible by one of them, keep the rest verbatim."""
     names = tuple(names)
-    unknown = set(names) - set(a.ctx.variables)
-    if unknown:
-        raise ValueError(f"variables {sorted(unknown)} are not context variables")
+    _check_variables(a.ctx, names, "variables")
     ctx = Context(a.ctx.ring, a.ctx.lam, tuple(v for v in a.ctx.variables if v not in names))
-    kept = {
-        w: v
-        for w, v in a.raw_items()
-        if not any(m.divisible_by(x) for m in w for x in names)
-    }
-    return from_raw(ctx, kept)
+    return from_raw(ctx, {w: v for w, v in a.raw_items() if not _divisible(w, names)})

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import re
 import sys
-from fractions import Fraction
 
 from . import series as sr
 from ._record import record
@@ -330,8 +329,6 @@ def _lit_coeff(node: Lit, ctx: Context) -> Coeff:
     ring = ctx.ring
     if node.den == 1:
         return ring.coeff(node.num)
-    if ring.kind == "rat":
-        return ring.coeff(Fraction(node.num, node.den))
     if ring.kind == "int":
         if node.num % node.den:
             raise EvalError(f"{node.num}/{node.den} is not an integer")
@@ -400,7 +397,7 @@ def _as_scalar(value, what: str) -> Coeff:
     return terms[0][1] if terms else value.ctx.ring.zero()
 
 
-def evaluate(node, ctx: Context, precision: int = 12):
+def evaluate(node, ctx: Context, precision: int = sr.DEFAULT_PRECISION):
     """Evaluate an AST to a finite element, or to a series once geom
     appears anywhere in the expression.  A word factor is evaluated like
     any other node, as a degree-0 element: the embedding of the base
@@ -449,7 +446,7 @@ def evaluate(node, ctx: Context, precision: int = 12):
     return value(node)
 
 
-def evaluate_source(src: str, ctx: Context, precision: int = 12):
+def evaluate_source(src: str, ctx: Context, precision: int = sr.DEFAULT_PRECISION):
     return evaluate(parse(src, ctx.variables), ctx, precision)
 
 

@@ -20,8 +20,10 @@ from .shuffle import (
     element,
     one,
     shuffle_product,
-    zero,
 )
+
+# the truncation degree of a series when none is given
+DEFAULT_PRECISION = 12
 
 
 @record
@@ -44,12 +46,6 @@ class Series:
         """The nonzero homogeneous components as (degree, element) pairs in
         degree order."""
         return tuple(degree_components(self._finite).items())
-
-    def component(self, degree: int) -> Element:
-        return degree_components(self._finite).get(degree, zero(self.ctx))
-
-    def component_map(self) -> dict[int, Element]:
-        return degree_components(self._finite)
 
     def is_zero(self) -> bool:
         return self._finite.is_zero()

@@ -192,19 +192,17 @@ def unit_word(ctx: Context, degree: int) -> Element:
     """The degree-n word 1 (x) ... (x) 1 with n+1 unit factors."""
     if degree < 0:
         raise ValueError("degree must be nonnegative")
-    return element(ctx, {(UNIT_MONOMIAL,) * (degree + 1): ctx.ring.one()})
+    return from_raw(ctx, {(UNIT_MONOMIAL,) * (degree + 1): 1})
 
 
 def scalar(ctx: Context, c: Coeff | int) -> Element:
-    if isinstance(c, int):
-        c = ctx.ring.coeff(c)
-    return element(ctx, {(UNIT_MONOMIAL,): c})
+    return from_raw(ctx, {(UNIT_MONOMIAL,): ctx.ring.raw(c)})
 
 
 def variable(ctx: Context, name: str) -> Element:
     if name not in ctx.variables:
         raise ValueError(f"unknown variable {name!r}")
-    return element(ctx, {(Monomial.of(**{name: 1}),): ctx.ring.one()})
+    return from_raw(ctx, {(Monomial.of(**{name: 1}),): 1})
 
 
 def _degree0_raw(ctx: Context, f: Element) -> dict:
@@ -390,12 +388,6 @@ def shuffle_product(a: Element, b: Element) -> Element:
                 prev = aget(w)
                 acc[w] = t if prev is None else prev + t
     return from_raw(a.ctx, acc)
-
-
-def element_power(a: Element, k: int) -> Element:
-    if not isinstance(k, int) or k < 1:
-        raise ValueError("power must be a positive integer")
-    return a ** k
 
 
 # --- the product, enumeration route (test oracle) ---

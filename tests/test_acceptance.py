@@ -14,7 +14,6 @@ from freebax import (
     Zmod,
     baxter_P,
     complete_zero_divisor_witness,
-    element_power,
     integer_lambda2_witness,
     nilradical_member_weight0,
     one,

@@ -16,7 +16,7 @@ import freebax
 import freebax.lang as lang
 import freebax.series as sr
 from freebax import INT, RAT, Context, Element, Zmod, WitnessReport, one, unit_word
-from freebax.cli import _parser, build_parser, main
+from freebax.cli import build_parser, main
 from freebax.lang import (
     MAX_NESTING,
     MAX_UNIT_DEGREE,
@@ -624,6 +624,26 @@ class TestCommandLine:
         assert code == 1
         assert "FAIL" in out
 
+    def test_unknown_suite_exits_two_with_one_error_line(self, capsys):
+        err = f"error: unknown suites ['nosuch']; available: {', '.join(SUITES)} or all\n"
+        for flag in ((), ("--json",)):
+            assert run_argv(capsys, *flag, "verify", "nosuch") == (2, "", err)
+            # every name is checked before any suite runs
+            assert run_argv(capsys, *flag, "verify", "charp", "nosuch") == (2, "", err)
+            assert run_argv(capsys, *flag, "verify", "all", "nosuch") == (2, "", err)
+
+    def test_phi_of_a_series(self, capsys):
+        argv = ("--ring", "int", "--lambda", "2", "--precision", "4", "phi", "geom(1)", "--len", "3")
+        assert run_cli(capsys, *argv) == (0, "[1] T(1)\n[2] 3*T(1)\n[3] 9*T(1)\n", "")
+
+    def test_ideal_member_of_a_series_exits_two(self, capsys):
+        argv = ("--vars", "x", "ideal-member", "--gens", "x", "geom(2)")
+        assert run_cli(capsys, *argv) == (2, "", "error: ideal membership applies to finite elements\n")
+
+    def test_geom_of_a_series_exits_two(self, capsys):
+        assert run_cli(capsys, "eval", "geom(geom(2))") == (
+            2, "", "error: geom ratio must be a scalar, not a series\n")
+
     def test_reserved_variable_rejected(self, capsys):
         with pytest.raises(SystemExit) as err:
             main(["--vars", "lam", "eval", "1"])
@@ -674,7 +694,7 @@ class TestCommandLine:
         # help text is laid out differently by each Python version
         code, out, _ = runs[("--help",)]
         assert code == 0 and out.startswith("usage: freebax")
-        fresh = _parser.__wrapped__(tuple(sorted(SUITES)))
+        fresh = build_parser.__wrapped__()
         for argv in argvs:
             assert parse_or_exit(capsys, build_parser(), argv) == parse_or_exit(capsys, fresh, argv), argv
 
@@ -686,7 +706,7 @@ class TestCommandLine:
             built.append(parser)
             init(parser, *args, **kwargs)
 
-        _parser.cache_clear()
+        build_parser.cache_clear()
         monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
         assert run_cli(capsys, "eval", "1")[0] == 0
         once = len(built)

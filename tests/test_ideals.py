@@ -6,6 +6,7 @@ from freebax import (
     INT,
     RAT,
     Context,
+    IdealSpec,
     Monomial,
     Zmod,
     baxter_P,
@@ -75,6 +76,20 @@ class TestMembership:
         with pytest.raises(ValueError):
             baxter_ideal_member(one(ctx), variable_ideal("z"))
 
+    def test_scalar_generator_of_another_ring(self):
+        with pytest.raises(ValueError, match="different ring"):
+            baxter_ideal_member(one(ctx_int(1)), scalar_ideal(Zmod(4).coeff(2)))
+
+
+class TestIdealSpec:
+    def test_malformed_specs_are_rejected(self):
+        with pytest.raises(ValueError, match="at least one generator"):
+            variable_ideal()
+        with pytest.raises(ValueError, match="nonzero generator"):
+            scalar_ideal(INT.zero())
+        with pytest.raises(ValueError, match="unknown ideal kind 'foo'"):
+            IdealSpec("foo")
+
 
 class TestIdealClosure:
     def test_closed_under_products_and_P(self):
@@ -101,6 +116,10 @@ class TestIdealClosure:
 
 
 class TestModularReduction:
+    def test_starts_from_the_integers(self):
+        with pytest.raises(ValueError, match="integer context"):
+            reduce_mod(one(Context(RAT, RAT.coeff(1))), 5)
+
     def test_kills_multiples(self):
         ctx = ctx_int(1)
         assert reduce_mod(unit_word(ctx, 1).scaled(3), 3).is_zero()

@@ -56,6 +56,15 @@ class TestArithmetic:
     def test_negative_residues_reduce(self):
         assert Zmod(9).coeff(-3) == Zmod(9).coeff(6)
 
+    def test_subtraction_in_both_orders(self):
+        assert INT.coeff(5) - INT.coeff(7) == INT.coeff(-2)
+        assert 1 - INT.coeff(5) == INT.coeff(-4)
+        m = Zmod(6)
+        assert m.coeff(2) - m.coeff(5) == m.coeff(3)
+        assert 1 - m.coeff(2) == m.coeff(5)
+        half = RAT.coeff(Fraction(1, 2))
+        assert 1 - half == half
+
     def test_ring_mismatch(self):
         with pytest.raises(RingMismatchError):
             INT.coeff(1) + RAT.coeff(1)

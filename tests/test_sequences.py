@@ -289,6 +289,13 @@ class TestSequences:
             expected = bar(INT, k, {(UNIT_MONOMIAL,) * (k - 1) + (xy,): INT.one()})
             assert prod.entry(k) == expected
 
+    def test_negation_subtraction_and_scaling(self):
+        ctx = ctx_of(INT, 2)
+        a, b = phi(unit_word(ctx, 1), 4), phi(unit_word(ctx, 2), 4)
+        assert (-a).entries == tuple(-e for e in a.entries)
+        assert a - b == a + (-b) and (a - a).is_zero()
+        assert 3 * a == a + a + a == a * 3
+
     def test_entry_outside_the_range_is_rejected(self):
         ctx = ctx_of(INT, 2)
         s = phi(unit_word(ctx, 1), 4)

@@ -11,7 +11,6 @@ from freebax import (
     Zmod,
     charp_zero_divisor_witness,
     complete_zero_divisor_witness,
-    element_power,
     integer_lambda2_witness,
     lemma_power_suite,
     nilradical_member_weight0,
@@ -65,8 +64,8 @@ class TestWeight0Witness:
         ring = Zmod(5)
         ctx = Context(ring, ring.zero())
         u = unit_word(ctx, 1)
-        assert element_power(u, 2) == unit_word(ctx, 2).scaled(2)
-        assert not element_power(u, 2).is_zero()
+        assert u ** 2 == unit_word(ctx, 2).scaled(2)
+        assert not (u ** 2).is_zero()
 
 
 class TestNilradical:
@@ -85,7 +84,7 @@ class TestNilradical:
         ctx = Context(ring, ring.zero(), ("x", "y"))
         a = scalar(ctx, 2) + tensor_word(ctx, x, y)
         assert nilradical_member_weight0(a)
-        assert element_power(a, 4).is_zero()
+        assert (a ** 4).is_zero()
 
     def test_preconditions(self):
         with pytest.raises(PreconditionError):
@@ -211,6 +210,13 @@ class TestSuites:
     def test_unknown_suite(self):
         with pytest.raises(ValueError):
             run_suites(["no-such-suite"])
+        # "all" does not excuse an unknown name beside it
+        with pytest.raises(ValueError, match=r"\['no-such-suite'\]"):
+            run_suites(["all", "no-such-suite"])
+
+    def test_a_single_name_may_be_a_string(self):
+        reports = run_suites("charp")
+        assert reports and reports == run_suites(["charp"])
 
     def test_report_shape(self):
         rep = charp_zero_divisor_witness(2, 1)

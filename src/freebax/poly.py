@@ -1,9 +1,18 @@
 """Monomials: the power products of variables that make up the
 tensor-word alphabet used everywhere else.
 
-This module holds only ``Monomial`` and ``UNIT_MONOMIAL``.  A polynomial of
-the base algebra C[X] is a degree-0 element of the free Baxter algebra
-(see ``shuffle``): a sum of words of one monomial each.
+This module holds ``Monomial``, ``UNIT_MONOMIAL`` and ``PRODUCTS``, the
+one table of monomial products.  A polynomial of the base algebra C[X] is
+a degree-0 element of the free Baxter algebra (see ``shuffle``): a sum of
+words of one monomial each.
+
+Every product of monomials in the algebra kernels, the slots of a bar
+product and the heads and merges of the shuffle product, is a lookup
+``PRODUCTS[a, b]``.  Monomials are interned, so the pair hashes by
+identity and a hit runs in C, with no Python call; a miss calls
+``Monomial.__mul__`` once and stores the result.  The table holds at most
+the square of the number of interned monomials, which already live for
+the whole process, so it is not capped.
 """
 from __future__ import annotations
 
@@ -76,3 +85,18 @@ class Monomial:
 
 
 UNIT_MONOMIAL = Monomial()
+
+
+class _ProductTable(dict):
+    """(a, b) -> a * b for interned monomials, filled on first lookup."""
+
+    __slots__ = ()
+
+    def __missing__(self, key: tuple[Monomial, Monomial]) -> Monomial:
+        a, b = key
+        # racing threads store the same interned product
+        p = self[key] = a * b
+        return p
+
+
+PRODUCTS = _ProductTable()

@@ -24,15 +24,24 @@ at most k-1 factors, while t(m0)_k is unit everywhere but slot k: the
 product pads each word to k-1 factors and appends m0, or leaves it as it
 is when m0 is the unit.  So the image of a word is built from one running
 prefix sum per entry of its tail's image.
+
+``phi`` takes the words of its argument longest first, and memoizes the
+images of the suffixes of their tails.  The words are distinct, so a word
+whose image is not in the memo by its turn is a suffix of no other word:
+its image is read once, and ``_prepend`` adds it straight into the output
+from the tail's image, without building it.  Only a word that is a suffix
+of another's tail, a unit word below a longer one for example, is added
+from its memoized image.  At weight 0 the image of a word of two or more
+factors is zero, and the word is skipped.  Slot products of bar elements
+are lookups in the monomial product table ``poly.PRODUCTS``.
 """
 from __future__ import annotations
 
 import warnings
 from math import comb
-from operator import mul
 
 from ._record import record
-from .poly import UNIT_MONOMIAL
+from .poly import PRODUCTS, UNIT_MONOMIAL
 from .rings import Coeff, Ring, RingMismatchError, is_zero_divisor
 from .series import Series, truncate
 from .shuffle import Context, ContextMismatchError, Element, Word, _degree0_raw, _TermStore, word_key
@@ -84,13 +93,14 @@ class BarElement(_TermStore):
             return self.scaled(other)
         self._check(other)
         right = other._raw.items()
+        product = PRODUCTS.__getitem__
         acc: dict = {}
         get = acc.get
         for wa, va in self._raw.items():
             for wb, vb in right:
                 # the longer word's last factor, or the product of two
                 # non-unit last factors, is not the unit: already trimmed
-                w = tuple(map(mul, wa, wb)) + wa[len(wb):] + wb[len(wa):]
+                w = tuple(map(product, zip(wa, wb))) + wa[len(wb):] + wb[len(wa):]
                 acc[w] = get(w, 0) + va * vb
         return self._new(acc)
 
@@ -241,6 +251,8 @@ def _word_images(word: Word, ctx: Context, length: int, memo: dict) -> list[dict
                 # t(m0): m0 in slot k of a level-k word, all earlier slots unit
                 hit = [{(UNIT_MONOMIAL,) * k + head if head else (UNIT_MONOMIAL,): 1} for k in range(length)]
             else:
+                # a memo image is read again, so it is built as dicts,
+                # where phi's top-level words go through _prepend
                 hit = [{}]
                 prefix: dict = {}
                 get = prefix.get
@@ -269,6 +281,29 @@ def _warn_if_not_injective(ctx: Context) -> None:
         )
 
 
+def _prepend(tail_images: list[dict], head, c, out: list[dict]) -> None:
+    """Add cv times the image of the word head (x) tail into ``out``, the
+    raw entries of phi's result, given the tail's raw image and
+    c = cv * lam: entry k + 1 gets c times each word of the sum of the
+    tail's first k entries, padded to k factors and followed by ``head``
+    (left as it is when ``head`` is the unit).  No image of the word itself
+    is built."""
+    pad = None if head is UNIT_MONOMIAL else (head,)
+    prefix: dict = {}
+    get = prefix.get
+    for k, (tail_entry, target) in enumerate(zip(tail_images, out[1:]), 1):
+        for w, v in tail_entry.items():
+            prefix[w] = get(w, 0) + v
+        tget = target.get
+        if pad is None:
+            for w, v in prefix.items():
+                target[w] = tget(w, 0) + c * v
+        else:
+            for w, v in prefix.items():
+                u = w + (UNIT_MONOMIAL,) * (k - len(w)) + pad
+                target[u] = tget(u, 0) + c * v
+
+
 def phi(a: Element, length: int) -> SequenceElement:
     """The canonical morphism into the sequence model, truncated to the
     first ``length`` entries.
@@ -283,12 +318,25 @@ def phi(a: Element, length: int) -> SequenceElement:
     ctx = a.ctx
     ring = ctx.ring
     _warn_if_not_injective(ctx)
+    lam = ring.raw(ctx.lam)
     acc = [{} for _ in range(length)]
     memo: dict = {}
-    for w, cv in a.raw_items():
-        for target, image in zip(acc, _word_images(w, ctx, length, memo)):
+    raw = a._raw
+    # longest first: a word that is a suffix of another's tail finds its
+    # image in the memo, and any other word is read only once
+    for w in sorted(raw, key=len, reverse=True):
+        cv = raw[w]
+        image = memo.get(w)
+        if image is None:
+            if len(w) > 1:
+                # weight 0 leaves only the one-factor words
+                if c := cv * lam:
+                    _prepend(_word_images(w[1:], ctx, length, memo), w[0], c, acc)
+                continue
+            image = _word_images(w, ctx, length, memo)
+        for target, entry in zip(acc, image):
             get = target.get
-            for word, v in image.items():
+            for word, v in entry.items():
                 target[word] = get(word, 0) + cv * v
     return SequenceElement(ctx, tuple(BarElement(ring, ring.reduce(e)) for e in acc))
 

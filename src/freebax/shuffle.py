@@ -20,7 +20,7 @@ import itertools
 from math import comb
 
 from ._record import record
-from .poly import UNIT_MONOMIAL, Monomial
+from .poly import PRODUCTS, UNIT_MONOMIAL, Monomial
 from .rings import Coeff, Ring, RingMismatchError, lambda_valuation, power
 
 Word = tuple[Monomial, ...]
@@ -256,7 +256,9 @@ def degree_components(a: Element) -> dict[int, Element]:
 # keeps series products small: their tails are all-unit words, so the tail
 # pairs of different branches coincide and collapse into one entry instead
 # of being expanded once per lattice path.  Monomials are interned, so
-# hashing a word stays in C.  Coefficients are raw ring values throughout.
+# hashing a word stays in C, and so does a product of two heads or of a
+# merged pair: a lookup in the table ``poly.PRODUCTS``.  Coefficients are
+# raw ring values throughout.
 #
 # ``_insert`` is the insertion form of the same sum (Ebrahimi-Fard and Guo,
 # "Mixable shuffles, quasi-shuffles and Hopf algebras"): the first factor of
@@ -301,7 +303,7 @@ def _mix(u: Word, v: Word, lam_raw, memo: dict):
         prev = get(w)
         out[w] = 1 if prev is None else prev + 1
     if lam_raw:
-        h = (u[0] * v[0],)
+        h = (PRODUCTS[u[0], v[0]],)
         if u1 and v1:
             for tail, c in _mix(u1, v1, lam_raw, memo).items():
                 w = h + tail
@@ -338,7 +340,7 @@ def _insert(acc: dict, pre: Word, long: Word, short: Word, c, lam_raw) -> None:
             return
         f = tail[0]
         if cl is not None:
-            merged = p + (f * s,)
+            merged = p + (PRODUCTS[f, s],)
             if rest:
                 _insert(acc, merged, tail[1:], rest, cl, lam_raw)
             else:
@@ -360,6 +362,11 @@ def _parts(a: Element) -> list:
 
 def shuffle_product(a: Element, b: Element) -> Element:
     a._check(b)
+    # a scalar operand, one unit word, only scales the other: the same
+    # dict as the kernel builds, with no term pairs
+    for s, other in ((a, b), (b, a)):
+        if len(s._raw) == 1 and (c := s._raw.get((UNIT_MONOMIAL,))) is not None:
+            return other._new({w: c * v for w, v in other._raw.items()})
     lam_raw = a.ring.raw(a.ctx.lam)
     memo: dict = {}
     acc: dict = {}
@@ -368,7 +375,7 @@ def shuffle_product(a: Element, b: Element) -> Element:
     for ha, ta, ca, na, ra in _parts(a):
         for hb, tb, cb, nb, rb in b_parts:
             c = ca * cb
-            head = (ha * hb,)
+            head = (PRODUCTS[ha, hb],)
             if not na or not nb:
                 # mix((), v) = v: a one-factor word only multiplies heads
                 w = head + (ta or tb)

@@ -24,7 +24,7 @@ from freebax import (
     nilradical_member_weight0,
     zero,
 )
-from freebax.poly import UNIT_MONOMIAL
+from freebax.poly import _INTERNED, PRODUCTS, UNIT_MONOMIAL
 
 
 def base_ctx(ring):
@@ -96,6 +96,52 @@ class TestInterning:
         with pytest.raises(dataclasses.FrozenInstanceError):
             UNIT_MONOMIAL.sort_key = (1, ())
         assert m.exps == (("x", 1),) and UNIT_MONOMIAL.sort_key == (0, ())
+
+
+MONOMIALS = st.builds(Monomial.of, x=st.integers(0, 3), y=st.integers(0, 2), z=st.integers(0, 2))
+# word factors, the unit among them as often as in padded words
+FACTORS = st.one_of(st.just(UNIT_MONOMIAL), MONOMIALS)
+
+
+class TestProductTable:
+    @settings(max_examples=60, deadline=None)
+    @given(a=MONOMIALS, b=MONOMIALS)
+    def test_entries_are_the_products(self, a, b):
+        for p, q in ((a, b), (b, a), (UNIT_MONOMIAL, a), (a, UNIT_MONOMIAL), (UNIT_MONOMIAL, UNIT_MONOMIAL)):
+            first = PRODUCTS[p, q]  # a miss, or a hit from an earlier example
+            assert first is Monomial.__mul__(p, q)
+            assert PRODUCTS[p, q] is first  # now a hit
+        assert PRODUCTS[UNIT_MONOMIAL, a] is a is PRODUCTS[a, UNIT_MONOMIAL]
+
+    def test_every_stored_entry_is_the_product(self):
+        rng = random.Random(3)
+        pool = [Monomial.of(x=rng.randint(0, 4), y=rng.randint(0, 4)) for _ in range(12)]
+        for _ in range(60):
+            PRODUCTS[rng.choice(pool), rng.choice(pool)]
+        # whatever earlier tests and the kernels have stored too
+        for (a, b), p in list(PRODUCTS.items()):
+            assert p is Monomial.__mul__(a, b)
+
+    def test_size_is_bounded_by_the_interned_monomials(self):
+        P(INT, (x, 1), (y, 2), (one, 1)) ** 4  # fills the table through the kernel
+        assert PRODUCTS
+        assert len(PRODUCTS) <= len(_INTERNED) ** 2
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        wa=st.lists(FACTORS, min_size=1, max_size=3),
+        wb=st.lists(FACTORS, min_size=3, max_size=5),
+        last=MONOMIALS.filter(lambda m: m is not UNIT_MONOMIAL),
+    )
+    def test_bar_product_is_slot_by_slot(self, wa, wb, last):
+        # wb ends in a non-unit factor, so it keeps a higher level than
+        # wa, which is padded with units
+        wb = wb + [last]
+        level = len(wb)
+        pa, pb = tuple(wa) + (one,) * (level - len(wa)), tuple(wb)
+        want = bar(INT, level, {tuple(f * g for f, g in zip(pa, pb)): INT.coeff(6)})
+        a, b = bar(INT, len(wa), {tuple(wa): INT.coeff(2)}), bar(INT, len(wb), {tuple(wb): INT.coeff(3)})
+        assert a * b == want == b * a
 
 
 class TestArithmetic:

@@ -43,7 +43,7 @@ from freebax.shuffle import ContextMismatchError
 from freebax.sequences import PhiInjectivityWarning
 from freebax.series import embed
 from freebax.shuffle import word_key
-from freebax.verify import random_coeff, random_element
+from freebax.verify import BAXTER_IDENTITY_CONFIGS, random_coeff, random_element
 
 x = Monomial.of(x=1)
 y = Monomial.of(y=1)
@@ -535,6 +535,51 @@ class TestPhiReferee:
         assert capsys.readouterr() == (text, "")
         assert main(["--json", *argv]) == 0
         assert capsys.readouterr() == (payload, "")
+
+
+SHARED_TAILS = st.sampled_from([(), (UNIT_MONOMIAL,), (y,), (x, UNIT_MONOMIAL), (UNIT_MONOMIAL, y), (xy, x)])
+
+
+@st.composite
+def mixed_terms(draw, ring):
+    """(word, Coeff) pairs with distinct words: unit words, whose images
+    phi reads from its memo as suffixes of longer unit words, and words
+    whose tails come from a small pool, so that tails are shared and are
+    suffixes of other words."""
+    units = draw(st.sets(st.integers(0, 3), max_size=3))
+    words = {(UNIT_MONOMIAL,) * (n + 1) for n in units}
+    for _ in range(draw(st.integers(0, 5))):
+        head = draw(st.sampled_from([UNIT_MONOMIAL, x, y, xy]))
+        words.add((head,) + draw(SHARED_TAILS))
+    values = st.integers(-4, 4).filter(bool)
+    if ring == RAT:
+        values = st.builds(Fraction, values, st.integers(1, 3))
+    return [(w, ring.coeff(draw(values))) for w in sorted(words, key=word_key)]
+
+
+class TestPhiTopLevelRoute:
+    """phi writes the image of each top-level word straight into its
+    output and reads memoized images only for words that are suffixes of
+    other words' tails; checked against one recursion step done with
+    SequenceElement operations."""
+
+    @pytest.mark.parametrize("ring, lam", BAXTER_IDENTITY_CONFIGS, ids=str)
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data(), length=st.integers(1, 5))
+    @pytest.mark.filterwarnings("ignore::freebax.sequences.PhiInjectivityWarning")
+    def test_each_word_is_head_times_p_prime_of_the_tail(self, ring, lam, data, length):
+        ctx = ctx_of(ring, lam)
+        terms = data.draw(mixed_terms(ring))
+        want = seq_zero(ctx, length)
+        for w, c in terms:
+            image = t_sequence(ctx, tensor_word(ctx, w[0]), length)
+            if len(w) > 1:
+                image = image * p_prime(phi(element(ctx, {w[1:]: ring.one()}), length))
+            assert phi(element(ctx, {w: ring.one()}), length) == image
+            want = want + image * c
+        shuffled = data.draw(st.permutations(terms))
+        for order in (terms, terms[::-1], shuffled):
+            assert phi(element(ctx, dict(order)), length) == want
 
 
 PHI_GOLDEN_TEXT = (

@@ -227,6 +227,23 @@ class TestOneFactorWords:
         assert c == shuffle_product_enumerated(x + y.scaled(8), x + y)
         assert c == tensor_word(ctx, Monomial.of(x=2)) + tensor_word(ctx, Monomial.of(y=2)).scaled(8)
 
+    @pytest.mark.parametrize("ring, lam", BAXTER_IDENTITY_CONFIGS, ids=str)
+    def test_scalar_operand_scales_the_other(self, ring, lam, monkeypatch):
+        # a single unit word returns the other operand scaled, on either
+        # side, without splitting either operand into term pairs
+        calls = count_calls(monkeypatch, "_parts")
+        ctx = Context(ring, ring.coeff(lam), ("x", "y"))
+        rng = random.Random(19)
+        values = [Fraction(2, 3), -1] if ring == RAT else [3, -1, 5]
+        for _ in range(10):
+            other = random_element(rng, ctx)
+            for v in values:
+                c = scalar(ctx, ring.coeff(v))
+                want = shuffle_product_enumerated(c, other)
+                assert shuffle_product(c, other) == shuffle_product(other, c) == want
+                assert want == other.scaled(ring.coeff(v))
+        assert calls == []
+
     def test_kernel_is_not_entered(self, monkeypatch):
         calls = count_calls(monkeypatch, "_mix")
         ctx = Context(RAT, RAT.coeff(2), ("x", "y"))

@@ -13,10 +13,10 @@ unit factor, but a word of units keeps one) to raw ring values: ``int``,
 or over the rationals ``int`` or ``Fraction`` (integral rationals enter
 as ints, whose arithmetic is several times faster), reduced mod m and
 nonzero.  Sums are the term store's, and a product of trimmed words is
-trimmed, so words are trimmed only where padded ones come in: in ``bar``
-and ``t_sequence``.  Only the display pads: ``level`` is the length of the
-longest word, and the sorted ``(word, Coeff)`` view ``terms`` pads every
-word to it, built only when something reads it, such as ``to_obj``.
+trimmed, so words are trimmed only where padded ones come in, in ``bar``.
+Only the display pads: ``level`` is the length of the longest word, and
+the sorted ``(word, Coeff)`` view ``terms`` pads every word to it, built
+only when something reads it, such as ``to_obj``.
 
 ``phi`` does not multiply sequences.  Entry k of phi(m0 (x) w') is
 t(m0)_k * lam * sum_{j<k} phi(w')_j.  The words of that partial sum have
@@ -25,25 +25,29 @@ product pads each word to k-1 factors and appends m0, or leaves it as it
 is when m0 is the unit.  So the image of a word is built from one running
 prefix sum per entry of its tail's image.
 
-``phi`` takes the words of its argument longest first, and memoizes the
-images of the suffixes of their tails.  The words are distinct, so a word
-whose image is not in the memo by its turn is a suffix of no other word:
-its image is read once, and ``_prepend`` adds it straight into the output
-from the tail's image, without building it.  Only a word that is a suffix
-of another's tail, a unit word below a longer one for example, is added
-from its memoized image.  At weight 0 the image of a word of two or more
-factors is zero, and the word is skipped.  Slot products of bar elements
-are lookups in the monomial product table ``poly.PRODUCTS``.
+``phi`` makes one bottom-up pass over the prefixes of its argument's
+words.  By linearity, what follows a prefix maps to the generator
+sequences of its one-factor words plus, over each next factor h, t(h) * P'
+of the image of what follows the prefix extended by h.  So a word adds its
+last factor's generator sequence to the image held by the rest, and the
+prefixes of each length, longest first, are prepended into their parents
+by ``_prepend``, which is ``p_prime`` too; the empty prefix's image is the
+result.  Nothing recurses, so words of any length go through.  Skipped
+are words longer than the sequence, as an n-factor word's image is zero in
+entries 1..n-1, and at weight 0 every word of two or more factors.  Slot
+products of bar elements are lookups in the monomial product table
+``poly.PRODUCTS``.
 """
 from __future__ import annotations
 
 import warnings
+from collections import defaultdict
 from math import comb
 
 from ._record import record
 from .poly import PRODUCTS, UNIT_MONOMIAL
 from .rings import Coeff, Ring, RingMismatchError, is_zero_divisor
-from .series import Series, truncate
+from .series import Series
 from .shuffle import Context, ContextMismatchError, Element, Word, _degree0_raw, _TermStore, word_key
 
 
@@ -204,90 +208,30 @@ def seq_one(ctx: Context, length: int) -> SequenceElement:
     return SequenceElement(ctx, (bar_one(ctx.ring),) * length)
 
 
-def p_prime(a: SequenceElement) -> SequenceElement:
-    """Entry k of the output is lambda times the sum of entries 1..k-1."""
-    ring = a.ctx.ring
-    lam = ring.raw(a.ctx.lam)
-    out = []
-    # the running sum of the entries so far, raw and not yet reduced mod m
-    prefix: dict = {}
-    get = prefix.get
-    for e in a.entries:
-        out.append(BarElement(ring, ring.reduce({w: lam * v for w, v in prefix.items()})))
-        for w, v in e.raw_items():
-            prefix[w] = get(w, 0) + v
-    return SequenceElement(a.ctx, tuple(out))
+def _sequence(ctx: Context, entries: list[dict]) -> SequenceElement:
+    """The sequence of raw entries, each a word -> raw value dict that is
+    normalized in place."""
+    ring = ctx.ring
+    return SequenceElement(ctx, tuple(BarElement(ring, ring.reduce(e)) for e in entries))
 
 
-def t_sequence(ctx: Context, p: Element, length: int) -> SequenceElement:
-    """The generator sequence of a polynomial, given as a degree-0
-    element: entry k puts each term's monomial in slot k of a level-k word,
-    all earlier slots unit."""
-    if length < 1:
-        raise ValueError("sequence length must be at least 1")
-    if not isinstance(p, Element):
-        raise TypeError(f"expected a degree-0 element, got {p!r}")
-    items = _degree0_raw(ctx, p).items()
-    entries = []
-    for k in range(length):
-        prefix = (UNIT_MONOMIAL,) * k
-        entries.append(BarElement(ctx.ring, {_trimmed(prefix + u): v for u, v in items}))
-    return SequenceElement(ctx, tuple(entries))
-
-
-def _word_images(word: Word, ctx: Context, length: int, memo: dict) -> list[dict]:
-    """The raw images of ``word`` and of each of its suffixes, memoized by
-    suffix: entry k - 1 of an image maps trimmed words to raw values, not
-    yet reduced mod m."""
-    lam = ctx.ring.raw(ctx.lam)
-    images = None
-    for i in range(len(word) - 1, -1, -1):
-        suffix = word[i:]
-        hit = memo.get(suffix)
-        if hit is None:
-            # a unit head leaves each trimmed word as it is
-            head = () if word[i] is UNIT_MONOMIAL else (word[i],)
-            if images is None:
-                # t(m0): m0 in slot k of a level-k word, all earlier slots unit
-                hit = [{(UNIT_MONOMIAL,) * k + head if head else (UNIT_MONOMIAL,): 1} for k in range(length)]
-            else:
-                # a memo image is read again, so it is built as dicts,
-                # where phi's top-level words go through _prepend
-                hit = [{}]
-                prefix: dict = {}
-                get = prefix.get
-                for k, tail_entry in enumerate(images[:-1], 1):
-                    # prefix: the sum of the tail's first k entries, whose
-                    # words have at most k factors
-                    for w, v in tail_entry.items():
-                        prefix[w] = get(w, 0) + v
-                    hit.append({
-                        w + (UNIT_MONOMIAL,) * (k - len(w)) + head if head else w: r
-                        for w, v in prefix.items() if (r := lam * v)
-                    })
-            memo[suffix] = hit
-        images = hit
-    return images
-
-
-def _warn_if_not_injective(ctx: Context) -> None:
-    """Warn, at the caller of phi or phi_constants, when the weight is a
-    zero divisor: the map is still computed, but it need not be injective."""
-    if is_zero_divisor(ctx.lam):
-        warnings.warn(
-            f"lambda = {ctx.lam} is a zero divisor in {ctx.ring}; phi may not be injective",
-            PhiInjectivityWarning,
-            stacklevel=3,
-        )
+def _add_generator(out: list[dict], m, v) -> None:
+    """Add v times the generator sequence t(m) into the raw entries ``out``:
+    entry k gets m in slot k of a level-k word, all earlier slots unit (the
+    trimmed word (1,) when m is the unit)."""
+    for k, target in enumerate(out):
+        w = (UNIT_MONOMIAL,) if m is UNIT_MONOMIAL else (UNIT_MONOMIAL,) * k + (m,)
+        target[w] = target.get(w, 0) + v
 
 
 def _prepend(tail_images: list[dict], head, c, out: list[dict]) -> None:
-    """Add cv times the image of the word head (x) tail into ``out``, the
-    raw entries of phi's result, given the tail's raw image and
-    c = cv * lam: entry k + 1 gets c times each word of the sum of the
-    tail's first k entries, padded to k factors and followed by ``head``
-    (left as it is when ``head`` is the unit).  No image of the word itself
-    is built."""
+    """Add t(head) * P'(tail) into the raw entries ``out``, given the raw
+    entries ``tail_images`` of the tail and c = lam: entry k + 1 gets c
+    times each word of the sum of the tail's first k entries, padded to k
+    factors and followed by ``head``, or left as it is when ``head`` is the
+    unit.  So the words of tail entry k have at most k factors, as in an
+    image of phi, unless ``head`` is the unit.  Reads as many tail entries
+    as ``out`` has after its first."""
     pad = None if head is UNIT_MONOMIAL else (head,)
     prefix: dict = {}
     get = prefix.get
@@ -304,41 +248,67 @@ def _prepend(tail_images: list[dict], head, c, out: list[dict]) -> None:
                 target[u] = tget(u, 0) + c * v
 
 
+def p_prime(a: SequenceElement) -> SequenceElement:
+    """Entry k of the output is lambda times the sum of entries 1..k-1."""
+    ctx = a.ctx
+    out = [{} for _ in a.entries]
+    _prepend([e._raw for e in a.entries], UNIT_MONOMIAL, ctx.ring.raw(ctx.lam), out)
+    return _sequence(ctx, out)
+
+
+def t_sequence(ctx: Context, p: Element, length: int) -> SequenceElement:
+    """The generator sequence of a polynomial, given as a degree-0
+    element: entry k puts each term's monomial in slot k of a level-k word,
+    all earlier slots unit."""
+    if length < 1:
+        raise ValueError("sequence length must be at least 1")
+    if not isinstance(p, Element):
+        raise TypeError(f"expected a degree-0 element, got {p!r}")
+    out = [{} for _ in range(length)]
+    for (m,), v in _degree0_raw(ctx, p).items():
+        _add_generator(out, m, v)
+    return _sequence(ctx, out)
+
+
+def _warn_if_not_injective(ctx: Context) -> None:
+    """Warn, at the caller of phi or phi_constants, when the weight is a
+    zero divisor: the map is still computed, but it need not be injective."""
+    if is_zero_divisor(ctx.lam):
+        warnings.warn(
+            f"lambda = {ctx.lam} is a zero divisor in {ctx.ring}; phi may not be injective",
+            PhiInjectivityWarning,
+            stacklevel=3,
+        )
+
+
 def phi(a: Element, length: int) -> SequenceElement:
     """The canonical morphism into the sequence model, truncated to the
     first ``length`` entries.
 
     A word maps to (head generator sequence) * P'(image of the tail),
-    computed entry by entry as in the module docstring; images of shared
-    suffixes are computed once per call.  When the weight is a zero divisor
-    the map is still computed, but it need not be injective.
+    computed in one bottom-up pass over the prefixes of the words, as in
+    the module docstring.  When the weight is a zero divisor the map is
+    still computed, but it need not be injective.
     """
     if length < 1:
         raise ValueError("sequence length must be at least 1")
     ctx = a.ctx
-    ring = ctx.ring
     _warn_if_not_injective(ctx)
-    lam = ring.raw(ctx.lam)
-    acc = [{} for _ in range(length)]
-    memo: dict = {}
-    raw = a._raw
-    # longest first: a word that is a suffix of another's tail finds its
-    # image in the memo, and any other word is read only once
-    for w in sorted(raw, key=len, reverse=True):
-        cv = raw[w]
-        image = memo.get(w)
-        if image is None:
-            if len(w) > 1:
-                # weight 0 leaves only the one-factor words
-                if c := cv * lam:
-                    _prepend(_word_images(w[1:], ctx, length, memo), w[0], c, acc)
-                continue
-            image = _word_images(w, ctx, length, memo)
-        for target, entry in zip(acc, image):
-            get = target.get
-            for word, v in entry.items():
-                target[word] = get(word, 0) + cv * v
-    return SequenceElement(ctx, tuple(BarElement(ring, ring.reduce(e)) for e in acc))
+    lam = ctx.ring.raw(ctx.lam)
+    # levels[d] maps each d-factor prefix to the raw image, entries
+    # 1..length - d, of the sum of what follows it in the words it begins
+    depth = min(length, max(map(len, a._raw), default=1))
+    levels = [defaultdict(lambda n=length - d: [{} for _ in range(n)]) for d in range(depth)]
+    for w, v in a._raw.items():
+        # an n-factor word's image is zero in entries 1..n-1, and at weight
+        # 0 so is the image of every word of two or more factors
+        if len(w) <= length and (len(w) == 1 or lam):
+            _add_generator(levels[len(w) - 1][w[:-1]], w[-1], v)
+    while len(levels) > 1:
+        parents = levels[-2]
+        for p, image in levels.pop().items():
+            _prepend(image, p[-1], lam, parents[p[:-1]])
+    return _sequence(ctx, levels[0][()])
 
 
 def phi_constants(ctx: Context, coeffs, length: int) -> SequenceElement:
@@ -352,11 +322,10 @@ def phi_constants(ctx: Context, coeffs, length: int) -> SequenceElement:
     lam = ring.raw(ctx.lam)
     # lam^i b_i as raw values, reduced mod m only in each entry
     terms = [lam ** i * ring.raw(b) for i, b in enumerate(coeffs)]
-    entries = []
-    for n in range(1, length + 1):
-        total = sum(comb(n - 1, i) * t for i, t in enumerate(terms[:n]))
-        entries.append(BarElement(ring, ring.reduce({(UNIT_MONOMIAL,): total})))
-    return SequenceElement(ctx, tuple(entries))
+    return _sequence(ctx, [
+        {(UNIT_MONOMIAL,): sum(comb(n - 1, i) * t for i, t in enumerate(terms[:n]))}
+        for n in range(1, length + 1)
+    ])
 
 
 def phi_series(a: Series, length: int) -> SequenceElement:
@@ -369,4 +338,4 @@ def phi_series(a: Series, length: int) -> SequenceElement:
         raise ValueError(
             f"entries beyond {a.precision + 1} need components beyond precision {a.precision}"
         )
-    return phi(truncate(a, length - 1).finite_part(), length)
+    return phi(a.finite_part(), length)

@@ -255,11 +255,12 @@ def integer_lambda2_witness(precision: int) -> WitnessReport:
     )
 
 
-def lemma_power_suite(trials: int = 20, seed: int = DEFAULT_SEED) -> list[WitnessReport]:
+def lemma_power_suite(seed=DEFAULT_SEED, precision=DEFAULT_PRECISION, trials=20) -> list[WitnessReport]:
     """At weight zero, the two factorial power identities: iterating
     y -> P(x*y) n times from the unit satisfies
     (iterate n) * (iterate 1) = (n+1) * (iterate n+1)  and
-    P(x)^n = n! * (iterate n)."""
+    P(x)^n = n! * (iterate n).  It takes the suite signature; the
+    precision is not read."""
 
     def failures(ring):
         ctx = Context(ring, ring.zero(), ("x", "y"))
@@ -470,10 +471,6 @@ def suite_int_lambda2(seed=DEFAULT_SEED, precision=DEFAULT_PRECISION):
     return [integer_lambda2_witness(max(precision, 20))]
 
 
-def suite_lemma_power(seed=DEFAULT_SEED, precision=DEFAULT_PRECISION):
-    return lemma_power_suite(seed=seed)
-
-
 def suite_phi_homomorphism(seed=DEFAULT_SEED, precision=DEFAULT_PRECISION, pairs=100):
     length = 10
 
@@ -560,7 +557,7 @@ SUITES = {
     "weight0-nilpotent": suite_weight0_nilpotent,
     "complete-zero-divisor": suite_complete_zero_divisor,
     "int-lambda2": suite_int_lambda2,
-    "lemma-power": suite_lemma_power,
+    "lemma-power": lemma_power_suite,
     "phi-homomorphism": suite_phi_homomorphism,
     "ideal-quotient": suite_ideal_quotient,
 }

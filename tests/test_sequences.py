@@ -405,6 +405,17 @@ class TestPhi:
                 assert phi(shuffle_product(a, b), 10) == pa * pb
                 assert phi(baxter_P(a), 10) == p_prime(pa)
 
+    def test_long_words(self):
+        # deeper than the default recursion limit: the image of the
+        # 1051-factor unit word is zero until entry 1051, which is T(1)
+        ctx = ctx_of(INT, 1)
+        img = phi(unit_word(ctx, 1050), 1051)
+        assert all(e.is_zero() for e in img.entries[:1050])
+        assert img.entry(1051) == bar_one(INT)
+        # a word longer than the sequence maps to zero
+        img = phi(unit_word(ctx, 3000), 3)
+        assert img.length == 3 and img.is_zero()
+
     def test_warns_when_weight_is_a_zero_divisor(self):
         ctx = ctx_of(Zmod(9), 3)
         with pytest.warns(PhiInjectivityWarning):
@@ -537,15 +548,15 @@ class TestPhiReferee:
         assert capsys.readouterr() == (payload, "")
 
 
-SHARED_TAILS = st.sampled_from([(), (UNIT_MONOMIAL,), (y,), (x, UNIT_MONOMIAL), (UNIT_MONOMIAL, y), (xy, x)])
+# (x,) makes a word such as (h, x) a proper prefix of another, (h, x, 1)
+SHARED_TAILS = st.sampled_from([(), (UNIT_MONOMIAL,), (x,), (y,), (x, UNIT_MONOMIAL), (UNIT_MONOMIAL, y), (xy, x)])
 
 
 @st.composite
 def mixed_terms(draw, ring):
-    """(word, Coeff) pairs with distinct words: unit words, whose images
-    phi reads from its memo as suffixes of longer unit words, and words
-    whose tails come from a small pool, so that tails are shared and are
-    suffixes of other words."""
+    """(word, Coeff) pairs with distinct words: unit words, each a prefix
+    of the longer ones, and words whose tails come from a small pool, so
+    that words share prefixes and some words are prefixes of others."""
     units = draw(st.sets(st.integers(0, 3), max_size=3))
     words = {(UNIT_MONOMIAL,) * (n + 1) for n in units}
     for _ in range(draw(st.integers(0, 5))):
@@ -558,10 +569,9 @@ def mixed_terms(draw, ring):
 
 
 class TestPhiTopLevelRoute:
-    """phi writes the image of each top-level word straight into its
-    output and reads memoized images only for words that are suffixes of
-    other words' tails; checked against one recursion step done with
-    SequenceElement operations."""
+    """phi's one pass over shared prefixes, where a word may end at a
+    prefix of another, gives each word's image and their sum; checked
+    against one recursion step done with SequenceElement operations."""
 
     @pytest.mark.parametrize("ring, lam", BAXTER_IDENTITY_CONFIGS, ids=str)
     @settings(max_examples=25, deadline=None)

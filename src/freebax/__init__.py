@@ -15,7 +15,7 @@ from .ideals import (
     scalar_ideal,
     variable_ideal,
 )
-from .lang import EvalError, ParseError, evaluate, evaluate_source, parse, render
+from .lang import EvalError, ParseError, evaluate, evaluate_source, parse
 from .poly import UNIT_MONOMIAL, Monomial
 from .rings import (
     INT,

@@ -13,7 +13,8 @@ Grammar (whitespace-insensitive)::
 (no nested T/P/U/geom); ``U(n)`` is the pure unit word of degree n;
 ``P`` is the Baxter operator; ``geom(c)`` is the geometric unit series,
 which promotes the whole evaluation to the completion at the working
-precision.  Rendering is canonical and parse(render(a)) = a for finite a.
+precision.  ``str`` of a value is canonical, and parse(str(a)) = a for
+finite a.
 """
 from __future__ import annotations
 
@@ -22,7 +23,7 @@ import sys
 
 from . import series as sr
 from ._record import record
-from .rings import Coeff, inverse, is_unit
+from .rings import Coeff, literal_coeff
 from .shuffle import (
     Context,
     baxter_P,
@@ -325,20 +326,6 @@ def parse(src: str, variables=None):
 
 # --- evaluation ---
 
-def _lit_coeff(node: Lit, ctx: Context) -> Coeff:
-    ring = ctx.ring
-    if node.den == 1:
-        return ring.coeff(node.num)
-    if ring.kind == "int":
-        if node.num % node.den:
-            raise EvalError(f"{node.num}/{node.den} is not an integer")
-        return ring.coeff(node.num // node.den)
-    den = ring.coeff(node.den)
-    if not is_unit(den):
-        raise EvalError(f"{node.den} is not invertible in {ring}")
-    return ring.coeff(node.num) * inverse(den)
-
-
 def _chain(node, kinds):
     """The first operand of a chain of ``kinds`` nodes and its (node type,
     right operand) steps in source order.  The parser builds ``a + b + c``
@@ -420,7 +407,11 @@ def evaluate(node, ctx: Context, precision: int = sr.DEFAULT_PRECISION):
         if type(node) is Mul:
             return _product(node, value)
         if isinstance(node, Lit):
-            return scalar(ctx, _lit_coeff(node, ctx))
+            try:
+                c = literal_coeff(ctx.ring, node.num, node.den)
+            except ValueError as exc:
+                raise EvalError(str(exc)) from None
+            return scalar(ctx, c)
         if isinstance(node, LamRef):
             return scalar(ctx, ctx.lam)
         if isinstance(node, VarRef):
@@ -448,8 +439,3 @@ def evaluate(node, ctx: Context, precision: int = sr.DEFAULT_PRECISION):
 
 def evaluate_source(src: str, ctx: Context, precision: int = sr.DEFAULT_PRECISION):
     return evaluate(parse(src, ctx.variables), ctx, precision)
-
-
-def render(value) -> str:
-    """Canonical text; finite elements re-parse to themselves."""
-    return str(value)

@@ -3,6 +3,7 @@ the rationals, and the integers modulo m."""
 from __future__ import annotations
 
 import math
+import re
 import sys
 from fractions import Fraction
 
@@ -275,15 +276,37 @@ def lambda_valuation(c: Coeff, lam: Coeff) -> int | float:
     return v
 
 
+def literal_coeff(ring: Ring, num: int, den: int) -> Coeff:
+    """The literal num/den in ``ring``, for den > 0: exact division over
+    the integers, num * den^-1 over the rationals and Z/m.  This is the
+    one reading of a coefficient literal, for flags and expressions alike."""
+    if den == 1:
+        return Coeff(ring, num)
+    if ring.kind == "int":
+        if num % den:
+            raise ValueError(f"{num}/{den} is not an integer")
+        return Coeff(ring, num // den)
+    d = Coeff(ring, den)
+    if not is_unit(d):
+        raise ValueError(f"{den} is not invertible in {ring}")
+    return Coeff(ring, num) * inverse(d)
+
+
+# an expression literal, n or n/d, with an optional sign
+_LITERAL = re.compile(r"([+-]?\d+)(?:/(\d+))?")
+
+
 def parse_coeff(ring: Ring, text: str) -> Coeff:
-    """Parse a coefficient literal: a decimal integer, or p/q over the rationals."""
+    """Parse a coefficient flag: an expression literal ``n`` or ``n/d``,
+    optionally signed, read by ``literal_coeff``."""
     text = text.strip()
-    if ring.kind == "rat":
-        try:
-            return Coeff(ring, Fraction(text))
-        except ZeroDivisionError:
-            raise ValueError(f"zero denominator in {ring} coefficient {text!r}") from None
+    m = _LITERAL.fullmatch(text)
     try:
-        return Coeff(ring, int(text))
-    except ValueError:
+        if m is None:
+            raise ValueError
+        num, den = int(m[1]), int(m[2] or 1)
+    except ValueError:  # not a literal, or a part past the int-string limit
         raise ValueError(f"invalid {ring} coefficient {text!r}") from None
+    if den == 0:
+        raise ValueError(f"zero denominator in {ring} coefficient {text!r}")
+    return literal_coeff(ring, num, den)

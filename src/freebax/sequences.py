@@ -332,8 +332,6 @@ def phi_series(a: Series, length: int) -> SequenceElement:
     """phi extended to the completion.  Entry k only receives contributions
     from components of degree < k, so the first precision + 1 entries are
     exact, and components of degree >= length do not reach the image."""
-    if length < 1:
-        raise ValueError("sequence length must be at least 1")
     if length > a.precision + 1:
         raise ValueError(
             f"entries beyond {a.precision + 1} need components beyond precision {a.precision}"

@@ -302,19 +302,6 @@ class ReducednessReport:
     probe_passed: bool
     probe_count: int
 
-    def to_obj(self):
-        return {
-            "context": self.ctx.to_obj(),
-            "characteristic": self.char,
-            "lambda_nonzero": self.lam_nonzero,
-            "lambda_not_zero_divisor": self.lam_not_zero_divisor,
-            "coefficients_reduced": self.coefficients_reduced,
-            "status": self.status,
-            "witness": self.witness,
-            "probe_passed": self.probe_passed,
-            "probe_count": self.probe_count,
-        }
-
 
 def reducedness_conditions(
     ctx: Context, seed: int = DEFAULT_SEED, probe_count: int = 100

@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from math import gcd
 
@@ -32,7 +33,6 @@ from freebax.lang import (
     evaluate,
     evaluate_source,
     parse,
-    render,
 )
 from freebax.shuffle import scalar, shuffle_product_enumerated, tensor_word, variable
 from freebax.verify import BAXTER_IDENTITY_CONFIGS, SUITES, random_element
@@ -54,22 +54,22 @@ class TestRoundTrip:
         for i in range(200):
             ctx = CONTEXTS[i % len(CONTEXTS)]
             a = random_element(rng, ctx, max_terms=4, max_word_len=3)
-            assert evaluate_source(render(a), ctx) == a
+            assert evaluate_source(str(a), ctx) == a
 
     def test_render_canonical_order(self):
         ctx = Context(INT, INT.coeff(3))
         a = unit_word(ctx, 2).scaled(2) + unit_word(ctx, 1).scaled(3)
-        assert render(a) == "3*T(1,1) + 2*T(1,1,1)"
+        assert str(a) == "3*T(1,1) + 2*T(1,1,1)"
 
     def test_render_zero(self):
         ctx = Context(INT, INT.coeff(3))
-        assert render(one(ctx) - one(ctx)) == "0"
+        assert str(one(ctx) - one(ctx)) == "0"
 
     def test_negative_leading_coefficient_reparses(self):
         ctx = Context(INT, INT.coeff(1), ("x",))
         a = -unit_word(ctx, 1)
-        assert render(a) == "-T(1,1)"
-        assert evaluate_source(render(a), ctx) == a
+        assert str(a) == "-T(1,1)"
+        assert evaluate_source(str(a), ctx) == a
 
 
 class TestEvaluation:
@@ -98,7 +98,7 @@ class TestEvaluation:
 
     def test_power_at_weight_zero(self):
         ctx = Context(RAT, RAT.coeff(0))
-        assert render(evaluate_source("U(1)^3", ctx)) == "6*T(1,1,1,1)"
+        assert str(evaluate_source("U(1)^3", ctx)) == "6*T(1,1,1,1)"
 
     def test_long_flat_sum(self):
         # a + b + c ... parses to a left-deep tree, 3000 levels deep here
@@ -181,6 +181,17 @@ class TestEvaluation:
     def test_lam_literal(self):
         ctx = Context(INT, INT.coeff(7))
         assert evaluate_source("lam", ctx) == one(ctx).scaled(7)
+
+    def test_unknown_nodes_are_rejected(self):
+        # the parser never builds these: it rejects unknown names itself
+        ctx = Context(INT, INT.coeff(1), ("x",))
+        with pytest.raises(EvalError) as err:
+            evaluate(VarRef("z"), ctx)
+        assert str(err.value) == "unknown variable 'z'"
+        node = object()
+        with pytest.raises(EvalError) as err:
+            evaluate(node, ctx)
+        assert str(err.value) == f"cannot evaluate node {node!r}"
 
 
 # (source, variables, message, position) of malformed input, captured from
@@ -682,6 +693,39 @@ class TestCommandLine:
             err = f"error: {message}\n"
         assert run_argv(capsys, *argv) == (2, "", err)
         assert run_argv(capsys, "--json", *argv) == (2, "", err)
+
+    @pytest.mark.parametrize("argv, message", [
+        (("--ring", "foo", "eval", "1"), "unknown ring 'foo' (use int, rat or mod:<m>)"),
+        (("--ring", "mod:1", "eval", "1"), "modulus must be an integer >= 2"),
+        (("--precision", "x", "eval", "1"), "invalid int value: 'x'"),
+    ], ids=["ring-word", "modulus-one", "precision-word"])
+    def test_bad_ring_and_precision_are_named_after_the_usage(self, capsys, argv, message):
+        err = build_parser().format_usage() + f"freebax: error: argument {argv[0]}: {message}\n"
+        assert run_argv(capsys, *argv) == (2, "", err)
+
+    @pytest.mark.parametrize("argv, out", [
+        (("--ring", "mod:5", "--lambda", "1/2", "eval", "lam"), "3*T(1)\n"),
+        (("--ring", "int", "--lambda", "4/2", "eval", "lam"), "2*T(1)\n"),
+        (("--ring", "rat", "--lambda=-3/6", "eval", "lam"), "-1/2*T(1)\n"),
+        (("--ring", "mod:5", "ideal-member", "--gens", "scalar:1/2", "U(1)"), "true\n"),
+    ], ids=["mod-lambda", "int-lambda", "rat-lambda", "mod-scalar-gens"])
+    def test_flag_literals_divide_as_expressions_do(self, capsys, argv, out):
+        assert run_cli(capsys, *argv) == (0, out, "")
+
+    @pytest.mark.parametrize("ring", ["int", "rat", "mod:5"])
+    @pytest.mark.parametrize("text", ["0.5", "1e3", "1_000", "1e100000000"])
+    def test_flag_literals_have_no_decimals_exponents_or_underscores(self, capsys, ring, text):
+        start = time.perf_counter()
+        result = run_cli(capsys, "--ring", ring, "--lambda", text, "eval", "1")
+        assert time.perf_counter() - start < 1.0
+        assert result == (2, "", f"error: invalid {ring} coefficient {text!r}\n")
+
+    @pytest.mark.parametrize("argv, message", [
+        (("--ring", "int", "--lambda", "1/0", "eval", "1"), "zero denominator in int coefficient '1/0'"),
+        (("--ring", "int", "--lambda", "1/2", "eval", "1"), "1/2 is not an integer"),
+    ], ids=["int-zero", "int-inexact"])
+    def test_flag_fraction_that_does_not_divide_exits_two(self, capsys, argv, message):
+        assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
 
     def test_reused_parser_leaks_no_state(self, capsys):
         argvs = [flag + argv for argv in REUSED_PARSER_LINES for flag in ((), ("--json",))]

@@ -2,7 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from freebax import (
@@ -12,11 +12,13 @@ from freebax import (
     Coeff,
     Context,
     Monomial,
+    Ring,
     RingMismatchError,
     Zmod,
     bar,
     characteristic,
     element,
+    evaluate_source,
     inverse,
     is_nilpotent,
     is_unit,
@@ -27,6 +29,7 @@ from freebax import (
     phi,
     reduce_mod,
     reduce_vars,
+    scalar,
     shuffle_product,
 )
 from freebax.sequences import PhiInjectivityWarning
@@ -202,6 +205,76 @@ class TestParsing:
     def test_str(self):
         assert str(RAT.coeff(Fraction(-1, 2))) == "-1/2"
         assert str(Zmod(9).coeff(-3)) == "6"
+
+    @pytest.mark.parametrize("ring, text, value", [
+        (Zmod(5), "1/2", 3),
+        (Zmod(9), "-1/2", 4),
+        (INT, "4/2", 2),
+        (INT, "-6/3", -2),
+        (RAT, "-3/6", Fraction(-1, 2)),
+        (RAT, " +2/4 ", Fraction(1, 2)),
+    ])
+    def test_fractions_divide_as_in_expressions(self, ring, text, value):
+        assert parse_coeff(ring, text) == ring.coeff(value)
+
+    @pytest.mark.parametrize("ring, text, message", [
+        (INT, "1/2", "1/2 is not an integer"),
+        (Zmod(6), "1/2", "2 is not invertible in mod:6"),
+        (Zmod(9), "-1/3", "3 is not invertible in mod:9"),
+    ])
+    def test_denominator_must_divide(self, ring, text, message):
+        with pytest.raises(ValueError) as err:
+            parse_coeff(ring, text)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("ring", [INT, RAT, Zmod(5)], ids=str)
+    @pytest.mark.parametrize("text", ["", "1/", "/2", "1/-2", "--1", "1 / 2", "x"])
+    def test_only_expression_literals_are_read(self, ring, text):
+        with pytest.raises(ValueError) as err:
+            parse_coeff(ring, text)
+        assert str(err.value) == f"invalid {ring} coefficient {text!r}"
+
+    @pytest.mark.parametrize("ring", [INT, RAT, Zmod(5)], ids=str)
+    def test_zero_denominator(self, ring):
+        with pytest.raises(ValueError) as err:
+            parse_coeff(ring, "1/0")
+        assert str(err.value) == f"zero denominator in {ring} coefficient '1/0'"
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.sampled_from([INT, RAT, Zmod(6), Zmod(9)]),
+        st.tuples(st.sampled_from(["", "-"]), st.integers(0, 60), st.none() | st.integers(0, 12)).map(
+            lambda t: f"{t[0]}{t[1]}" + ("" if t[2] is None else f"/{t[2]}")),
+    )
+    def test_flags_and_expressions_read_literals_alike(self, ring, text):
+        # either both read the same scalar or both reject the literal
+        ctx = Context(ring, ring.one())
+        try:
+            flag = scalar(ctx, parse_coeff(ring, text))
+        except ValueError:
+            flag = None
+        try:
+            expression = evaluate_source(text, ctx)
+        except ValueError:
+            expression = None
+        assert flag == expression
+
+
+class TestInputChecks:
+    def test_ring_kind_takes_no_modulus(self):
+        with pytest.raises(ValueError) as err:
+            Ring("int", 5)
+        assert str(err.value) == "ring 'int' takes no modulus"
+
+    def test_integer_coefficient_must_be_an_int(self):
+        with pytest.raises(TypeError) as err:
+            Coeff(INT, 1.5)
+        assert str(err.value) == "int coefficient must be an int, got 1.5"
+
+    def test_coefficient_exponent_must_be_nonnegative(self):
+        with pytest.raises(ValueError) as err:
+            INT.coeff(2) ** -1
+        assert str(err.value) == "exponent must be a nonnegative integer"
 
 
 class TestInPlaceReduce:

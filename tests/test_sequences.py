@@ -708,3 +708,38 @@ class TestRendering:
         ctx = ctx_of(INT, 2)
         img = phi(unit_word(ctx, 1), 3)
         assert str(img) == "[1] 0\n[2] 2*T(1)\n[3] 4*T(1)"
+
+
+class TestInputChecks:
+    """Each constructor and operator names the argument it rejects."""
+
+    def test_bar_level_must_be_positive(self):
+        with pytest.raises(ValueError) as err:
+            bar(INT, 0, {})
+        assert str(err.value) == "bar level must be positive"
+
+    def test_bar_words_must_have_the_level_as_length(self):
+        with pytest.raises(ValueError) as err:
+            bar(INT, 2, {(UNIT_MONOMIAL,): 1})
+        assert str(err.value) == "word length 1 != level 2"
+
+    def test_bar_operand_of_another_type(self):
+        b = bar_one(INT)
+        for op in (lambda: b + 1.5, lambda: b * 1.5):
+            with pytest.raises(TypeError) as err:
+                op()
+            assert str(err.value) == "expected a bar element, got 1.5"
+
+    def test_sequence_operand_of_another_type(self):
+        a = seq_one(ctx_of(INT, 1), 3)
+        for op in (lambda: a + 1.5, lambda: a * 1.5):
+            with pytest.raises(TypeError) as err:
+                op()
+            assert str(err.value) == "expected a sequence element, got 1.5"
+
+    def test_sequence_operand_of_another_context(self):
+        a, b = seq_one(ctx_of(INT, 1), 3), seq_one(ctx_of(INT, 2), 3)
+        for op in (lambda: a + b, lambda: a * b):
+            with pytest.raises(ContextMismatchError) as err:
+                op()
+            assert str(err.value) == "sequence elements belong to different contexts"

@@ -22,6 +22,7 @@ from freebax import (
     zero,
     zero_series,
 )
+from freebax.shuffle import ContextMismatchError
 from freebax.verify import random_element
 
 
@@ -218,3 +219,27 @@ class TestSeriesContract:
         components = dict(s.components)
         assert 2 not in components
         assert components[3] == unit_word(ctx, 3).scaled(RAT.coeff(Fraction(1, 8)))
+
+    def test_make_series_rejects_a_component_of_another_context(self):
+        ctx = ctx_of(INT, 1)
+        with pytest.raises(ContextMismatchError) as err:
+            make_series(ctx, 2, {1: unit_word(ctx_of(INT, 2), 1)})
+        assert str(err.value) == "component context mismatch"
+
+    def test_operand_of_another_type(self):
+        ctx = ctx_of(INT, 1)
+        s = embed(unit_word(ctx, 1), 3)
+        with pytest.raises(TypeError) as err:
+            s + one(ctx)
+        assert str(err.value) == f"expected a series, got {one(ctx)!r}"
+        with pytest.raises(TypeError) as err:
+            s * 1.5
+        assert str(err.value) == "unsupported operand type(s) for *: 'Series' and 'float'"
+
+    def test_operand_of_another_context(self):
+        s = embed(unit_word(ctx_of(INT, 1), 1), 3)
+        t = embed(unit_word(ctx_of(INT, 2), 1), 3)
+        for op in (lambda: s + t, lambda: s * t):
+            with pytest.raises(ContextMismatchError) as err:
+                op()
+            assert str(err.value) == "series belong to different contexts"

@@ -17,6 +17,7 @@ from freebax import (
     Monomial,
     RingMismatchError,
     Zmod,
+    apply_mixable,
     baxter_P,
     closed_form_unit_product,
     degree_components,
@@ -774,3 +775,41 @@ class TestContextChecks:
         ctx = Context(ring, ring.zero())
         assert scalar(ctx, -8) == scalar(ctx, ring.coeff(1)) == one(ctx)
         assert scalar(ctx, 9) == zero(ctx)
+
+
+class TestInputChecks:
+    """Each constructor and operator names the argument it rejects."""
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda ctx: unit_word(ctx, -1), "degree must be nonnegative"),
+        (lambda ctx: element(ctx, {(): 1}), "tensor words must have at least one factor"),
+        (lambda ctx: variable(ctx, "z"), "unknown variable 'z'"),
+        (lambda ctx: p_x_power(variable(ctx, "x"), -1), "iteration count must be a nonnegative integer"),
+    ], ids=["unit-word-degree", "empty-word", "unknown-variable", "p-x-power-count"])
+    def test_constructor_arguments(self, build, message):
+        with pytest.raises(ValueError) as err:
+            build(ctx_int(1, ("x",)))
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("m, n", [(0, 1), (1, 0), (2, 1), (1, 2)])
+    def test_apply_mixable_tails_must_fit_the_shape(self, m, n):
+        ms = enumerate_mixable_shuffles(1, 1)[0]
+        with pytest.raises(ValueError) as err:
+            apply_mixable(ms, (UNIT_MONOMIAL,) * m, (UNIT_MONOMIAL,) * n)
+        assert str(err.value) == "tail lengths do not match the shuffle shape"
+
+    def test_operand_of_another_type(self):
+        a = unit_word(ctx_int(1), 1)
+        with pytest.raises(TypeError) as err:
+            a + 1
+        assert str(err.value) == "expected an algebra element, got 1"
+        with pytest.raises(TypeError) as err:
+            a * 1.5
+        assert str(err.value) == "unsupported operand type(s) for *: 'Element' and 'float'"
+
+    def test_operand_of_another_context(self):
+        a, b = unit_word(ctx_int(1), 1), unit_word(ctx_int(2), 1)
+        for op in (lambda: a + b, lambda: a * b):
+            with pytest.raises(ContextMismatchError) as err:
+                op()
+            assert str(err.value) == "elements belong to different contexts"

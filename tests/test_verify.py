@@ -21,6 +21,7 @@ from freebax import (
     shuffle_product,
     tensor_word,
     unit_word,
+    weight0_nilpotent_witness,
 )
 import freebax.sequences as sq
 from freebax import verify
@@ -59,6 +60,11 @@ class TestWeight0Witness:
         from freebax import weight0_nilpotent_witness
 
         assert weight0_nilpotent_witness(q).verdict
+
+    def test_characteristic_below_two_is_rejected(self):
+        with pytest.raises(PreconditionError) as err:
+            weight0_nilpotent_witness(1)
+        assert str(err.value) == "the characteristic must be at least 2"
 
     def test_low_powers_survive_mod_5(self):
         ring = Zmod(5)
@@ -196,7 +202,8 @@ class TestSuites:
         }
 
     def test_fast_suites_pass(self):
-        reports = run_suites(["prop-unit", "charp", "weight0-nilpotent", "ideal-quotient"])
+        reports = run_suites(["prop-unit", "charp", "weight0-nilpotent", "ideal-quotient",
+                              "complete-zero-divisor", "int-lambda2"])
         assert reports and all(r.verdict for r in reports)
 
     @pytest.mark.parametrize("ring, lam", verify.BAXTER_IDENTITY_CONFIGS, ids=str)

@@ -7,6 +7,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 import warnings
 
@@ -211,8 +212,23 @@ _DISPATCH = {
 }
 
 
+def _join_negative_lambda(argv: list[str]) -> list[str]:
+    """``--lambda -n/d`` (or a prefix of ``--lambda``) as ``--lambda=-n/d``:
+    argparse takes a value that starts with "-" for a flag unless it reads
+    as a negative decimal number, and "-1/2" does not.  A flag with no
+    value is left for argparse to reject."""
+    out: list[str] = []
+    for tok in argv:
+        # the pattern is compiled on first use, not at import
+        if out and len(out[-1]) > 2 and "--lambda".startswith(out[-1]) and re.fullmatch(r"-\d+/\d+", tok):
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = build_parser().parse_args(_join_negative_lambda(sys.argv[1:] if argv is None else argv))
     with warnings.catch_warnings():
         show = warnings.showwarning
 

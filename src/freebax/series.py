@@ -131,7 +131,8 @@ def complete_product(a: Series, b: Series) -> Series:
     """The product of the finite parts, cut at the lower precision; exact
     because the product is degree-safe."""
     a._check(b)
-    return embed(shuffle_product(a._finite, b._finite), min(a.precision, b.precision))
+    n = min(a.precision, b.precision)
+    return embed(shuffle_product(a._finite, b._finite, _cut=n), n)
 
 
 def complete_P(a: Series) -> Series:

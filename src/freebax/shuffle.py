@@ -7,12 +7,13 @@ coming from opposite words at the cost of one factor of lambda, while the
 two head factors always multiply in the base algebra.
 
 Two independent implementations of the product live here.  The production
-path, ``shuffle_product``, takes one of two routes per term pair: a tail of
-one or two factors is inserted straight into the other tail (the insertion
-form of the mixable shuffle), and every other pair goes through the
-memoized quasi-shuffle recursion on tails, whose memo collapses the
-repeated tail pairs of series products.  The oracle both routes are tested
-against is a direct enumeration over all (shuffle, merge-set) pairs.
+path, ``shuffle_product``, takes one of three routes per term pair: two
+all-unit tails are summed by the binomial closed form of their mixable
+shuffle, a tail of one or two factors is inserted straight into the other
+tail (the insertion form of the mixable shuffle), and every other pair goes
+through the memoized quasi-shuffle recursion on tails.  The oracle all
+routes are tested against is a direct enumeration over all (shuffle,
+merge-set) pairs.
 """
 from __future__ import annotations
 
@@ -248,29 +249,36 @@ def degree_components(a: Element) -> dict[int, Element]:
 # --- the product, production routes ---
 #
 # The tail of a product of two words is mix(u, v) of their tails, and
-# ``shuffle_product`` computes it by one of two routes per term pair.
+# ``shuffle_product`` computes it by one of three routes per term pair.
+# Monomials are interned, so hashing a word stays in C, and so does a
+# product of two heads or of a merged pair: a lookup in the table
+# ``poly.PRODUCTS``.  Coefficients are raw ring values throughout.
 #
-# ``_mix`` is the one memoized recursion, on tails u, v:
-#   mix(u, v) = u0 (x) mix(u', v)  +  v0 (x) mix(u, v')  +  lam (u0 v0) (x) mix(u', v')
-# with one memo per product, shared by all its term pairs.  The memo is what
-# keeps series products small: their tails are all-unit words, so the tail
-# pairs of different branches coincide and collapse into one entry instead
-# of being expanded once per lattice path.  Monomials are interned, so
-# hashing a word stays in C, and so does a product of two heads or of a
-# merged pair: a lookup in the table ``poly.PRODUCTS``.  Coefficients are
-# raw ring values throughout.
+# ``_unit_mix`` takes a pair whose tails are both all units, as in every
+# series that ``geom`` and unit words build.  There the mixable shuffle has
+# a closed form (Guo and Keigher, "Baxter algebras and shuffle products"):
+#   mix(1^m, 1^n) = sum_k C(m+n-k, m) C(m, k) lam^k 1^(m+n-k),  k = 0..min(m, n)
+# so a pair adds raw weights to a few unit words, from one list per (m, n)
+# and product.  Given the cut of ``complete_product``, this route skips
+# every length above it; the words the other routes build above the cut
+# are dropped by ``embed``.
 #
 # ``_insert`` is the insertion form of the same sum (Ebrahimi-Fard and Guo,
 # "Mixable shuffles, quasi-shuffles and Hopf algebras"): the first factor of
 # the shorter tail goes after each prefix of the longer one, alone or merged
 # with the next factor at weight lam, and the rest of the shorter tail is
 # placed the same way in what follows.  It adds each word straight into the
-# product's dict, with no memo and no intermediate dict, where ``_mix``
-# would build a dict for every suffix of the long tail.  It takes a pair
-# only when the shorter tail has at most INSERT_MAX factors, which keeps
-# the words it emits per pair at O(len^2) however few letters the tails
-# use, and never when the longer tail is one factor repeated: there the
-# insertions all give the same few words, which the memo collapses.
+# product's dict, with no memo and no intermediate dict.  It takes the
+# other pairs whose shorter tail has at most INSERT_MAX factors, which
+# keeps the words it emits per pair at O(len^2) however few letters the
+# tails use, unless the longer tail is all units.
+#
+# ``_mix`` takes every other pair, by the memoized recursion on tails u, v:
+#   mix(u, v) = u0 (x) mix(u', v)  +  v0 (x) mix(u, v')  +  lam (u0 v0) (x) mix(u', v')
+# with one memo per product, shared by all its term pairs.  A word times a
+# unit series is where it pays: its term pairs share the unit suffixes of
+# the series, which the memo expands once where ``_insert`` would place
+# the short tail into each of them anew.
 
 INSERT_MAX = 2  # the most factors of a tail that ``_insert`` places
 
@@ -352,15 +360,36 @@ def _insert(acc: dict, pre: Word, long: Word, short: Word, c, lam_raw) -> None:
 
 def _parts(a: Element) -> list:
     """Each word of a as (head, tail, value, tail length, whether the tail
-    is one factor repeated)."""
+    is all units)."""
     parts = []
     for w, v in a._raw.items():
         t = w[1:]
-        parts.append((w[0], t, v, len(t), t.count(w[-1]) == len(t)))
+        parts.append((w[0], t, v, len(t), t.count(UNIT_MONOMIAL) == len(t)))
     return parts
 
 
-def shuffle_product(a: Element, b: Element) -> Element:
+def _unit_mix(m: int, n: int, lam_raw, cut: int) -> list:
+    """mix(1^m, 1^n) by its closed form, as (length, raw weight) pairs:
+    C(L, m) C(m, k) lam^k on the unit tail of L = m + n - k factors, for
+    the k in 0..min(m, n) with L <= cut, and k = 0 alone at weight 0."""
+    k = max(0, m + n - cut)
+    last = min(m, n) if lam_raw else 0
+    out = []
+    if k > last:
+        return out
+    lk = lam_raw ** k
+    for k in range(k, last + 1):
+        size = m + n - k
+        out.append((size, comb(size, m) * comb(m, k) * lk))
+        lk = lk * lam_raw
+    return out
+
+
+def shuffle_product(a: Element, b: Element, *, _cut: int | None = None) -> Element:
+    """The product of a and b.  ``complete_product`` passes its precision
+    as ``_cut``: pairs of all-unit tails then build no word of degree above
+    it, and the caller drops the words of degree above it that the other
+    routes still build."""
     a._check(b)
     # a scalar operand, one unit word, only scales the other: the same
     # dict as the kernel builds, with no term pairs
@@ -369,24 +398,37 @@ def shuffle_product(a: Element, b: Element) -> Element:
             return other._new({w: c * v for w, v in other._raw.items()})
     lam_raw = a.ring.raw(a.ctx.lam)
     memo: dict = {}
+    units: dict = {}
     acc: dict = {}
     aget = acc.get
     b_parts = _parts(b)
-    for ha, ta, ca, na, ra in _parts(a):
-        for hb, tb, cb, nb, rb in b_parts:
+    for ha, ta, ca, na, ua in _parts(a):
+        for hb, tb, cb, nb, ub in b_parts:
             c = ca * cb
-            head = (PRODUCTS[ha, hb],)
+            h = PRODUCTS[ha, hb]
             if not na or not nb:
                 # mix((), v) = v: a one-factor word only multiplies heads
-                w = head + (ta or tb)
+                w = (h,) + (ta or tb)
                 prev = aget(w)
                 acc[w] = c if prev is None else prev + c
                 continue
+            if ua and ub:
+                key = (na, nb) if na <= nb else (nb, na)
+                pairs = units.get(key)
+                if pairs is None:
+                    pairs = units[key] = _unit_mix(*key, lam_raw, na + nb if _cut is None else _cut)
+                for size, weight in pairs:
+                    w = (h,) + (UNIT_MONOMIAL,) * size
+                    t = c * weight
+                    prev = aget(w)
+                    acc[w] = t if prev is None else prev + t
+                continue
+            head = (h,)
             if nb <= na:
-                long, short, n, repeated = ta, tb, nb, ra
+                long, short, n, long_units = ta, tb, nb, ua
             else:
-                long, short, n, repeated = tb, ta, na, rb
-            if n <= INSERT_MAX and not repeated:
+                long, short, n, long_units = tb, ta, na, ub
+            if n <= INSERT_MAX and not long_units:
                 _insert(acc, head, long, short, c, lam_raw)
                 continue
             for tail, weight in _mix(ta, tb, lam_raw, memo).items():

@@ -727,6 +727,26 @@ class TestCommandLine:
     def test_flag_fraction_that_does_not_divide_exits_two(self, capsys, argv, message):
         assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
 
+    @pytest.mark.parametrize("argv, out", [
+        (("--ring", "rat", "--lambda", "-1/2", "eval", "lam"), "-1/2*T(1)\n"),
+        (("--ring", "rat", "--lam", "-3/6", "eval", "lam"), "-1/2*T(1)\n"),
+        (("--ring", "mod:5", "--lambda", "-1/2", "--precision", "1", "eval", "lam"), "2*T(1)\n"),
+        (("--ring", "int", "--lambda", "-4/2", "eval", "lam"), "-2*T(1)\n"),
+        (("--ring", "rat", "--lambda", "-3", "eval", "lam"), "-3*T(1)\n"),
+    ], ids=["rat", "rat-prefix", "mod-after-flag", "int", "int-no-fraction"])
+    def test_negative_fraction_is_the_lambda_value(self, capsys, argv, out):
+        # argparse alone reads "-1/2" as a flag, not as the flag's value
+        assert run_cli(capsys, *argv) == (0, out, "")
+
+    @pytest.mark.parametrize("argv", [
+        ("--ring", "rat", "--lambda"),
+        ("--ring", "rat", "--lambda", "--json", "eval", "lam"),
+        ("--lambda", "--lambda", "-1/2", "eval", "lam"),
+    ], ids=["at-end", "before-a-flag", "twice"])
+    def test_lambda_without_a_value_is_still_a_usage_error(self, capsys, argv):
+        err = build_parser().format_usage() + "freebax: error: argument --lambda: expected one argument\n"
+        assert run_argv(capsys, *argv) == (2, "", err)
+
     def test_reused_parser_leaks_no_state(self, capsys):
         argvs = [flag + argv for argv in REUSED_PARSER_LINES for flag in ((), ("--json",))]
         forward = [run_argv(capsys, *argv) for argv in argvs]

@@ -17,13 +17,16 @@ from freebax import (
     one,
     scalar,
     shuffle_product,
+    shuffle_product_enumerated,
+    tensor_word,
     truncate,
     unit_word,
     zero,
     zero_series,
 )
+from freebax.poly import UNIT_MONOMIAL, Monomial
 from freebax.shuffle import ContextMismatchError
-from freebax.verify import random_element
+from freebax.verify import BAXTER_IDENTITY_CONFIGS, random_element
 
 
 def ctx_of(ring, lam, variables=()):
@@ -243,3 +246,58 @@ class TestSeriesContract:
             with pytest.raises(ContextMismatchError) as err:
                 op()
             assert str(err.value) == "series belong to different contexts"
+
+
+X, Y, ONE = Monomial.of(x=1), Monomial.of(y=1), UNIT_MONOMIAL
+
+
+def cut_product_inputs(ring, lam, n, rng):
+    """Named pairs of series at precision n over one of the six settings:
+    unit series, unit tails behind a non-unit head, and the mixed tails
+    whose pairs take the insertion and memoized routes beside the closed
+    form."""
+    ctx = ctx_of(ring, lam, ("x", "y"))
+
+    def coeff():
+        return ring.coeff(rng.choice([-3, -2, -1, 1, 2, 3, 5]))
+
+    def unit_series():
+        return embed(sum((unit_word(ctx, d).scaled(coeff()) for d in range(n + 1)), zero(ctx)), n)
+
+    def word(*factors):
+        return embed(tensor_word(ctx, *factors), n)
+
+    geom2 = geometric_unit_series(ctx, ring.coeff(2), n)
+    x7 = word(*[X] * 7)
+    return [
+        ("units", unit_series(), unit_series()),
+        ("geom", geom2, geometric_unit_series(ctx, ring.coeff(-1), n)),
+        ("nonunit-head", word(X, ONE, ONE) + word(Y, ONE) + unit_series(), unit_series()),
+        ("nonunit-head-both", word(X, ONE, ONE) + geom2, word(Y, ONE, ONE, ONE) + word(X)),
+        ("g-unit-tail-with-x", word(ONE, X, *[ONE] * 6), geom2),
+        ("g-x-ends", word(X, *[ONE] * 6, X), word(Y, *[ONE] * 6, Y)),
+        ("g-x7-squared", x7, x7),
+    ]
+
+
+class TestCutProducts:
+    """``complete_product`` hands its precision to the kernel, whose
+    closed-form route for all-unit tails then builds no word above it; the
+    cut product must equal the full product cut afterwards."""
+
+    @pytest.mark.parametrize("ring, lam", BAXTER_IDENTITY_CONFIGS, ids=str)
+    def test_equals_the_product_cut_afterwards(self, ring, lam):
+        rng = random.Random(f"{ring}:{lam}")
+        for n in range(13):
+            for name, x, y in cut_product_inputs(ring, lam, n, rng):
+                want = embed(shuffle_product(x.finite_part(), y.finite_part()), n)
+                assert complete_product(x, y) == want, (name, n)
+                assert complete_product(y, x) == want, (name, n)
+
+    @pytest.mark.parametrize("ring, lam", BAXTER_IDENTITY_CONFIGS, ids=str)
+    def test_equals_the_enumeration_cut_afterwards(self, ring, lam):
+        rng = random.Random(f"oracle:{ring}:{lam}")
+        for n in range(6):
+            for name, x, y in cut_product_inputs(ring, lam, n, rng):
+                want = embed(shuffle_product_enumerated(x.finite_part(), y.finite_part()), n)
+                assert complete_product(x, y) == want, (name, n)

@@ -20,10 +20,13 @@ from freebax import (
     apply_mixable,
     baxter_P,
     closed_form_unit_product,
+    complete_product,
     degree_components,
     element,
+    embed,
     enumerate_mixable_shuffles,
     evaluate_source,
+    geometric_unit_series,
     is_zero_divisor,
     lambda_adic_valuation,
     one,
@@ -162,6 +165,18 @@ class TestClosedForm:
                     unit_word(ctx, m), unit_word(ctx, n)
                 )
 
+    @pytest.mark.parametrize("lam", [0, 1, 2, 5])
+    def test_kernel_and_closed_form_match_the_enumeration_up_to_6(self, lam):
+        # the kernel sums all-unit tails by the closed form's own formula,
+        # so the definitional enumeration referees both
+        ctx = ctx_int(lam)
+        for m in range(7):
+            for n in range(7):
+                a, b = unit_word(ctx, m), unit_word(ctx, n)
+                want = shuffle_product_enumerated(a, b)
+                assert shuffle_product(a, b) == want, (m, n)
+                assert closed_form_unit_product(ctx, m, n) == want, (m, n)
+
 
 class TestOracleEquivalence:
     @pytest.mark.parametrize("lam", [0, 1, 2])
@@ -273,9 +288,10 @@ def elements_of(ctx, words):
 
 
 class TestKernelRoutes:
-    """A term pair whose shorter tail has at most INSERT_MAX factors is
-    inserted straight into the product, unless the longer tail is one
-    factor repeated; every other pair enters the memoized ``_mix``."""
+    """A term pair whose tails are both all units is summed by the closed
+    form.  Any other pair whose shorter tail has at most INSERT_MAX factors
+    is inserted straight into the product, unless the longer tail is all
+    units; every other pair enters the memoized ``_mix``."""
 
     def test_short_tail_is_inserted(self, monkeypatch):
         mixed, inserted = count_calls(monkeypatch, "_mix"), count_calls(monkeypatch, "_insert")
@@ -297,12 +313,60 @@ class TestKernelRoutes:
             (tensor_word(ctx, x, y, x, UNIT_MONOMIAL), tensor_word(ctx, y, UNIT_MONOMIAL, x, y, x)),
             # a short tail against a tail of repeated unit factors
             (tensor_word(ctx, x, y), unit_word(ctx, 4)),
+            # two all-unit tails: the closed form, neither _mix nor _insert
             (unit_word(ctx, 2), unit_word(ctx, 1)),
         ]
         for a, b in pairs:
             assert shuffle_product(a, b) == shuffle_product_enumerated(a, b)
             assert shuffle_product(b, a) == shuffle_product_enumerated(b, a)
         assert mixed and inserted == []
+
+    def test_a_repeated_nonunit_factor_is_inserted_like_any_tail(self, monkeypatch):
+        mixed, inserted = count_calls(monkeypatch, "_mix"), count_calls(monkeypatch, "_insert")
+        ctx = Context(RAT, RAT.coeff(2), ("x", "y"))
+        x, y = Monomial.of(x=1), Monomial.of(y=1)
+        long_word = tensor_word(ctx, *[x] * 9)
+        for short in (tensor_word(ctx, y, y), tensor_word(ctx, UNIT_MONOMIAL, x, x), unit_word(ctx, 1)):
+            assert shuffle_product(long_word, short) == shuffle_product_enumerated(long_word, short)
+            assert shuffle_product(short, long_word) == shuffle_product_enumerated(short, long_word)
+        assert inserted and mixed == []
+
+    @pytest.mark.parametrize("ring, lam", BAXTER_IDENTITY_CONFIGS, ids=str)
+    def test_all_unit_tails_take_the_closed_form(self, ring, lam, monkeypatch):
+        mixed, inserted = count_calls(monkeypatch, "_mix"), count_calls(monkeypatch, "_insert")
+        ctx = Context(ring, ring.coeff(lam), ("x", "y"))
+        x = Monomial.of(x=1)
+        # unit tails behind unit and non-unit heads, with one-factor words
+        a = unit_word(ctx, 3).scaled(2) + unit_word(ctx, 1) + tensor_word(ctx, x, UNIT_MONOMIAL, UNIT_MONOMIAL)
+        b = unit_word(ctx, 2) - unit_word(ctx, 4) + tensor_word(ctx, x) + tensor_word(ctx, x, UNIT_MONOMIAL)
+        assert shuffle_product(a, b) == shuffle_product_enumerated(a, b)
+        assert shuffle_product(b, a) == shuffle_product_enumerated(b, a)
+        assert mixed == [] and inserted == []
+
+    def test_cut_unit_series_product_builds_no_word_above_the_precision(self, monkeypatch):
+        mixed, inserted = count_calls(monkeypatch, "_mix"), count_calls(monkeypatch, "_insert")
+        words = []
+        from_raw = shuffle_module.from_raw
+
+        def recording(ctx, acc):
+            words.extend(acc)
+            return from_raw(ctx, acc)
+
+        # every word the kernel builds reaches from_raw in its dict
+        monkeypatch.setattr(shuffle_module, "from_raw", recording)
+        n = 30
+        ctx = Context(RAT, RAT.coeff(1))
+        x = geometric_unit_series(ctx, RAT.coeff(2), n)
+        y = geometric_unit_series(ctx, RAT.coeff(-3), n)
+        cut = complete_product(x, y)
+        assert max(map(len, words)) == n + 1
+        assert mixed == [] and inserted == []
+        # geom(a) * geom(b) = geom(a + b + lam a b)
+        assert cut == geometric_unit_series(ctx, RAT.coeff(2 - 3 - 6), n)
+        # uncut, the same finite parts still give words of 2n + 1 factors
+        full = shuffle_product(x.finite_part(), y.finite_part())
+        assert max(len(w) for w, _ in full.raw_items()) == 2 * n + 1
+        assert embed(full, n) == cut
 
     @settings(max_examples=150, deadline=None)
     @given(config=st.sampled_from(BAXTER_IDENTITY_CONFIGS), data=st.data(), swap=st.booleans())
@@ -329,9 +393,10 @@ def law_elements(ctx):
 
 class TestAlgebraLaws:
     """The laws of the free Baxter algebra, on small elements over each
-    ``BAXTER_IDENTITY_CONFIGS`` setting.  Their products take both kernel
-    routes: a tail of 1-2 factors is inserted, and a repeated tail such as
-    (1, 1) enters ``_mix``."""
+    ``BAXTER_IDENTITY_CONFIGS`` setting.  Their products take all three
+    kernel routes: two all-unit tails such as (1, 1) are summed by the
+    closed form, a tail of 1-2 factors is inserted, and one against an
+    all-unit tail enters ``_mix``."""
 
     @settings(max_examples=60, deadline=None)
     @given(config=st.sampled_from(BAXTER_IDENTITY_CONFIGS), data=st.data())

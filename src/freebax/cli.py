@@ -7,7 +7,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import re
 import sys
 import warnings
 
@@ -212,23 +211,28 @@ _DISPATCH = {
 }
 
 
-def _join_negative_lambda(argv: list[str]) -> list[str]:
-    """``--lambda -n/d`` (or a prefix of ``--lambda``) as ``--lambda=-n/d``:
-    argparse takes a value that starts with "-" for a flag unless it reads
-    as a negative decimal number, and "-1/2" does not.  A flag with no
-    value is left for argparse to reject."""
+def _mark_values(argv) -> list[str]:
+    """argv with each value that begins with "-" marked for argparse, which
+    would take it for an option.  Every option is long but -h, so any other
+    token that begins with "-" is a value: right after a long option without
+    "=" it becomes ``option=value``; otherwise it moves, in order, behind one
+    "--" at the end.  What follows a "--" on the line is left alone."""
+    argv = list(argv)
+    end = argv.index("--") if "--" in argv else len(argv)
     out: list[str] = []
-    for tok in argv:
-        # the pattern is compiled on first use, not at import
-        if out and len(out[-1]) > 2 and "--lambda".startswith(out[-1]) and re.fullmatch(r"-\d+/\d+", tok):
+    moved: list[str] = []
+    for tok in argv[:end]:
+        if not tok.startswith("-") or tok.startswith("--") or tok == "-h":
+            out.append(tok)
+        elif out and out[-1].startswith("--") and "=" not in out[-1]:
             out[-1] += "=" + tok
         else:
-            out.append(tok)
-    return out
+            moved.append(tok)
+    return out + ["--", *moved, *argv[end + 1:]] if moved else out + argv[end:]
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(_join_negative_lambda(sys.argv[1:] if argv is None else argv))
+    args = build_parser().parse_args(_mark_values(sys.argv[1:] if argv is None else argv))
     with warnings.catch_warnings():
         show = warnings.showwarning
 

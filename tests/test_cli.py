@@ -1,4 +1,6 @@
 import argparse
+import contextlib
+import io
 import json
 import operator
 import os
@@ -369,6 +371,18 @@ def run_argv(capsys, *argv):
     return code, out.out, out.err
 
 
+def run_captured(argv):
+    """``run_argv`` without capsys, whose fixture Hypothesis cannot reset
+    between examples."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
 def parse_or_exit(capsys, parser, argv):
     """The parser's Namespace for argv, or the code and the output of its
     ``SystemExit``."""
@@ -397,6 +411,8 @@ REUSED_PARSER_LINES = (
     ("verify", "no-such-suite"),
     ("phi", "U(1)", "--len", "x"),
     ("--help",),
+    ("--ring", "rat", "eval", "-1/2"),
+    ("--vars", "x", "phi", "-T(x)", "--len", "2"),
 )
 
 
@@ -458,7 +474,7 @@ class TestCommandLine:
         payload = json.loads(out)
         assert code == 0 and payload["count"] == 3
 
-    @pytest.mark.parametrize("m, n", [("3", "-1"), ("-1", "3")])
+    @pytest.mark.parametrize("m, n", [("3", "-1"), ("-1", "3"), ("-2", "-1")])
     def test_enumerate_shuffles_rejects_negative_lengths(self, capsys, m, n):
         code, out, err = run_cli(capsys, "enumerate-shuffles", m, n)
         assert code == 2 and out == "" and "nonnegative" in err
@@ -660,7 +676,7 @@ class TestCommandLine:
             main(["--vars", "lam", "eval", "1"])
         assert err.value.code == 2
 
-    @pytest.mark.parametrize("name", ["é", "xé"])
+    @pytest.mark.parametrize("name", ["é", "xé", "-x"])
     def test_variable_names_are_names_the_parser_reads(self, capsys, name):
         with pytest.raises(SystemExit) as err:
             main(["--vars", name, "eval", "1"])
@@ -698,7 +714,8 @@ class TestCommandLine:
         (("--ring", "foo", "eval", "1"), "unknown ring 'foo' (use int, rat or mod:<m>)"),
         (("--ring", "mod:1", "eval", "1"), "modulus must be an integer >= 2"),
         (("--precision", "x", "eval", "1"), "invalid int value: 'x'"),
-    ], ids=["ring-word", "modulus-one", "precision-word"])
+        (("--ring", "-x", "eval", "1"), "unknown ring '-x' (use int, rat or mod:<m>)"),
+    ], ids=["ring-word", "modulus-one", "precision-word", "ring-minus"])
     def test_bad_ring_and_precision_are_named_after_the_usage(self, capsys, argv, message):
         err = build_parser().format_usage() + f"freebax: error: argument {argv[0]}: {message}\n"
         assert run_argv(capsys, *argv) == (2, "", err)
@@ -746,6 +763,33 @@ class TestCommandLine:
     def test_lambda_without_a_value_is_still_a_usage_error(self, capsys, argv):
         err = build_parser().format_usage() + "freebax: error: argument --lambda: expected one argument\n"
         assert run_argv(capsys, *argv) == (2, "", err)
+
+    @pytest.mark.parametrize("argv, out", [
+        (("--ring", "rat", "eval", "-1/2"), "-1/2*T(1)\n"),
+        (("--vars", "x", "eval", "-x"), "-T(x)\n"),
+        (("--vars", "x", "phi", "-T(x)", "--len", "2"), "[1] -T(x)\n[2] -T(1,x)\n"),
+        (("--vars", "x", "ideal-member", "-x", "--gens", "x"), "true\n"),
+        (("--vars", "x", "ideal-member", "--gens", "x", "-x"), "true\n"),
+        (("--ring", "rat", "eval", "--", "-1/2"), "-1/2*T(1)\n"),
+        (("--ring", "rat", "--lambda", "-1/2", "eval", "--", "-lam"), "1/2*T(1)\n"),
+    ], ids=["eval-fraction", "eval-variable", "phi", "ideal-member", "ideal-member-last",
+            "after-dashes", "after-dashes-and-lambda"])
+    def test_an_expression_may_begin_with_a_minus(self, capsys, argv, out):
+        assert run_cli(capsys, *argv) == (0, out, "")
+
+    def test_main_takes_a_tuple(self, capsys):
+        assert main(("--ring", "rat", "eval", "-1/2")) == 0
+        assert main(("--ring", "rat", "eval", "1/2")) == 0
+        assert capsys.readouterr().out == "-1/2*T(1)\n1/2*T(1)\n"
+
+    def test_short_help_is_still_an_option(self, capsys):
+        code, out, err = run_argv(capsys, "eval", "-h")
+        assert (code, err) == (0, "") and out.startswith("usage: freebax eval")
+
+    def test_a_minus_value_after_a_flag_without_one_is_a_usage_error(self, capsys):
+        # --help takes no value, so --help=-x is rejected before help prints
+        code, out, err = run_argv(capsys, "--help", "-x")
+        assert (code, out) == (2, "") and "'-x'" in err
 
     def test_reused_parser_leaks_no_state(self, capsys):
         argvs = [flag + argv for argv in REUSED_PARSER_LINES for flag in ((), ("--json",))]
@@ -824,6 +868,17 @@ SUM_OPERANDS = (
     "T(x,y)", "T(x^2 + y, 1)", "3*T(1,x)", "T(x*y - 1)", "U(1)", "U(2)", "2*U(0)",
     "geom(2)", "geom(-1)", "P(geom(3))", "U(1)*geom(-1)", "P(T(x))",
 )
+
+
+# command lines over a small alphabet: flags with good and bad values, each
+# subcommand, "--", and cheap expressions, some of them beginning with "-"
+GLOBAL_FLAGS = (
+    ("--ring", "int"), ("--ring", "rat"), ("--ring", "mod:0"), ("--ring", "mod:1"), ("--ring", "mod:6"),
+    ("--lambda", "-1/2"), ("--lambda", "2"), ("--lambda", "-x"), ("--lambda",), ("--vars", "x"),
+    ("--vars", "-x"), ("--precision", "2"), ("--precision", "-1"), ("--json",), ("--",),
+)
+COMMANDS = (("eval",), ("phi",), ("ideal-member",), ("verify", "charp"), ("enumerate-shuffles",))
+TAIL_TOKENS = ("--", "1", "2", "-1", "-1/2", "x", "-x", "-T(x)", "U(1)", "-U(1)", "--len", "--gens", "-h")
 
 
 @st.composite
@@ -908,6 +963,31 @@ class TestProperties:
         ctx = Context(ring, ring.coeff(lam), ("x", "y"))
         (e, pe), (e2, pe2) = data.draw(polynomial_sources(ctx)), data.draw(polynomial_sources(ctx))
         assert evaluate_source(f"T({e}, {e2})", ctx) == tensor_word(ctx, pe, pe2)
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(st.sampled_from(SUM_OPERANDS),
+           st.sampled_from([("--vars", "x,y"), ("--ring", "rat", "--lambda", "-1/2", "--vars", "x,y")]))
+    def test_a_leading_minus_reads_as_after_dashes(self, operand, flags):
+        value = "-" + operand
+        eval_run = run_captured((*flags, "eval", value))
+        assert eval_run[0] == 0
+        assert eval_run == run_captured((*flags, "eval", "--", value))
+        phi_run = run_captured((*flags, "phi", value, "--len", "3"))
+        assert phi_run[0] == 0
+        assert phi_run == run_captured((*flags, "phi", "--len", "3", "--", value))
+
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(st.lists(st.sampled_from(GLOBAL_FLAGS), max_size=3), st.sampled_from(COMMANDS),
+           st.lists(st.sampled_from(TAIL_TOKENS), max_size=3))
+    def test_every_command_line_keeps_the_exit_codes(self, flags, command, tail):
+        argv = [tok for flag in flags for tok in flag] + list(command) + tail
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            try:
+                assert main(argv) in (0, 1, 2), argv
+            except SystemExit as exc:
+                assert exc.code in (0, 2), argv
+        assert "Traceback" not in err.getvalue(), argv
 
     @settings(max_examples=100, deadline=None)
     @given(signed_sums(), st.sampled_from(CONTEXTS[2:4]), st.integers(0, 4))

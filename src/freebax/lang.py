@@ -364,14 +364,29 @@ def _sum(node, evaluate_operand, ctx: Context):
     return total if precision is None else sr.embed(total, precision)
 
 
-def _product(node, evaluate_operand):
+def _product(node, evaluate_operand, ctx: Context):
     """Evaluate a Mul chain left to right; a series times an element, in
-    either order, is their product in the completion."""
+    either order, is their product in the completion.  A literal first
+    factor, as in a scaled word ``c*T(...)``, scales the next factor's
+    value by its coefficient, with no scalar element and no product."""
     first, steps = _chain(node, (Mul,))
-    value = evaluate_operand(first)
+    if type(first) is Lit:
+        # the literal is read first, so its error precedes the operand's
+        c = _literal(first, ctx)
+        value = evaluate_operand(steps[0][1]) * c
+        steps = steps[1:]
+    else:
+        value = evaluate_operand(first)
     for _, operand in steps:
         value = value * evaluate_operand(operand)
     return value
+
+
+def _literal(node: Lit, ctx: Context) -> Coeff:
+    try:
+        return literal_coeff(ctx.ring, node.num, node.den)
+    except ValueError as exc:
+        raise EvalError(str(exc)) from None
 
 
 def _as_scalar(value, what: str) -> Coeff:
@@ -405,13 +420,9 @@ def evaluate(node, ctx: Context, precision: int = sr.DEFAULT_PRECISION):
         if type(node) in (Add, Sub):
             return _sum(node, value, ctx)
         if type(node) is Mul:
-            return _product(node, value)
+            return _product(node, value, ctx)
         if isinstance(node, Lit):
-            try:
-                c = literal_coeff(ctx.ring, node.num, node.den)
-            except ValueError as exc:
-                raise EvalError(str(exc)) from None
-            return scalar(ctx, c)
+            return scalar(ctx, _literal(node, ctx))
         if isinstance(node, LamRef):
             return scalar(ctx, ctx.lam)
         if isinstance(node, VarRef):

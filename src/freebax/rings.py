@@ -65,6 +65,9 @@ class Ring:
                     acc[k] = r
                 else:
                     zeros.append(k)
+        elif all(acc.values()):
+            # nothing cancelled, as in most products and every built word
+            return acc
         else:
             zeros = [k for k, v in acc.items() if not v]
         n = len(acc)

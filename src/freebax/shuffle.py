@@ -224,18 +224,30 @@ def tensor_word(ctx: Context, *factors) -> Element:
     supported on monomial words."""
     if not factors:
         raise ValueError("tensor words must have at least one factor")
+    # one word and its coefficient while every factor is one term; then
     # distinct prefixes extended by distinct monomials stay distinct, so
     # each step is a plain dict build; from_raw drops products that vanish
-    acc: dict = {(): 1}
+    word, coeff, acc = (), 1, None
     for f in factors:
         if isinstance(f, Monomial):
-            acc = {w + (f,): v for w, v in acc.items()}
+            if acc is None:
+                word += (f,)
+            else:
+                acc = {w + (f,): v for w, v in acc.items()}
         elif isinstance(f, Element):
-            items = _degree0_raw(ctx, f).items()
+            raw = _degree0_raw(ctx, f)
+            if acc is None:
+                if len(raw) == 1:
+                    (u, c), = raw.items()
+                    word += u
+                    coeff = coeff * c
+                    continue
+                acc = {word: coeff}
+            items = raw.items()
             acc = {w + u: v * c for w, v in acc.items() for u, c in items}
         else:
             raise TypeError(f"word factors must be monomials or degree-0 elements, got {f!r}")
-    return from_raw(ctx, acc)
+    return from_raw(ctx, {word: coeff} if acc is None else acc)
 
 
 def degree_components(a: Element) -> dict[int, Element]:
@@ -268,7 +280,12 @@ def degree_components(a: Element) -> dict[int, Element]:
 # the shorter tail goes after each prefix of the longer one, alone or merged
 # with the next factor at weight lam, and the rest of the shorter tail is
 # placed the same way in what follows.  It adds each word straight into the
-# product's dict, with no memo and no intermediate dict.  It takes the
+# product's dict, with no memo and no intermediate dict.  The form sums
+# over positions, not words, and where positions give one word it is
+# emitted once at their summed weight: the last factor placed, s, alone
+# before or after each of a run of r factors s gives one word r + 1 times,
+# and a unit s merged with any of the n factors left of the longer tail
+# gives that tail unchanged, n times.  It takes the
 # other pairs whose shorter tail has at most INSERT_MAX factors, which
 # keeps the words it emits per pair at O(len^2) however few letters the
 # tails use, unless the longer tail is all units.
@@ -334,27 +351,49 @@ def _insert(acc: dict, pre: Word, long: Word, short: Word, c, lam_raw) -> None:
     alone = (s,)
     rest = short[1:]
     cl = c * lam_raw if lam_raw else None
-    get = acc.get
     p = pre  # pre + long[:i]
+    if not rest:
+        # s alone before long[i] is the word of s alone after it when
+        # long[i] is s, so a run of r factors s emits one word at weight
+        # c * (r + 1); a unit s merged with each of the n factors gives
+        # pre + long every time, emitted once at weight c * lam * n
+        get = acc.get
+        n = len(long)
+        unit = s is UNIT_MONOMIAL
+        k = 1  # the positions that give the next alone word
+        for i in range(n):
+            f = long[i]
+            if f is s:
+                k += 1
+            else:
+                w = p + alone + long[i:]
+                t = c if k == 1 else c * k
+                prev = get(w)
+                acc[w] = t if prev is None else prev + t
+                k = 1
+            if cl is not None and not unit:
+                w = p + (PRODUCTS[f, s],) + long[i + 1:]
+                prev = get(w)
+                acc[w] = cl if prev is None else prev + cl
+            p = p + (f,)
+        w = p + alone
+        t = c if k == 1 else c * k
+        prev = get(w)
+        acc[w] = t if prev is None else prev + t
+        if cl is not None and unit and n:
+            w = pre + long
+            t = cl * n
+            prev = get(w)
+            acc[w] = t if prev is None else prev + t
+        return
     for i in range(len(long) + 1):
         tail = long[i:]
-        if rest:
-            _insert(acc, p + alone, tail, rest, c, lam_raw)
-        else:
-            w = p + alone + tail
-            prev = get(w)
-            acc[w] = c if prev is None else prev + c
+        _insert(acc, p + alone, tail, rest, c, lam_raw)
         if not tail:
             return
         f = tail[0]
         if cl is not None:
-            merged = p + (PRODUCTS[f, s],)
-            if rest:
-                _insert(acc, merged, tail[1:], rest, cl, lam_raw)
-            else:
-                w = merged + tail[1:]
-                prev = get(w)
-                acc[w] = cl if prev is None else prev + cl
+            _insert(acc, p + (PRODUCTS[f, s],), tail[1:], rest, cl, lam_raw)
         p = p + (f,)
 
 

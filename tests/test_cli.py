@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 import freebax
 import freebax.lang as lang
 import freebax.series as sr
-from freebax import INT, RAT, Context, Element, Zmod, WitnessReport, one, unit_word
+from freebax import INT, RAT, UNIT_MONOMIAL, Context, Element, Monomial, Zmod, WitnessReport, element, one, unit_word
 from freebax.cli import build_parser, main
 from freebax.lang import (
     MAX_NESTING,
@@ -167,6 +167,30 @@ class TestEvaluation:
         expected = sr.complete_product(series, sr.embed(word, 4))
         assert evaluate_source("geom(3)*(T(x, 1) - 1/2*U(2))", ctx, precision=4) == expected
         assert evaluate_source("(T(x, 1) - 1/2*U(2))*geom(3)", ctx, precision=4) == expected
+
+    def test_a_literal_first_factor_scales_the_rest(self):
+        # the expected values are scalar elements times the operand
+        ctx = Context(RAT, RAT.coeff(1), ("x", "y"))
+        geom3 = sr.geometric_unit_series(ctx, RAT.coeff(3), 3)
+        doubled = sr.complete_product(sr.embed(scalar(ctx, 2), 3), geom3)
+        assert evaluate_source("2*geom(3)", ctx, precision=3) == doubled
+        assert evaluate_source("geom(3)*2", ctx, precision=3) == doubled
+        halved = sr.complete_product(sr.embed(scalar(ctx, RAT.coeff(Fraction(-1, 2))), 2),
+                                     sr.geometric_unit_series(ctx, RAT.coeff(2), 2))
+        assert evaluate_source("-1/2*geom(2)", ctx, precision=2) == halved
+        assert evaluate_source("2*3*U(1)", ctx) == element(ctx, {(UNIT_MONOMIAL,) * 2: 6})
+        assert evaluate_source("0*T(x)", ctx).is_zero()
+        assert evaluate_source("2*T(x)*T(y)", ctx) == element(ctx, {(Monomial.of(x=1, y=1),): 2})
+
+    def test_a_word_of_one_term_factors_is_one_word(self):
+        assert evaluate_source("T(3*x,2*y)", Context(Zmod(6), Zmod(6).coeff(1), ("x", "y"))).is_zero()
+        ctx = Context(INT, INT.coeff(1), ("x", "y"))
+        assert evaluate_source("T(x-x,y)", ctx).is_zero()
+        x, y, u = Monomial.of(x=1), Monomial.of(y=1), UNIT_MONOMIAL
+        assert evaluate_source("T(2*x,y+1)", ctx) == element(ctx, {(x, y): 2, (x, u): 2})
+        # one-term factors after the expansion has begun, and before it
+        assert evaluate_source("T(2*x,y+1,3*y)", ctx) == element(ctx, {(x, y, y): 6, (x, u, y): 6})
+        assert evaluate_source("T(y+1,2*x)", ctx) == element(ctx, {(y, x): 2, (u, x): 2})
 
     def test_rational_literal_needs_invertible_denominator(self):
         assert evaluate_source("1/2", Context(Zmod(5), Zmod(5).coeff(1))).terms[0][1].value == 3
@@ -744,6 +768,9 @@ class TestCommandLine:
     def test_flag_fraction_that_does_not_divide_exits_two(self, capsys, argv, message):
         assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
 
+    def test_a_literal_factor_that_does_not_divide_exits_two(self, capsys):
+        assert run_cli(capsys, "--ring", "int", "eval", "1/2*U(1)") == (2, "", "error: 1/2 is not an integer\n")
+
     @pytest.mark.parametrize("argv, out", [
         (("--ring", "rat", "--lambda", "-1/2", "eval", "lam"), "-1/2*T(1)\n"),
         (("--ring", "rat", "--lam", "-3/6", "eval", "lam"), "-1/2*T(1)\n"),
@@ -868,6 +895,11 @@ SUM_OPERANDS = (
     "T(x,y)", "T(x^2 + y, 1)", "3*T(1,x)", "T(x*y - 1)", "U(1)", "U(2)", "2*U(0)",
     "geom(2)", "geom(-1)", "P(geom(3))", "U(1)*geom(-1)", "P(T(x))",
 )
+
+# operands a literal factor scales: elements, and series of each precision
+SCALED_OPERANDS = ("T(x,y)", "T(x^2 + y, 1) - 3*T(1,x)", "U(2)", "0", "geom(2)", "geom(-1) + T(x)", "P(geom(3))")
+# (source, monomial) factors of a word
+WORD_LETTERS = (("1", UNIT_MONOMIAL), ("x", Monomial.of(x=1)), ("y^2", Monomial.of(y=2)), ("x*y", Monomial.of(x=1, y=1)))
 
 
 # command lines over a small alphabet: flags with good and bad values, each
@@ -997,3 +1029,23 @@ class TestProperties:
         operands, signs = signed
         src = operands[0] + "".join(f" {sign} {operand}" for sign, operand in zip(signs, operands[1:]))
         assert evaluate_source(src, ctx, precision) == pairwise_fold(operands, signs, ctx, precision)
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(st.sampled_from(CONTEXTS), st.data())
+    def test_a_literal_factor_scales_like_its_scalar(self, ctx, data):
+        lit, c = data.draw(literals(ctx.ring))
+        operand = data.draw(st.sampled_from(SCALED_OPERANDS))
+        e = evaluate_source(operand, ctx, 3)
+        expected = scalar(ctx, c) * e
+        assert evaluate_source(f"{lit}*({operand})", ctx, 3) == expected
+        assert evaluate_source(f"({operand})*{lit}", ctx, 3) == expected
+        # a word of one-term factors is one word with the product of their
+        # coefficients
+        factors = data.draw(st.lists(st.tuples(literals(ctx.ring), st.sampled_from(WORD_LETTERS)),
+                                     min_size=1, max_size=4))
+        src = "T(" + ", ".join(f"{lit}*{letter}" for (lit, _), (letter, _) in factors) + ")"
+        product = ctx.ring.one()
+        for (_, coeff), _ in factors:
+            product = product * coeff
+        word = tuple(monomial for _, (_, monomial) in factors)
+        assert evaluate_source(src, ctx) == element(ctx, {word: product})

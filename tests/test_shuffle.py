@@ -332,6 +332,31 @@ class TestKernelRoutes:
         assert inserted and mixed == []
 
     @pytest.mark.parametrize("ring, lam", BAXTER_IDENTITY_CONFIGS, ids=str)
+    def test_runs_of_the_inserted_factor_match_the_oracle(self, ring, lam, monkeypatch):
+        # a factor placed alone in a run of equal factors gives one word
+        # per run, and merges of a unit give the longer tail itself: each
+        # is emitted once with the summed weight
+        mixed, inserted = count_calls(monkeypatch, "_mix"), count_calls(monkeypatch, "_insert")
+        ctx = Context(ring, ring.coeff(lam), ("x", "y"))
+        x, y, u = Monomial.of(x=1), Monomial.of(y=1), UNIT_MONOMIAL
+        longs = (
+            tensor_word(ctx, y, x, x, u, x, x, x, y),
+            tensor_word(ctx, x, u, u, x, u, u, u),
+            tensor_word(ctx, u, x, x, x, x),
+            tensor_word(ctx, y, u, y, u, u),
+        )
+        shorts = (
+            tensor_word(ctx, y, x), tensor_word(ctx, x, u), tensor_word(ctx, u, x, x),
+            tensor_word(ctx, x, u, x), tensor_word(ctx, y, u, u), unit_word(ctx, 1),
+        )
+        for long_word in longs:
+            for short in shorts:
+                a = long_word.scaled(3) + short
+                assert shuffle_product(long_word, short) == shuffle_product_enumerated(long_word, short)
+                assert shuffle_product(short, a) == shuffle_product_enumerated(short, a)
+        assert inserted and mixed == []
+
+    @pytest.mark.parametrize("ring, lam", BAXTER_IDENTITY_CONFIGS, ids=str)
     def test_all_unit_tails_take_the_closed_form(self, ring, lam, monkeypatch):
         mixed, inserted = count_calls(monkeypatch, "_mix"), count_calls(monkeypatch, "_insert")
         ctx = Context(ring, ring.coeff(lam), ("x", "y"))

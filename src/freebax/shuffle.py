@@ -281,14 +281,12 @@ def degree_components(a: Element) -> dict[int, Element]:
 # with the next factor at weight lam, and the rest of the shorter tail is
 # placed the same way in what follows.  It adds each word straight into the
 # product's dict, with no memo and no intermediate dict.  The form sums
-# over positions, not words, and where positions give one word it is
-# emitted once at their summed weight: the last factor placed, s, alone
-# before or after each of a run of r factors s gives one word r + 1 times,
-# and a unit s merged with any of the n factors left of the longer tail
-# gives that tail unchanged, n times.  It takes the
-# other pairs whose shorter tail has at most INSERT_MAX factors, which
-# keeps the words it emits per pair at O(len^2) however few letters the
-# tails use, unless the longer tail is all units.
+# over positions, not words; the last factor placed, s, alone before or
+# after each of a run of r factors s gives one word r + 1 times, which is
+# emitted once at weight r + 1.  Merges are emitted per position.  It
+# takes the other pairs whose shorter tail has at most INSERT_MAX factors,
+# which keeps the words it emits per pair at O(len^2) however few letters
+# the tails use, unless the longer tail is all units.
 #
 # ``_mix`` takes every other pair, by the memoized recursion on tails u, v:
 #   mix(u, v) = u0 (x) mix(u', v)  +  v0 (x) mix(u, v')  +  lam (u0 v0) (x) mix(u', v')
@@ -355,13 +353,10 @@ def _insert(acc: dict, pre: Word, long: Word, short: Word, c, lam_raw) -> None:
     if not rest:
         # s alone before long[i] is the word of s alone after it when
         # long[i] is s, so a run of r factors s emits one word at weight
-        # c * (r + 1); a unit s merged with each of the n factors gives
-        # pre + long every time, emitted once at weight c * lam * n
+        # c * (r + 1)
         get = acc.get
-        n = len(long)
-        unit = s is UNIT_MONOMIAL
         k = 1  # the positions that give the next alone word
-        for i in range(n):
+        for i in range(len(long)):
             f = long[i]
             if f is s:
                 k += 1
@@ -371,7 +366,7 @@ def _insert(acc: dict, pre: Word, long: Word, short: Word, c, lam_raw) -> None:
                 prev = get(w)
                 acc[w] = t if prev is None else prev + t
                 k = 1
-            if cl is not None and not unit:
+            if cl is not None:
                 w = p + (PRODUCTS[f, s],) + long[i + 1:]
                 prev = get(w)
                 acc[w] = cl if prev is None else prev + cl
@@ -380,11 +375,6 @@ def _insert(acc: dict, pre: Word, long: Word, short: Word, c, lam_raw) -> None:
         t = c if k == 1 else c * k
         prev = get(w)
         acc[w] = t if prev is None else prev + t
-        if cl is not None and unit and n:
-            w = pre + long
-            t = cl * n
-            prev = get(w)
-            acc[w] = t if prev is None else prev + t
         return
     for i in range(len(long) + 1):
         tail = long[i:]

@@ -334,8 +334,8 @@ class TestKernelRoutes:
     @pytest.mark.parametrize("ring, lam", BAXTER_IDENTITY_CONFIGS, ids=str)
     def test_runs_of_the_inserted_factor_match_the_oracle(self, ring, lam, monkeypatch):
         # a factor placed alone in a run of equal factors gives one word
-        # per run, and merges of a unit give the longer tail itself: each
-        # is emitted once with the summed weight
+        # per run, emitted once with the summed weight; merges of a unit
+        # give the longer tail itself at every position
         mixed, inserted = count_calls(monkeypatch, "_mix"), count_calls(monkeypatch, "_insert")
         ctx = Context(ring, ring.coeff(lam), ("x", "y"))
         x, y, u = Monomial.of(x=1), Monomial.of(y=1), UNIT_MONOMIAL

@@ -86,7 +86,6 @@ from .verify import (
     DEFAULT_SEED,
     SUITES,
     PreconditionError,
-    ReducednessReport,
     WitnessReport,
     charp_zero_divisor_witness,
     complete_zero_divisor_witness,

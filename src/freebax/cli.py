@@ -13,9 +13,9 @@ import warnings
 from . import sequences as sq
 from . import series as sr
 from .ideals import TrivialIdealWarning, baxter_ideal_member, scalar_ideal, variable_ideal
-from .lang import NAME, RESERVED, EvalError, evaluate_source
+from .lang import EvalError, evaluate_source
 from .rings import INT, RAT, Ring, Zmod, parse_coeff
-from .shuffle import Context, Element, enumerate_mixable_shuffles
+from .shuffle import Context, Element, check_variable_name, enumerate_mixable_shuffles
 from .verify import DEFAULT_SEED, SUITES, run_suites
 
 
@@ -42,10 +42,7 @@ def _names(text: str) -> tuple[str, ...]:
         return ()
     names = tuple(v.strip() for v in text.split(","))
     for v in names:
-        if not NAME.fullmatch(v):
-            raise ValueError(f"invalid variable name {v!r}")
-        if v in RESERVED:
-            raise ValueError(f"{v!r} is a reserved word")
+        check_variable_name(v)
     return names
 
 

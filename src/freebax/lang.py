@@ -25,6 +25,8 @@ from . import series as sr
 from ._record import record
 from .rings import Coeff, literal_coeff
 from .shuffle import (
+    NAME,
+    RESERVED,
     Context,
     baxter_P,
     from_raw,
@@ -33,10 +35,6 @@ from .shuffle import (
     unit_word,
     variable,
 )
-
-RESERVED = ("P", "T", "U", "geom", "lam")
-# a name token: variables and reserved words alike
-NAME = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 
 # Deepest nesting an expression may have: the whole expression is level 1,
 # and each bracket and each unary minus opens one more.  Parsing and

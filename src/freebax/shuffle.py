@@ -18,6 +18,7 @@ merge-set) pairs.
 from __future__ import annotations
 
 import itertools
+import re
 from math import comb
 
 from ._record import record
@@ -31,6 +32,20 @@ class ContextMismatchError(RingMismatchError):
     """Operands live in algebras with different contexts."""
 
 
+RESERVED = ("P", "T", "U", "geom", "lam")
+# a name token: variables and reserved words alike
+NAME = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
+
+
+def check_variable_name(v: str) -> None:
+    """Raise ValueError unless ``v`` is a variable name the expression
+    language reads back: a name token that is not a reserved word."""
+    if not NAME.fullmatch(v):
+        raise ValueError(f"invalid variable name {v!r}")
+    if v in RESERVED:
+        raise ValueError(f"{v!r} is a reserved word")
+
+
 @record
 class Context:
     """The algebra context: coefficient ring, weight and variable set."""
@@ -42,6 +57,8 @@ class Context:
     def __post_init__(self):
         if self.lam.ring != self.ring:
             raise RingMismatchError("lambda must belong to the coefficient ring")
+        for v in self.variables:
+            check_variable_name(v)
         if len(set(self.variables)) != len(self.variables):
             raise ValueError("variable names must be distinct")
 

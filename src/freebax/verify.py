@@ -1,10 +1,10 @@
-"""Constructive witnesses and check suites: zero-divisor products,
-nilpotents, nilradical membership, reducedness conditions, and the
-randomized identity probes behind them.
+"""Constructive witnesses and the check suites of ``freebax verify``:
+zero-divisor products, nilpotents, the nilradical at weight zero, the
+reducedness conditions, and the randomized identity probes behind them.
 
-Every passing report is backed by a residual that is identically zero (or
-by an explicitly stated probe); the inputs are serialized into the report
-so a reader can re-parse and re-check them by hand.
+Every check returns a ``WitnessReport``.  A passing one is backed by a
+residual that is identically zero (or by an explicitly stated probe); the
+inputs are serialized into it so a reader can re-parse and re-check them.
 """
 from __future__ import annotations
 
@@ -290,62 +290,16 @@ def _squarefree(m: int) -> bool:
     return all(m % (d * d) for d in range(2, isqrt(m) + 1))
 
 
-@record
-class ReducednessReport:
-    ctx: Context
-    char: int
-    lam_nonzero: bool
-    lam_not_zero_divisor: bool
-    coefficients_reduced: bool
-    status: str  # "satisfied" | "conditions-fail" | "out-of-scope"
-    witness: str | None
-    probe_passed: bool
-    probe_count: int
-
-
-def reducedness_conditions(
-    ctx: Context, seed: int = DEFAULT_SEED, probe_count: int = 100
-) -> ReducednessReport:
-    """Check the sufficient conditions for the algebra to be reduced in
-    positive characteristic (nonzero weight, weight not a zero divisor,
-    reduced coefficients), and run a randomized nilpotence probe either
-    way.  Characteristic zero is reported as outside the criterion."""
+def reducedness_conditions(ctx: Context) -> str:
+    """"satisfied" when the sufficient conditions for reducedness in positive
+    characteristic hold (nonzero weight, weight not a zero divisor, reduced
+    coefficients), else "conditions-fail"; "out-of-scope" in characteristic 0."""
     char = characteristic(ctx.ring)
-    lam_nonzero = not ctx.lam.is_zero()
-    lam_ok = not coeff_is_zero_divisor(ctx.lam)
-    reduced = ctx.ring.kind != "mod" or _squarefree(ctx.ring.modulus)
-
-    witness = None
-    if char > 0 and not (lam_nonzero and lam_ok and reduced):
-        if ctx.lam.is_zero():
-            u = unit_word(ctx, 1)
-            power = u ** char
-            if power.is_zero():
-                witness = f"({u})^{char} = 0"
-
-    rng = random.Random(seed)
-    probe_passed = True
-    for _ in range(probe_count):
-        a = random_nonzero_element(rng, ctx, max_terms=2, max_word_len=2)
-        powered = a
-        for k in range(2, 7):
-            powered = shuffle_product(powered, a)
-            if powered.is_zero():
-                probe_passed = False
-                witness = witness or f"({a})^{k} = 0"
-                break
-        if not probe_passed:
-            break
-
     if char == 0:
-        status = "out-of-scope"
-    elif lam_nonzero and lam_ok and reduced:
-        status = "satisfied"
-    else:
-        status = "conditions-fail"
-    return ReducednessReport(
-        ctx, char, lam_nonzero, lam_ok, reduced, status, witness, probe_passed, probe_count
-    )
+        return "out-of-scope"
+    if ctx.lam.is_zero() or coeff_is_zero_divisor(ctx.lam) or not _squarefree(char):
+        return "conditions-fail"
+    return "satisfied"
 
 
 # --- suites ---
@@ -542,6 +496,50 @@ def suite_ideal_quotient(seed=DEFAULT_SEED, precision=DEFAULT_PRECISION, pairs=1
     ]
 
 
+REDUCEDNESS_CONFIGS = ((Zmod(5), 2), (Zmod(6), 1), (Zmod(7), 3))
+
+
+def suite_reducedness(seed=DEFAULT_SEED, precision=DEFAULT_PRECISION):
+    """Where the reducedness conditions hold, no power 2..6 of a random
+    nonzero element vanishes.  The precision is not read."""
+    def failures(ring, lam):
+        ctx = Context(ring, ring.coeff(lam), ("x",))
+        if (status := reducedness_conditions(ctx)) != "satisfied":
+            yield f"reducedness conditions: {status}"
+        rng = random.Random(f"{seed}:{ring}:{lam}")
+        for _ in range(100):
+            a = random_nonzero_element(rng, ctx, max_terms=2, max_word_len=2)
+            powered = a
+            for k in range(2, 7):
+                powered = shuffle_product(powered, a)
+                if powered.is_zero():
+                    yield f"({a})^{k} = 0"
+
+    return [
+        _first_failure(f"reducedness ring={ring} lambda={lam}", [("elements", 100), ("powers", "2..6")],
+                       "conditions hold and no power vanishes", failures(ring, lam), str)
+        for ring, lam in REDUCEDNESS_CONFIGS
+    ]
+
+
+def suite_nilradical(seed=DEFAULT_SEED, precision=DEFAULT_PRECISION):
+    """At weight zero, the nilradical description agrees with a^16 = 0; 16
+    bounds the nilpotency index of these draws.  The precision is not read."""
+    def failures(ring):
+        ctx = Context(ring, ring.zero(), ("x", "y"))
+        rng = random.Random(f"{seed}:{ring}")
+        for _ in range(100):
+            a = random_element(rng, ctx, max_terms=2, max_word_len=2)
+            if nilradical_member_weight0(a) != (a ** 16).is_zero():
+                yield a
+
+    return [
+        _first_failure(f"nilradical ring={ring}", [("elements", 100)], "member iff the 16th power is 0",
+                       failures(ring), "description and 16th power disagree on {}".format)
+        for ring in (Zmod(4), Zmod(9))
+    ]
+
+
 SUITES = {
     "baxter-identity": suite_baxter_identity,
     "prop-unit": suite_prop_unit,
@@ -553,6 +551,8 @@ SUITES = {
     "lemma-power": lemma_power_suite,
     "phi-homomorphism": suite_phi_homomorphism,
     "ideal-quotient": suite_ideal_quotient,
+    "reducedness": suite_reducedness,
+    "nilradical": suite_nilradical,
 }
 
 

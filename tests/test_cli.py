@@ -417,11 +417,12 @@ def parse_or_exit(capsys, parser, argv):
 
 
 # every subcommand, a parse error, a bad flag value, command lines argparse
-# rejects, and a run without --vars next to one with it
+# rejects, and runs without --vars and with an empty one next to one with it
 REUSED_PARSER_LINES = (
     ("--ring", "mod:9", "--lambda", "3", "eval", "U(1)*U(1)"),
     ("--vars", "x,y", "eval", "T(x,y) + 2*T(1,x)"),
     ("eval", "T(x,y) + 2*T(1,x)"),
+    ("--vars", "", "eval", "T(x,y) + 2*T(1,x)"),
     ("--ring", "rat", "--precision", "4", "eval", "U(1)*geom(2)"),
     ("--ring", "int", "--lambda", "2", "phi", "U(1)", "--len", "4"),
     ("--vars", "x,y", "ideal-member", "--gens", "x", "T(x,y) + T(x,1)"),
@@ -826,6 +827,7 @@ class TestCommandLine:
         runs = dict(zip(argvs, forward))
         assert runs[("--vars", "x,y", "eval", "T(x,y) + 2*T(1,x)")] == (0, "2*T(1,x) + T(x,y)\n", "")
         assert runs[("eval", "T(x,y) + 2*T(1,x)")] == (2, "", "error: unknown variable 'x' (at position 2)\n")
+        assert runs[("--vars", "", "eval", "T(x,y) + 2*T(1,x)")] == runs[("eval", "T(x,y) + 2*T(1,x)")]
         # help text is laid out differently by each Python version
         code, out, _ = runs[("--help",)]
         assert code == 0 and out.startswith("usage: freebax")

@@ -857,6 +857,15 @@ class TestContextChecks:
         with pytest.raises(Exception):
             Context(INT, RAT.coeff(1))
 
+    @pytest.mark.parametrize("name, message", [
+        ("lam", "'lam' is a reserved word"),  # T(lam) would read back as 3*T(1)
+        ("x*y", "invalid variable name 'x*y'"),  # T(x*y) would read back as a product
+    ])
+    def test_variable_names_are_names_the_parser_reads(self, name, message):
+        with pytest.raises(ValueError) as err:
+            Context(INT, INT.coeff(3), (name,))
+        assert str(err.value) == message
+
     def test_scalar_embedding(self):
         ctx = ctx_int(1)
         assert scalar(ctx, 3) == one(ctx).scaled(3)

@@ -22,6 +22,7 @@ from freebax import (
     tensor_word,
     unit_word,
     weight0_nilpotent_witness,
+    zero,
 )
 import freebax.sequences as sq
 from freebax import verify
@@ -114,6 +115,10 @@ class TestNilradical:
             sq = shuffle_product(sq, sq)
             assert nilradical_member_weight0(a) == sq.is_zero(), str(a)
 
+    def test_suite_passes(self):
+        reports = run_suites("nilradical")
+        assert [r.verdict for r in reports] == [True] * 2
+
 
 class TestCompleteZeroDivisor:
     def test_rational(self):
@@ -155,19 +160,24 @@ class TestLemmaPower:
 class TestReducedness:
     def test_squarefree_unit_weight(self):
         ring = Zmod(6)
-        rep = reducedness_conditions(Context(ring, ring.one(), ("x",)), probe_count=25)
-        assert rep.status == "satisfied"
-        assert rep.probe_passed
+        assert reducedness_conditions(Context(ring, ring.one(), ("x",))) == "satisfied"
 
-    def test_weight_zero_mod4_fails_with_witness(self):
+    def test_weight_zero_mod4_fails(self):
+        # its witness U(1)^4 = 0 is the weight0-nilpotent report for q = 4
         ring = Zmod(4)
-        rep = reducedness_conditions(Context(ring, ring.zero(), ("x",)), probe_count=10)
-        assert rep.status == "conditions-fail"
-        assert rep.witness is not None
+        assert reducedness_conditions(Context(ring, ring.zero(), ("x",))) == "conditions-fail"
+
+    @pytest.mark.parametrize("m, lam", [(5, 0), (6, 2), (4, 1)], ids=["zero-weight", "zero-divisor", "not-reduced"])
+    def test_each_condition_is_needed(self, m, lam):
+        ring = Zmod(m)
+        assert reducedness_conditions(Context(ring, ring.coeff(lam))) == "conditions-fail"
 
     def test_characteristic_zero_out_of_scope(self):
-        rep = reducedness_conditions(Context(INT, INT.coeff(0), ("x",)), probe_count=10)
-        assert rep.status == "out-of-scope"
+        assert reducedness_conditions(Context(INT, INT.coeff(0), ("x",))) == "out-of-scope"
+
+    def test_suite_passes(self):
+        reports = run_suites("reducedness")
+        assert [r.verdict for r in reports] == [True] * 3
 
 
 class TestDomainProbe:
@@ -199,6 +209,8 @@ class TestSuites:
             "lemma-power",
             "phi-homomorphism",
             "ideal-quotient",
+            "reducedness",
+            "nilradical",
         }
 
     def test_fast_suites_pass(self):
@@ -383,3 +395,42 @@ class TestFailurePaths:
         assert not kernel.verdict and kernel.detail == f"failed kernel; a = {a}, b = {b}"
         assert scalar.verdict
         assert len(pairs) == 1 + 2
+
+    def test_reducedness_names_the_vanishing_power(self, monkeypatch):
+        real, bases = verify.shuffle_product, []
+
+        def rigged(powered, a):
+            bases.append(a)
+            return zero(a.ctx) if len(bases) == 4 else real(powered, a)
+
+        monkeypatch.setattr(verify, "shuffle_product", rigged)
+        first, *rest = verify.suite_reducedness()
+        # the fourth product is the first element's fifth power
+        assert not first.verdict and first.detail == f"({bases[0]})^5 = 0"
+        assert bases[:4] == [bases[0]] * 4
+        assert all(r.verdict for r in rest)
+        assert sum(a.ring == Zmod(5) for a in bases) == 4  # the failing check draws no further
+        assert self.reparses(bases[0])
+
+    def test_reducedness_fails_where_the_conditions_fail(self, monkeypatch):
+        configs = ((Zmod(4), 0), (Zmod(6), 2), (INT, 1), (Zmod(5), 2))
+        monkeypatch.setattr(verify, "REDUCEDNESS_CONFIGS", configs)
+        reports = verify.suite_reducedness()
+        assert [r.verdict for r in reports] == [False, False, False, True]
+        assert [r.detail for r in reports[:3]] == ["reducedness conditions: conditions-fail"] * 2 + [
+            "reducedness conditions: out-of-scope"]
+
+    def test_nilradical_names_the_element(self, monkeypatch):
+        real, seen = verify.nilradical_member_weight0, []
+
+        def rigged(a):
+            seen.append(a)
+            return not real(a)
+
+        monkeypatch.setattr(verify, "nilradical_member_weight0", rigged)
+        reports = verify.suite_nilradical()
+        assert [r.verdict for r in reports] == [False, False]
+        assert len(seen) == 2  # each check stops at its first element
+        for report, a in zip(reports, seen):
+            assert report.detail == f"description and 16th power disagree on {a}"
+            assert str(a.ring) in report.claim

@@ -54,11 +54,6 @@ def coeff_in_scalar_ideal(value, gen: Coeff) -> bool:
     """Whether the raw value ``value`` of gen's ring lies in the ideal (gen)."""
     ring = gen.ring
     if ring.kind == "rat":
-        warnings.warn(
-            "every nonzero scalar generates the whole ring of rationals",
-            TrivialIdealWarning,
-            stacklevel=3,
-        )
         return True
     if ring.kind == "int":
         return value % gen.value == 0
@@ -82,6 +77,13 @@ def baxter_ideal_member(a: Element, spec: IdealSpec) -> bool:
         return all(_divisible(w, spec.names) for w, _ in a.raw_items())
     if spec.generator.ring != a.ctx.ring:
         raise ValueError("scalar generator belongs to a different ring")
+    if spec.generator.ring.kind == "rat":
+        # once per call, whatever the element, zero included
+        warnings.warn(
+            "every nonzero scalar generates the whole ring of rationals",
+            TrivialIdealWarning,
+            stacklevel=2,
+        )
     return all(coeff_in_scalar_ideal(v, spec.generator) for _, v in a.raw_items())
 
 

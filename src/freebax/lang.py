@@ -77,19 +77,13 @@ class Neg:
     arg: object
 
 @record
-class Add:
-    left: object
-    right: object
+class Sum:
+    first: object
+    rest: tuple  # (subtracted, operand) pairs, in source order
 
 @record
-class Sub:
-    left: object
-    right: object
-
-@record
-class Mul:
-    left: object
-    right: object
+class Product:
+    factors: tuple
 
 @record
 class Pow:
@@ -127,9 +121,6 @@ _KIND = {
     **{c: c for c in "()+-*^/,"},
     "": "end",
 }
-# precedence climbing: the binding level of each binary operator, all
-# left-associative; unary minus and "^" are parsed in factor
-_BINARY = {"+": (1, Add), "-": (1, Sub), "*": (2, Mul)}
 
 
 # the interpreter's int-string limit (0: none); absent before Python 3.10.7
@@ -193,22 +184,31 @@ class _Parser:
         return int(tok)
 
     def parse(self):
-        e = self.expr(False, 1)
+        e = self.expr(False)
         tok = self.tokens[self.i]
         if tok:
             raise self.error(f"unexpected trailing input {_shown(tok)}", self.i)
         return e
 
-    def expr(self, in_word: bool, level: int):
-        """Operands joined by binary operators of at least ``level``."""
+    def expr(self, in_word: bool):
+        """Terms joined by "+" and "-": one Sum node, or the term alone."""
         tokens = self.tokens
-        e = self.factor(in_word)
-        while True:
-            op = _BINARY.get(tokens[self.i])
-            if op is None or op[0] < level:
-                return e
+        first = self.term(in_word)
+        rest = []
+        while tokens[self.i] in ("+", "-"):
+            subtracted = tokens[self.i] == "-"
             self.i += 1
-            e = op[1](e, self.expr(in_word, op[0] + 1))
+            rest.append((subtracted, self.term(in_word)))
+        return Sum(first, tuple(rest)) if rest else first
+
+    def term(self, in_word: bool):
+        """Factors joined by "*": one Product node, or the factor alone."""
+        tokens = self.tokens
+        factors = [self.factor(in_word)]
+        while tokens[self.i] == "*":
+            self.i += 1
+            factors.append(self.factor(in_word))
+        return Product(tuple(factors)) if len(factors) > 1 else factors[0]
 
     def factor(self, in_word: bool):
         """A unary minus, or an atom with an optional "^" exponent; each
@@ -253,7 +253,7 @@ class _Parser:
             else:
                 e = self.constructor(tok)
         elif kind == "(":
-            e = self.expr(in_word, 1)
+            e = self.expr(in_word)
             self.expect(")")
         else:
             raise self.error("unexpected end of input" if kind == "end" else f"unexpected token {tok!r}", i)
@@ -278,7 +278,7 @@ class _Parser:
                 factors.append(self.word_factor())
             self.expect(")")
             return Tensor(tuple(factors))
-        arg = self.expr(False, 1)
+        arg = self.expr(False)
         self.expect(")")
         return POp(arg) if name == "P" else Geom(arg)
 
@@ -310,7 +310,7 @@ class _Parser:
             self.i = end
             return hit[0]
         self.peak = depth  # no word factor nests in another
-        e = self.expr(True, 1)
+        e = self.expr(True)
         if self.i == end:
             self.word_factors[key] = (e, self.peak - depth)
         return e
@@ -324,35 +324,21 @@ def parse(src: str, variables=None):
 
 # --- evaluation ---
 
-def _chain(node, kinds):
-    """The first operand of a chain of ``kinds`` nodes and its (node type,
-    right operand) steps in source order.  The parser builds ``a + b + c``
-    as ``(a + b) + c``, so the left spine is walked in a loop: recursing on
-    it would go one level deeper per operand."""
-    steps = []
-    while type(node) in kinds:
-        steps.append((type(node), node.right))
-        node = node.left
-    steps.reverse()
-    return node, steps
-
-
-def _sum(node, evaluate_operand, ctx: Context):
-    """Evaluate an Add/Sub chain in one dict: the raw terms of each operand
-    go in as soon as it is evaluated, and ``from_raw`` normalizes the dict
-    once.  A series operand adds its finite part and caps the precision, so
-    the result is the finite sum cut at the lowest series precision, which
-    is what adding the operands pairwise gives."""
-    first, steps = _chain(node, (Add, Sub))
+def _sum(node: Sum, evaluate_operand, ctx: Context):
+    """Evaluate a Sum in one dict: the raw terms of each operand go in as
+    soon as it is evaluated, and ``from_raw`` normalizes the dict once.  A
+    series operand adds its finite part and caps the precision, so the
+    result is the finite sum cut at the lowest series precision, which is
+    what adding the operands pairwise gives."""
     acc: dict = {}
     get = acc.get
     precision = None
-    for kind, operand in [(Add, first)] + steps:
+    for subtracted, operand in ((False, node.first), *node.rest):
         value = evaluate_operand(operand)
         if isinstance(value, sr.Series):
             precision = value.precision if precision is None else min(precision, value.precision)
             value = value.finite_part()
-        if kind is Sub:
+        if subtracted:
             for k, v in value.raw_items():
                 acc[k] = get(k, 0) - v
         else:
@@ -362,20 +348,20 @@ def _sum(node, evaluate_operand, ctx: Context):
     return total if precision is None else sr.embed(total, precision)
 
 
-def _product(node, evaluate_operand, ctx: Context):
-    """Evaluate a Mul chain left to right; a series times an element, in
+def _product(node: Product, evaluate_operand, ctx: Context):
+    """Evaluate a Product left to right; a series times an element, in
     either order, is their product in the completion.  A literal first
     factor, as in a scaled word ``c*T(...)``, scales the next factor's
     value by its coefficient, with no scalar element and no product."""
-    first, steps = _chain(node, (Mul,))
+    factors = iter(node.factors)
+    first = next(factors)
     if type(first) is Lit:
         # the literal is read first, so its error precedes the operand's
         c = _literal(first, ctx)
-        value = evaluate_operand(steps[0][1]) * c
-        steps = steps[1:]
+        value = evaluate_operand(next(factors)) * c
     else:
         value = evaluate_operand(first)
-    for _, operand in steps:
+    for operand in factors:
         value = value * evaluate_operand(operand)
     return value
 
@@ -415,9 +401,9 @@ def evaluate(node, ctx: Context, precision: int = sr.DEFAULT_PRECISION):
         return e
 
     def value(node):
-        if type(node) in (Add, Sub):
+        if type(node) is Sum:
             return _sum(node, value, ctx)
-        if type(node) is Mul:
+        if type(node) is Product:
             return _product(node, value, ctx)
         if isinstance(node, Lit):
             return scalar(ctx, _literal(node, ctx))

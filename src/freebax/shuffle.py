@@ -187,6 +187,19 @@ def from_raw(ctx: Context, acc: dict) -> Element:
     return Element(ctx, ctx.ring.reduce(acc))
 
 
+def _check_alphabet(ctx: Context, monomials) -> None:
+    """Reject a word factor that is not a monomial, and a monomial with a
+    variable outside ``ctx``, in the parser's words: its render would not
+    parse back in ``ctx``."""
+    names = ctx.variables
+    for m in monomials:
+        if type(m) is not Monomial:
+            raise TypeError(f"word factors must be monomials, got {m!r}")
+        for v, _ in m.exps:
+            if v not in names:
+                raise ValueError(f"unknown variable {v!r}")
+
+
 def element(ctx: Context, mapping) -> Element:
     """Normalize a word -> coefficient mapping into an Element."""
     ring = ctx.ring
@@ -196,6 +209,7 @@ def element(ctx: Context, mapping) -> Element:
         if not w:
             raise ValueError("tensor words must have at least one factor")
         acc[w] = v
+    _check_alphabet(ctx, dict.fromkeys(m for w in acc for m in w))
     return from_raw(ctx, acc)
 
 
@@ -247,6 +261,7 @@ def tensor_word(ctx: Context, *factors) -> Element:
     word, coeff, acc = (), 1, None
     for f in factors:
         if isinstance(f, Monomial):
+            _check_alphabet(ctx, (f,))
             if acc is None:
                 word += (f,)
             else:

@@ -23,12 +23,12 @@ from freebax.cli import build_parser, main
 from freebax.lang import (
     MAX_NESTING,
     MAX_UNIT_DEGREE,
-    Add,
     EvalError,
     Geom,
     Lit,
     ParseError,
     POp,
+    Sum,
     Tensor,
     UnitWord,
     VarRef,
@@ -103,11 +103,16 @@ class TestEvaluation:
         assert str(evaluate_source("U(1)^3", ctx)) == "6*T(1,1,1,1)"
 
     def test_long_flat_sum(self):
-        # a + b + c ... parses to a left-deep tree, 3000 levels deep here
+        # a + b + c ... parses to one Sum node of 3000 operands
         ctx = Context(INT, INT.coeff(1))
-        value = evaluate_source(" + ".join(["U(1)"] * 3000), ctx)
+        flat = " + ".join(["U(1)"] * 3000)
+        value = evaluate_source(flat, ctx)
         assert value == unit_word(ctx, 1).scaled(3000)
         assert evaluate_source(" - ".join(["U(1)"] * 3000), ctx) == unit_word(ctx, 1).scaled(-2998)
+        # the tree is flat, so comparing, hashing and showing it do not recurse per operand
+        tree = parse(flat)
+        assert tree == parse(flat) and hash(tree) == hash(parse(flat))
+        assert repr(tree).count("UnitWord(degree=1)") == 3000
 
     def test_long_flat_sum_in_a_word_factor(self):
         ctx = Context(INT, INT.coeff(1), ("x",))
@@ -117,7 +122,11 @@ class TestEvaluation:
 
     def test_long_flat_product(self):
         ctx = Context(INT, INT.coeff(0), ("x",))
-        assert evaluate_source("*".join(["x"] * 3000), ctx) == evaluate_source("x^3000", ctx)
+        flat = "*".join(["x"] * 3000)
+        assert evaluate_source(flat, ctx) == evaluate_source("x^3000", ctx)
+        tree = parse(flat)
+        assert tree == parse(flat) and hash(tree) == hash(parse(flat))
+        assert repr(tree).count("VarRef(name='x')") == 3000
 
     def test_each_word_factor_is_evaluated_once_per_call(self, monkeypatch):
         ctx = Context(INT, INT.coeff(1), ("x", "y"))
@@ -139,7 +148,8 @@ class TestEvaluation:
         evaluate(tree, ctx)
         assert sorted(seen) == ["x", "x", "x", "x", "y", "y"]
 
-    @pytest.mark.parametrize("factor", [UnitWord(1), POp(VarRef("x")), Geom(Lit(2)), Add(UnitWord(2), Lit(1))],
+    @pytest.mark.parametrize("factor",
+                             [UnitWord(1), POp(VarRef("x")), Geom(Lit(2)), Sum(UnitWord(2), ((False, Lit(1)),))],
                              ids=["unit-word", "P", "geom", "sum"])
     def test_a_factor_of_positive_degree_or_a_series_is_rejected(self, factor):
         ctx = Context(INT, INT.coeff(1), ("x",))
@@ -198,6 +208,10 @@ class TestEvaluation:
             evaluate_source("1/2", Context(INT, INT.coeff(1)))
         with pytest.raises(EvalError):
             evaluate_source("1/5", Context(Zmod(5), Zmod(5).coeff(1)))
+        # a literal first factor is read before the factor it scales, so
+        # its error comes first
+        with pytest.raises(EvalError, match="1/2 is not an integer"):
+            evaluate_source("1/2*geom(U(1))", Context(INT, INT.coeff(1)))
 
     def test_geom_requires_scalar_ratio(self):
         ctx = Context(INT, INT.coeff(1))
@@ -296,7 +310,7 @@ class TestParseErrors:
 
     def test_unicode_digits_are_literals(self):
         # \d matches any decimal digit, as it did before
-        assert parse("٣+1") == lang.Add(lang.Lit(3), lang.Lit(1))
+        assert parse("٣+1") == Sum(Lit(3), ((False, Lit(1)),))
         assert parse("x^٢") == lang.Pow(lang.VarRef("x"), 2)
 
     @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(), reason="no int-string limit")
@@ -306,20 +320,21 @@ class TestParseErrors:
 
     def test_repeated_word_factor_is_one_node(self):
         tree = parse("T(x^2*y, 1) + 3*T(1, x^2*y) - T(x^2*y)")
-        first = tree.left.left.factors[0]
-        assert tree.left.right.right.factors[1] is first
-        assert tree.right.factors[0] is first
-        assert tree.left.left.factors[1] is tree.left.right.right.factors[0]
+        (_, scaled), (_, last) = tree.rest
+        first = tree.first.factors[0]
+        assert scaled.factors[1].factors[1] is first
+        assert last.factors[0] is first
+        assert tree.first.factors[1] is scaled.factors[1].factors[0]
 
     def test_nesting_limit_through_the_factor_memo(self):
         # T(((((x))))) nests 5 levels below its T; seen first at the top
         # level, its shared node is reused only where reparsing would fit
         word = "T(((((x)))))"
         fits = parse(word + " + " + "P(" * 94 + word + ")" * 94)
-        inner = fits.right
+        inner = fits.rest[0][1]
         for _ in range(94):
             inner = inner.arg
-        assert inner.factors[0] is fits.left.factors[0]
+        assert inner.factors[0] is fits.first.factors[0]
         for first in (word, "T(((((y)))))"):  # with and without a memo hit
             for levels, pos in ((95, 211), (96, 212)):
                 with pytest.raises(ParseError, match=f"nests deeper than {MAX_NESTING} levels") as err:

@@ -1,4 +1,5 @@
 import random
+import warnings
 
 import pytest
 
@@ -12,6 +13,7 @@ from freebax import (
     baxter_P,
     baxter_ideal_member,
     element,
+    evaluate_source,
     lambda_adic_valuation,
     one,
     reduce_mod,
@@ -61,6 +63,17 @@ class TestMembership:
         ctx = Context(RAT, RAT.coeff(1), ("x",))
         with pytest.warns(TrivialIdealWarning):
             assert baxter_ideal_member(variable(ctx, "x"), scalar_ideal(RAT.coeff(2)))
+
+    @pytest.mark.parametrize("src", ["T(x) + U(1) + U(2)", "0"], ids=["three-terms", "zero"])
+    def test_rationals_warn_once_per_call(self, src):
+        ctx = Context(RAT, RAT.coeff(1), ("x",))
+        a = evaluate_source(src, ctx)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert baxter_ideal_member(a, scalar_ideal(RAT.coeff(2)))
+        assert [w.category for w in caught] == [TrivialIdealWarning]
+        # the warning names the caller's line, not a line of the library
+        assert caught[0].filename == __file__
 
     def test_modular_scalar_ideal(self):
         # membership in (c) mod m comes down to divisibility by gcd(c, m)

@@ -13,7 +13,7 @@ import pytest
 
 import freebax
 from freebax import INT, RAT, Context, Monomial, Ring, Zmod, bar, element, make_series, scalar, unit_word
-from freebax.lang import Add, LamRef, Lit, Sub, VarRef
+from freebax.lang import LamRef, Lit, Product, Sum, Tensor, VarRef
 from freebax.verify import WitnessReport
 
 x = Monomial.of(x=1)
@@ -23,16 +23,19 @@ CTX = Context(INT, INT.coeff(2), ("x",))
 def test_reprs_are_pinned():
     assert repr(Zmod(9)) == "Ring(kind='mod', modulus=9)"
     assert repr(INT.coeff(3)) == "Coeff(ring=Ring(kind='int', modulus=None), value=3)"
-    assert repr(Add(VarRef("x"), Lit(1))) == "Add(left=VarRef(name='x'), right=Lit(num=1, den=1))"
+    assert repr(Sum(VarRef("x"), ((False, Lit(1)),))) == (
+        "Sum(first=VarRef(name='x'), rest=((False, Lit(num=1, den=1)),))")
     assert repr(x) == "Monomial(exps=(('x', 1),))"
     assert repr(LamRef()) == "LamRef()"
 
 
 def test_equality_compares_the_class_then_the_fields():
     a, b = VarRef("x"), Lit(1)
-    assert Add(a, b) == Add(VarRef("x"), Lit(1, 1))
-    assert Add(a, b) != Sub(a, b)
-    assert Add(a, b) != Add(b, a)
+    assert Sum(a, ((False, b),)) == Sum(VarRef("x"), ((False, Lit(1, 1)),))
+    assert Sum(a, ((False, b),)) != Sum(a, ((True, b),))
+    assert Sum(a, ((False, b),)) != Sum(b, ((False, a),))
+    # the same fields under another class
+    assert Product((a, b)) != Tensor((a, b))
     assert Zmod(9) != Zmod(3) and RAT != INT
     assert Zmod(9) != "mod:9" and Lit(1) != (1, 1)
     assert LamRef() == LamRef()
@@ -41,7 +44,7 @@ def test_equality_compares_the_class_then_the_fields():
 @pytest.mark.parametrize("make", [
     lambda: Zmod(9),
     lambda: RAT.coeff(3),
-    lambda: Add(VarRef("x"), Lit(1)),
+    lambda: Sum(VarRef("x"), ((False, Lit(1)),)),
     lambda: LamRef(),
     lambda: Context(INT, INT.coeff(2), ("x",)),
     lambda: element(CTX, {(x, x): 3, (x,): 1}),
@@ -104,7 +107,7 @@ def test_post_init_still_checks():
 @pytest.mark.parametrize("make", [
     lambda: Zmod(9),
     lambda: RAT.coeff(3),
-    lambda: Add(VarRef("x"), Lit(1)),
+    lambda: Sum(VarRef("x"), ((False, Lit(1)),)),
     lambda: CTX,
     lambda: element(CTX, {(x, x): 3, (x,): 1}) + scalar(CTX, 1),
     lambda: make_series(CTX, 3, {1: unit_word(CTX, 1)}),

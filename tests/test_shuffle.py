@@ -883,8 +883,12 @@ class TestInputChecks:
         (lambda ctx: unit_word(ctx, -1), "degree must be nonnegative"),
         (lambda ctx: element(ctx, {(): 1}), "tensor words must have at least one factor"),
         (lambda ctx: variable(ctx, "z"), "unknown variable 'z'"),
+        # a monomial outside the context would render as text that does not parse back
+        (lambda ctx: element(ctx, {(UNIT_MONOMIAL, Monomial.of(x=1, z=2)): 1}), "unknown variable 'z'"),
+        (lambda ctx: tensor_word(ctx, Monomial.of(x=1), Monomial.of(z=1)), "unknown variable 'z'"),
         (lambda ctx: p_x_power(variable(ctx, "x"), -1), "iteration count must be a nonnegative integer"),
-    ], ids=["unit-word-degree", "empty-word", "unknown-variable", "p-x-power-count"])
+    ], ids=["unit-word-degree", "empty-word", "unknown-variable", "element-variable", "tensor-word-variable",
+            "p-x-power-count"])
     def test_constructor_arguments(self, build, message):
         with pytest.raises(ValueError) as err:
             build(ctx_int(1, ("x",)))
@@ -896,6 +900,11 @@ class TestInputChecks:
         with pytest.raises(ValueError) as err:
             apply_mixable(ms, (UNIT_MONOMIAL,) * m, (UNIT_MONOMIAL,) * n)
         assert str(err.value) == "tail lengths do not match the shuffle shape"
+
+    def test_word_factor_of_another_type(self):
+        with pytest.raises(TypeError) as err:
+            element(ctx_int(1, ("x",)), {("x",): 1})
+        assert str(err.value) == "word factors must be monomials, got 'x'"
 
     def test_operand_of_another_type(self):
         a = unit_word(ctx_int(1), 1)

@@ -22,39 +22,32 @@ def _delattr(self, name):
     raise _frozen("delete", name)
 
 
-def record(cls=None, *, interned=False):
+def record(cls):
     """Decorate a frozen value class.
 
     Each annotated field, in order, is a parameter of ``__init__``, with the
     class attribute of the same name, if any, as its default; ``__init__``
     ends by calling ``__post_init__`` where the class defines one.  Equality
     compares the class and then the tuple of fields, and ``__hash__`` hashes
-    that tuple unless the class body defines its own.
-
-    An ``interned`` class builds its instances in ``__new__``, one per value:
-    it gets only the repr and the guard, and equality and hashing stay
-    object identity.
+    that tuple unless the class defines or inherits its own.
     """
-    if cls is None:
-        return lambda c: record(c, interned=interned)
     names = list(cls.__annotations__)
     defaults = {n: cls.__dict__[n] for n in names if n in cls.__dict__}
     fields = "".join(f"self.{n}," for n in names)
     others = "".join(f"other.{n}," for n in names)
     shown = ", ".join(f"{n}={{self.{n}!r}}" for n in names)
-    src = [f"def __repr__(self):\n return f'{{self.__class__.__qualname__}}({shown})'"]
-    if not interned:
-        params = "".join(f", {n}=_d_{n}" if n in defaults else f", {n}" for n in names)
-        body = "".join(f" _set(self, {n!r}, {n})\n" for n in names)
-        if hasattr(cls, "__post_init__"):
-            body += " self.__post_init__()\n"
-        src.append(f"def __init__(self{params}):\n{body or ' pass'}")
-        src.append("def __eq__(self, other):\n"
-                   " if other.__class__ is self.__class__:\n"
-                   f"  return ({fields}) == ({others})\n"
-                   " return NotImplemented")
-        if "__hash__" not in cls.__dict__:
-            src.append(f"def __hash__(self):\n return hash(({fields}))")
+    params = "".join(f", {n}=_d_{n}" if n in defaults else f", {n}" for n in names)
+    body = "".join(f" _set(self, {n!r}, {n})\n" for n in names)
+    if hasattr(cls, "__post_init__"):
+        body += " self.__post_init__()\n"
+    src = [f"def __repr__(self):\n return f'{{self.__class__.__qualname__}}({shown})'",
+           f"def __init__(self{params}):\n{body or ' pass'}",
+           "def __eq__(self, other):\n"
+           " if other.__class__ is self.__class__:\n"
+           f"  return ({fields}) == ({others})\n"
+           " return NotImplemented"]
+    if cls.__hash__ is object.__hash__:
+        src.append(f"def __hash__(self):\n return hash(({fields}))")
     ns = {"__name__": cls.__module__, "_set": object.__setattr__,
           **{f"_d_{n}": v for n, v in defaults.items()}}
     exec("\n".join(src), ns)

@@ -16,14 +16,13 @@ the whole process, so it is not capped.
 """
 from __future__ import annotations
 
-from ._record import record
+from ._record import _delattr, _setattr
 
 
 # exponent tuple -> its one Monomial instance
 _INTERNED: dict[tuple[tuple[str, int], ...], Monomial] = {}
 
 
-@record(interned=True)
 class Monomial:
     """A power product of variables, stored as sorted (name, exponent) pairs
     with strictly positive exponents; the empty product is the unit.
@@ -35,6 +34,9 @@ class Monomial:
     """
 
     exps: tuple[tuple[str, int], ...]
+
+    __setattr__ = _setattr
+    __delattr__ = _delattr
 
     def __new__(cls, exps: tuple[tuple[str, int], ...] = ()) -> Monomial:
         m = _INTERNED.get(exps)
@@ -50,6 +52,9 @@ class Monomial:
         object.__setattr__(m, "sort_key", (sum(e for _, e in exps), exps))
         # setdefault keeps one instance even if two threads build it at once
         return _INTERNED.setdefault(exps, m)
+
+    def __repr__(self):
+        return f"Monomial(exps={self.exps!r})"
 
     def __reduce__(self):
         # copy and pickle rebuild through the table, keeping identity

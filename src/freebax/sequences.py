@@ -48,7 +48,7 @@ from ._record import record
 from .poly import PRODUCTS, UNIT_MONOMIAL
 from .rings import Coeff, Ring, RingMismatchError, is_zero_divisor
 from .series import Series
-from .shuffle import Context, ContextMismatchError, Element, Word, _degree0_raw, _TermStore, word_key
+from .shuffle import Context, ContextMismatchError, Element, Word, _check_monomial, _degree0_raw, _TermStore, word_key
 
 
 class PhiInjectivityWarning(UserWarning):
@@ -63,8 +63,6 @@ class BarElement(_TermStore):
 
     ring: Ring
     _raw: dict
-
-    __hash__ = _TermStore.__hash__
 
     @property
     def level(self) -> int:
@@ -128,6 +126,8 @@ def bar(ring: Ring, level: int, mapping) -> BarElement:
     for w, c in dict(mapping).items():
         if len(w) != level:
             raise ValueError(f"word length {len(w)} != level {level}")
+        for m in w:
+            _check_monomial(m)
         acc[_trimmed(w)] = ring.raw(c)
     return BarElement(ring, ring.reduce(acc))
 
@@ -200,11 +200,18 @@ class SequenceElement:
         return "\n".join(f"[{k + 1}] {e}" for k, e in enumerate(self.entries))
 
 
+def _check_length(length: int) -> None:
+    if length < 1:
+        raise ValueError("sequence length must be at least 1")
+
+
 def seq_zero(ctx: Context, length: int) -> SequenceElement:
+    _check_length(length)
     return SequenceElement(ctx, (bar_zero(ctx.ring),) * length)
 
 
 def seq_one(ctx: Context, length: int) -> SequenceElement:
+    _check_length(length)
     return SequenceElement(ctx, (bar_one(ctx.ring),) * length)
 
 
@@ -260,8 +267,7 @@ def t_sequence(ctx: Context, p: Element, length: int) -> SequenceElement:
     """The generator sequence of a polynomial, given as a degree-0
     element: entry k puts each term's monomial in slot k of a level-k word,
     all earlier slots unit."""
-    if length < 1:
-        raise ValueError("sequence length must be at least 1")
+    _check_length(length)
     if not isinstance(p, Element):
         raise TypeError(f"expected a degree-0 element, got {p!r}")
     out = [{} for _ in range(length)]
@@ -290,8 +296,7 @@ def phi(a: Element, length: int) -> SequenceElement:
     the module docstring.  When the weight is a zero divisor the map is
     still computed, but it need not be injective.
     """
-    if length < 1:
-        raise ValueError("sequence length must be at least 1")
+    _check_length(length)
     ctx = a.ctx
     _warn_if_not_injective(ctx)
     lam = ctx.ring.raw(ctx.lam)
@@ -315,8 +320,7 @@ def phi_constants(ctx: Context, coeffs, length: int) -> SequenceElement:
     """Closed form of phi on a combination of pure unit words: for input
     coefficients b_0..b_M (b_n weighting the degree-n unit word), entry n
     of the image is sum_i C(n-1, i) lam^i b_i over i = 0..n-1."""
-    if length < 1:
-        raise ValueError("sequence length must be at least 1")
+    _check_length(length)
     _warn_if_not_injective(ctx)
     ring = ctx.ring
     lam = ring.raw(ctx.lam)

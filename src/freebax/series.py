@@ -92,11 +92,17 @@ class Series:
         return f"{self._finite} + O(deg {self.precision + 1})"
 
 
+def _check_precision(precision: int) -> None:
+    if not isinstance(precision, int):
+        raise ValueError(f"precision must be an integer, got {precision!r}")
+    if precision < 0:
+        raise ValueError("precision must be nonnegative")
+
+
 def make_series(ctx: Context, precision: int, components) -> Series:
     """Validate a degree -> homogeneous element mapping and join it into a
     Series."""
-    if precision < 0:
-        raise ValueError("precision must be nonnegative")
+    _check_precision(precision)
     acc: dict = {}
     for d, e in dict(components).items():
         if e.ctx != ctx:
@@ -115,8 +121,7 @@ def zero_series(ctx: Context, precision: int) -> Series:
 
 def embed(a: Element, precision: int) -> Series:
     """View a finite element in the completion, forgetting degrees > precision."""
-    if precision < 0:
-        raise ValueError("precision must be nonnegative")
+    _check_precision(precision)
     top = precision + 1
     return Series(a.ctx, precision, Element(a.ctx, {w: v for w, v in a._raw.items() if len(w) <= top}))
 

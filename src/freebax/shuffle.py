@@ -57,6 +57,9 @@ class Context:
     def __post_init__(self):
         if self.lam.ring != self.ring:
             raise RingMismatchError("lambda must belong to the coefficient ring")
+        if isinstance(self.variables, str):
+            raise TypeError(f"variables must be a tuple of names, got {self.variables!r}")
+        object.__setattr__(self, "variables", tuple(self.variables))
         for v in self.variables:
             check_variable_name(v)
         if len(set(self.variables)) != len(self.variables):
@@ -80,8 +83,7 @@ class _TermStore:
     raw values of ``ring`` (see ``Ring.raw``), never mutated, and sorted
     only for ``terms``.  A subclass supplies ``ring``, ``_check`` and
     ``_new``, which builds its own kind from a fresh word -> raw value
-    dict, normalized in place, and binds ``__hash__``, which ``record``
-    would otherwise generate over the fields."""
+    dict, normalized in place."""
 
     def __hash__(self):
         return hash((self.ring, frozenset(self._raw.items())))
@@ -148,8 +150,6 @@ class Element(_TermStore):
     ctx: Context
     _raw: dict
 
-    __hash__ = _TermStore.__hash__
-
     @property
     def ring(self) -> Ring:
         return self.ctx.ring
@@ -187,14 +187,19 @@ def from_raw(ctx: Context, acc: dict) -> Element:
     return Element(ctx, ctx.ring.reduce(acc))
 
 
+def _check_monomial(m) -> None:
+    """Raise TypeError unless the word factor ``m`` is a monomial."""
+    if type(m) is not Monomial:
+        raise TypeError(f"word factors must be monomials, got {m!r}")
+
+
 def _check_alphabet(ctx: Context, monomials) -> None:
     """Reject a word factor that is not a monomial, and a monomial with a
     variable outside ``ctx``, in the parser's words: its render would not
     parse back in ``ctx``."""
     names = ctx.variables
     for m in monomials:
-        if type(m) is not Monomial:
-            raise TypeError(f"word factors must be monomials, got {m!r}")
+        _check_monomial(m)
         for v, _ in m.exps:
             if v not in names:
                 raise ValueError(f"unknown variable {v!r}")

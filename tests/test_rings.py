@@ -18,6 +18,7 @@ from freebax import (
     bar,
     characteristic,
     element,
+    embed,
     evaluate_source,
     inverse,
     is_nilpotent,
@@ -31,6 +32,8 @@ from freebax import (
     reduce_vars,
     scalar,
     shuffle_product,
+    unit_word,
+    variable,
 )
 from freebax.sequences import PhiInjectivityWarning
 
@@ -75,6 +78,26 @@ class TestArithmetic:
     def test_pow(self):
         assert Zmod(9).coeff(2) ** 4 == Zmod(9).coeff(7)
         assert RAT.coeff(Fraction(1, 2)) ** 3 == RAT.coeff(Fraction(1, 8))
+
+
+class TestCoeffOnTheLeft:
+    """A coefficient hands an algebra value on its right to that value:
+    ``c * a`` scales it through ``__rmul__``, and ``c + a`` and ``c - a``
+    have no meaning."""
+
+    @pytest.mark.parametrize("make", [
+        lambda ctx: unit_word(ctx, 1) + variable(ctx, "x"),
+        lambda ctx: embed(unit_word(ctx, 1) + variable(ctx, "x"), 3),
+        lambda ctx: phi(unit_word(ctx, 1) + variable(ctx, "x"), 3),
+        lambda ctx: bar(INT, 2, {(UNIT_MONOMIAL, Monomial.of(x=1)): INT.coeff(2)}),
+    ], ids=["element", "series", "sequence", "bar"])
+    def test_coefficient_times_value(self, make):
+        a, c = make(Context(INT, INT.coeff(2), ("x",))), INT.coeff(3)
+        assert c * a == a + a + a
+        with pytest.raises(TypeError):
+            c + a
+        with pytest.raises(TypeError):
+            c - a
 
 
 class TestCharacteristic:

@@ -723,6 +723,18 @@ class TestInputChecks:
             bar(INT, 2, {(UNIT_MONOMIAL,): 1})
         assert str(err.value) == "word length 1 != level 2"
 
+    def test_bar_word_factor_of_another_type(self):
+        with pytest.raises(TypeError) as err:
+            bar(INT, 1, {("x",): INT.coeff(1)})
+        assert str(err.value) == "word factors must be monomials, got 'x'"
+
+    @pytest.mark.parametrize("make", [seq_zero, seq_one], ids=["zero", "one"])
+    @pytest.mark.parametrize("length", [0, -1])
+    def test_constant_sequence_length_must_be_positive(self, make, length):
+        with pytest.raises(ValueError) as err:
+            make(ctx_of(INT, 1), length)
+        assert str(err.value) == "sequence length must be at least 1"
+
     def test_bar_operand_of_another_type(self):
         b = bar_one(INT)
         for op in (lambda: b + 1.5, lambda: b * 1.5):

@@ -203,6 +203,17 @@ class TestSeriesContract:
         with pytest.raises(ValueError, match="nonnegative"):
             geometric_unit_series(ctx, INT.coeff(2), -1)
 
+    @pytest.mark.parametrize("build", [
+        lambda ctx: embed(unit_word(ctx, 1), 1.5),
+        lambda ctx: make_series(ctx, 1.5, {}),
+        lambda ctx: truncate(embed(unit_word(ctx, 1), 3), 1.5),
+    ], ids=["embed", "make-series", "truncate"])
+    def test_precision_must_be_an_integer(self, build):
+        # a fractional precision would print as O(deg 2.5)
+        with pytest.raises(ValueError) as err:
+            build(ctx_of(INT, 1))
+        assert str(err.value) == "precision must be an integer, got 1.5"
+
     def test_component_map_round_trip(self):
         ctx = ctx_of(Zmod(9), 3, ("x", "y"))
         rng = random.Random(41)

@@ -866,6 +866,18 @@ class TestContextChecks:
             Context(INT, INT.coeff(3), (name,))
         assert str(err.value) == message
 
+    def test_variables_as_a_string_are_rejected(self):
+        # "xy" would read as the names x and y, and variable(ctx, "xy")
+        # would pass its membership test as a substring
+        with pytest.raises(TypeError) as err:
+            Context(INT, INT.coeff(1), "xy")
+        assert str(err.value) == "variables must be a tuple of names, got 'xy'"
+
+    def test_variables_are_stored_as_a_tuple(self):
+        ctx = Context(INT, INT.coeff(1), ["x"])
+        assert ctx.variables == ("x",)
+        assert ctx == ctx_int(1, ("x",)) and hash(ctx) == hash(ctx_int(1, ("x",)))
+
     def test_scalar_embedding(self):
         ctx = ctx_int(1)
         assert scalar(ctx, 3) == one(ctx).scaled(3)

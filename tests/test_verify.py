@@ -1,3 +1,5 @@
+import json
+import os
 import random
 
 import pytest
@@ -31,6 +33,7 @@ from freebax.verify import SUITES, random_element
 
 x = Monomial.of(x=1)
 y = Monomial.of(y=1)
+PINNED_REPORT = os.path.join(os.path.dirname(__file__), "data", "verify_all.json")
 
 
 class TestCharPWitness:
@@ -214,9 +217,14 @@ class TestSuites:
         }
 
     def test_fast_suites_pass(self):
-        reports = run_suites(["prop-unit", "charp", "weight0-nilpotent", "ideal-quotient",
-                              "complete-zero-divisor", "int-lambda2"])
-        assert reports and all(r.verdict for r in reports)
+        # every suite but the two slow ones reproduces its reports in the
+        # pinned `freebax --json verify all` output, details included
+        reports = run_suites([n for n in SUITES if n not in ("lemma-power", "phi-homomorphism")])
+        with open(PINNED_REPORT) as f:
+            pinned = json.load(f)["report"]
+        assert [r.to_obj() for r in reports] == [
+            r for r in pinned if not r["claim"].startswith(("lemma-power", "phi-"))]
+        assert len(reports) == 41 and all(r.verdict for r in reports)
 
     @pytest.mark.parametrize("ring, lam", verify.BAXTER_IDENTITY_CONFIGS, ids=str)
     def test_random_pairs_have_no_zero_member(self, ring, lam):

@@ -26,17 +26,20 @@ is when m0 is the unit.  So the image of a word is built from one running
 prefix sum per entry of its tail's image.
 
 ``phi`` makes one bottom-up pass over the prefixes of its argument's
-words.  By linearity, what follows a prefix maps to the generator
-sequences of its one-factor words plus, over each next factor h, t(h) * P'
-of the image of what follows the prefix extended by h.  So a word adds its
-last factor's generator sequence to the image held by the rest, and the
-prefixes of each length, longest first, are prepended into their parents
-by ``_prepend``, which is ``p_prime`` too; the empty prefix's image is the
-result.  Nothing recurses, so words of any length go through.  Skipped
-are words longer than the sequence, as an n-factor word's image is zero in
-entries 1..n-1, and at weight 0 every word of two or more factors.  Slot
-products of bar elements are lookups in the monomial product table
-``poly.PRODUCTS``.
+trimmed words.  By linearity, what follows a prefix maps to the images of
+its one-factor words plus, over each next factor h, t(h) * P' of the image
+of what follows the prefix extended by h.  A factor m followed by a run of
+r units maps to t(m) * P'^r(1), whose entry k is lam^r C(k-1, r) t(m)_k,
+so a word adds that weighted generator sequence of its last non-unit
+factor to the image held by the prefix in front of it; a word of n units
+is the case m = 1, r = n-1, held by the empty prefix.  The prefixes of
+each length, longest first, are then prepended into their parents by
+``_prepend``, which is ``p_prime`` too; the empty prefix's image is the
+result.  Nothing recurses, and no pass walks a run of units, so words of
+any length go through.  Skipped are words longer than the sequence, as an
+n-factor word's image is zero in entries 1..n-1, and at weight 0 every
+word of two or more factors.  Slot products of bar elements are lookups
+in the monomial product table ``poly.PRODUCTS``.
 """
 from __future__ import annotations
 
@@ -201,6 +204,8 @@ class SequenceElement:
 
 
 def _check_length(length: int) -> None:
+    if not isinstance(length, int) or isinstance(length, bool):
+        raise TypeError(f"sequence length must be an integer, got {length!r}")
     if length < 1:
         raise ValueError("sequence length must be at least 1")
 
@@ -222,13 +227,15 @@ def _sequence(ctx: Context, entries: list[dict]) -> SequenceElement:
     return SequenceElement(ctx, tuple(BarElement(ring, ring.reduce(e)) for e in entries))
 
 
-def _add_generator(out: list[dict], m, v) -> None:
-    """Add v times the generator sequence t(m) into the raw entries ``out``:
-    entry k gets m in slot k of a level-k word, all earlier slots unit (the
-    trimmed word (1,) when m is the unit)."""
-    for k, target in enumerate(out):
+def _add_generator(out: list[dict], m, v, r: int = 0, lam=1) -> None:
+    """Add v times t(m) * P'^r(1) into the raw entries ``out``, the image of
+    m followed by r units: entry k gets lam^r C(k-1, r) v on m in slot k of
+    a level-k word, all earlier slots unit (the trimmed word (1,) when m is
+    the unit).  At r = 0 this is v times the generator sequence t(m)."""
+    c = lam ** r * v
+    for k, target in enumerate(out[r:], r):
         w = (UNIT_MONOMIAL,) if m is UNIT_MONOMIAL else (UNIT_MONOMIAL,) * k + (m,)
-        target[w] = target.get(w, 0) + v
+        target[w] = target.get(w, 0) + comb(k, r) * c
 
 
 def _prepend(tail_images: list[dict], head, c, out: list[dict]) -> None:
@@ -292,23 +299,26 @@ def phi(a: Element, length: int) -> SequenceElement:
     first ``length`` entries.
 
     A word maps to (head generator sequence) * P'(image of the tail),
-    computed in one bottom-up pass over the prefixes of the words, as in
-    the module docstring.  When the weight is a zero divisor the map is
-    still computed, but it need not be injective.
+    computed in one bottom-up pass over the prefixes of the trimmed words,
+    as in the module docstring: a trailing run of r units is placed by the
+    weight lam^r C(k-1, r) on entry k, and a word of n units is the case
+    r = n-1.  When the weight is a zero divisor the map is still computed,
+    but it need not be injective.
     """
     _check_length(length)
     ctx = a.ctx
     _warn_if_not_injective(ctx)
     lam = ctx.ring.raw(ctx.lam)
+    # an n-factor word's image is zero in entries 1..n-1, and at weight 0
+    # so is the image of every word of two or more factors; a kept word is
+    # its trimmed form u and the length r of its trailing run of units
+    kept = [(_trimmed(w), len(w), v) for w, v in a._raw.items() if len(w) <= length and (len(w) == 1 or lam)]
     # levels[d] maps each d-factor prefix to the raw image, entries
     # 1..length - d, of the sum of what follows it in the words it begins
-    depth = min(length, max(map(len, a._raw), default=1))
+    depth = max((len(u) for u, _, _ in kept), default=1)
     levels = [defaultdict(lambda n=length - d: [{} for _ in range(n)]) for d in range(depth)]
-    for w, v in a._raw.items():
-        # an n-factor word's image is zero in entries 1..n-1, and at weight
-        # 0 so is the image of every word of two or more factors
-        if len(w) <= length and (len(w) == 1 or lam):
-            _add_generator(levels[len(w) - 1][w[:-1]], w[-1], v)
+    for u, n, v in kept:
+        _add_generator(levels[len(u) - 1][u[:-1]], u[-1], v, n - len(u), lam)
     while len(levels) > 1:
         parents = levels[-2]
         for p, image in levels.pop().items():
@@ -336,6 +346,7 @@ def phi_series(a: Series, length: int) -> SequenceElement:
     """phi extended to the completion.  Entry k only receives contributions
     from components of degree < k, so the first precision + 1 entries are
     exact, and components of degree >= length do not reach the image."""
+    _check_length(length)
     if length > a.precision + 1:
         raise ValueError(
             f"entries beyond {a.precision + 1} need components beyond precision {a.precision}"

@@ -1,5 +1,6 @@
 import contextlib
 import random
+import time
 import warnings
 from fractions import Fraction
 from math import comb
@@ -416,6 +417,28 @@ class TestPhi:
         img = phi(unit_word(ctx, 3000), 3)
         assert img.length == 3 and img.is_zero()
 
+    @pytest.mark.parametrize(
+        "ring, lam, warns",
+        [(INT, 2, False), (RAT, Fraction(3, 2), False), (Zmod(8), 4, True)],
+        ids=["int", "rat", "mod8-weight4"],
+    )
+    def test_unit_words_are_iterates_of_p_prime(self, ring, lam, warns):
+        # the unit word 1^(n+1) maps to P'^n(1); checked against P' itself,
+        # not against phi_constants, which shares the closed form
+        ctx = ctx_of(ring, lam)
+        want = seq_one(ctx, 14)
+        for n in range(13):
+            assert phi_expecting(warns, unit_word(ctx, n), 14) == want, n
+            want = p_prime(want)
+
+    def test_long_unit_run_is_fast(self, capsys):
+        # a run of units is placed in one step, not one pass per unit
+        start = time.perf_counter()
+        assert main(["phi", "U(6000)", "--len", "6001"]) == 0
+        elapsed = time.perf_counter() - start
+        assert capsys.readouterr().out.splitlines()[-1] == "[6001] T(1)"
+        assert elapsed < 1.0
+
     def test_warns_when_weight_is_a_zero_divisor(self):
         ctx = ctx_of(Zmod(9), 3)
         with pytest.warns(PhiInjectivityWarning):
@@ -438,13 +461,20 @@ def word_by_definition(ctx, w, length):
     return head * p_prime(word_by_definition(ctx, w[1:], length))
 
 
-REFEREE_CONTEXTS = [ctx_of(INT, 2), ctx_of(RAT, 1), ctx_of(Zmod(9), 3)]
+# beyond int, rat and mod:9, weight 0 and two nilpotent weights, whose
+# powers lam^r vanish for long enough runs of units
+REFEREE_CONTEXTS = [
+    ctx_of(INT, 2), ctx_of(RAT, 1), ctx_of(Zmod(9), 3), ctx_of(INT, 0), ctx_of(Zmod(8), 4), ctx_of(Zmod(4), 2),
+]
 monomials = st.builds(Monomial.of, x=st.integers(0, 2), y=st.integers(0, 2))
-words = st.lists(monomials, min_size=1, max_size=3).map(tuple)
+# words of up to 7 factors ending in a run of 0-5 units
+words = st.integers(0, 5).flatmap(
+    lambda r: st.lists(monomials, min_size=1, max_size=max(1, 7 - r)).map(lambda body: (*body, *(UNIT_MONOMIAL,) * r))
+)
 
 
-# phi of words of one to three factors over int, rat and mod:6, some
-# ending in units, as text and --json
+# phi of words of one to three factors over int, rat, mod:6 and mod:8,
+# some ending in units, as text and --json, with the expected stderr
 PHI_MIXED_GOLDENS = [
     pytest.param(
         ['--ring', 'int', '--lambda', '2', '--vars', 'x,y', 'phi', 'T(x) + T(x,1,y) - 2*T(1,1,1) + T(y,x,1)', '--len', '4'],
@@ -467,6 +497,7 @@ PHI_MIXED_GOLDENS = [
             ', "word": [[], [["y", 1]], [], [["x", 1]]]}, {"coeff": "8", "word": [[["y", 1]], [], [],'
             ' [["x", 1]]]}]}], "kind": "sequence"}}\n'
         ),
+        '',
         id='int',
     ),
     pytest.param(
@@ -491,6 +522,7 @@ PHI_MIXED_GOLDENS = [
             '/2", "word": [[], [["x", 1]], [], []]}, {"coeff": "1/8", "word": [[], [["y", 1]], [], [['
             '"x", 1]]]}, {"coeff": "1/2", "word": [[["x", 1]], [], [], []]}]}], "kind": "sequence"}}\n'
         ),
+        '',
         id='rat',
     ),
     pytest.param(
@@ -512,7 +544,31 @@ PHI_MIXED_GOLDENS = [
             '", 1]], []]}, {"coeff": "3", "word": [[["x", 1]], [], [["y", 1]], []]}, {"coeff": "3", "'
             'word": [[["x", 1]], [["y", 1]], [], []]}]}], "kind": "sequence"}}\n'
         ),
+        '',
         id='mod6',
+    ),
+    # trailing runs of units at a nilpotent weight: lam^2 = 4 and lam^3 = 0
+    pytest.param(
+        ['--ring', 'mod:8', '--lambda', '2', '--vars', 'x,y', 'phi', 'T(x,1,1) + 3*T(1,y,1) + U(2)', '--len', '5'],
+        (
+            '[1] 0\n'
+            '[2] 0\n'
+            '[3] 4*T(1,1,1) + 4*T(1,1,x) + 4*T(1,y,1)\n'
+            '[4] 4*T(1,1,1,1) + 4*T(1,1,1,x) + 4*T(1,y,1,1)\n'
+            '[5] 4*T(1,1,1,y) + 4*T(1,y,1,1)\n'
+        ),
+        (
+            '{"command": "phi", "context": {"lambda": "2", "ring": "mod:8", "variables": ["x", "y"]}, '
+            '"result": {"entries": [{"level": 1, "terms": []}, {"level": 1, "terms": []}, {"level": 3,'
+            ' "terms": [{"coeff": "4", "word": [[], [], []]}, {"coeff": "4", "word": [[], [], [["x", 1'
+            ']]]}, {"coeff": "4", "word": [[], [["y", 1]], []]}]}, {"level": 4, "terms": [{"coeff": "4'
+            '", "word": [[], [], [], []]}, {"coeff": "4", "word": [[], [], [], [["x", 1]]]}, {"coeff":'
+            ' "4", "word": [[], [["y", 1]], [], []]}]}, {"level": 4, "terms": [{"coeff": "4", "word": '
+            '[[], [], [], [["y", 1]]]}, {"coeff": "4", "word": [[], [["y", 1]], [], []]}]}], "kind": "'
+            'sequence"}}\n'
+        ),
+        'warning: lambda = 2 is a zero divisor in mod:8; phi may not be injective\n',
+        id='mod8-trailing-units',
     ),
 ]
 
@@ -522,7 +578,7 @@ class TestPhiReferee:
     @given(
         ctx=st.sampled_from(REFEREE_CONTEXTS),
         terms=st.dictionaries(words, st.integers(-4, 4), max_size=4),
-        length=st.integers(1, 6),
+        length=st.integers(1, 8),
     )
     @pytest.mark.filterwarnings("ignore::freebax.sequences.PhiInjectivityWarning")
     def test_matches_the_definitional_recursion(self, ctx, terms, length):
@@ -538,14 +594,14 @@ class TestPhiReferee:
         assert main(["--json", *argv]) == 0
         assert capsys.readouterr().out == PHI_GOLDEN_JSON
 
-    @pytest.mark.parametrize("argv, text, payload", PHI_MIXED_GOLDENS)
-    def test_golden_cli_output_on_mixed_lengths(self, capsys, argv, text, payload):
+    @pytest.mark.parametrize("argv, text, payload, err", PHI_MIXED_GOLDENS)
+    def test_golden_cli_output_on_mixed_lengths(self, capsys, argv, text, payload, err):
         # words of one to three factors, some ending in units, summed into
         # each entry
         assert main(argv) == 0
-        assert capsys.readouterr() == (text, "")
+        assert capsys.readouterr() == (text, err)
         assert main(["--json", *argv]) == 0
-        assert capsys.readouterr() == (payload, "")
+        assert capsys.readouterr() == (payload, err)
 
 
 # (x,) makes a word such as (h, x) a proper prefix of another, (h, x, 1)
@@ -734,6 +790,20 @@ class TestInputChecks:
         with pytest.raises(ValueError) as err:
             make(ctx_of(INT, 1), length)
         assert str(err.value) == "sequence length must be at least 1"
+
+    @pytest.mark.parametrize("length", [2.5, "a", True, None])
+    @pytest.mark.parametrize("make", [
+        lambda ctx, n: phi(one(ctx), n),
+        lambda ctx, n: phi_series(embed(one(ctx), 3), n),
+        lambda ctx, n: phi_constants(ctx, [INT.one()], n),
+        lambda ctx, n: t_sequence(ctx, one(ctx), n),
+        seq_zero,
+        seq_one,
+    ], ids=["phi", "phi_series", "phi_constants", "t_sequence", "zero", "one"])
+    def test_sequence_length_must_be_an_integer(self, make, length):
+        with pytest.raises(TypeError) as err:
+            make(ctx_of(INT, 1), length)
+        assert str(err.value) == f"sequence length must be an integer, got {length!r}"
 
     def test_bar_operand_of_another_type(self):
         b = bar_one(INT)

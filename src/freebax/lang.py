@@ -14,7 +14,9 @@ Grammar (whitespace-insensitive)::
 ``P`` is the Baxter operator; ``geom(c)`` is the geometric unit series,
 which promotes the whole evaluation to the completion at the working
 precision.  ``str`` of a value is canonical, and parse(str(a)) = a for
-finite a.
+finite a.  A sum is evaluated into one dict: a scaled word ``c*T(...)``
+adds its coefficient times the raw terms that ``shuffle._expand_word``,
+the expansion of ``tensor_word``, builds from the memoized word factors.
 """
 from __future__ import annotations
 
@@ -28,10 +30,10 @@ from .shuffle import (
     NAME,
     RESERVED,
     Context,
+    _expand_word,
     baxter_P,
     from_raw,
     scalar,
-    tensor_word,
     unit_word,
     variable,
 )
@@ -137,9 +139,9 @@ def _shown(tok: str) -> str:
 def _tokenize(src: str) -> list:
     tokens = _TOKEN.findall(src)
     limit = _int_limit()
-    if _BAD.search(src) or (limit and max(map(len, tokens), default=0) > limit):
+    if _BAD.search(src) or (limit and re.search(rf"(?<!\d)\d{{{limit + 1}}}", src)):
         # the first bad character or over-long literal, in source order; a
-        # long name alone is no error
+        # run of digits that ends a long name is no error
         for m in _TOKEN.finditer(src):
             tok = m.group(1)
             if _BAD.match(tok):
@@ -324,28 +326,40 @@ def parse(src: str, variables=None):
 
 # --- evaluation ---
 
-def _sum(node: Sum, evaluate_operand, ctx: Context):
-    """Evaluate a Sum in one dict: the raw terms of each operand go in as
-    soon as it is evaluated, and ``from_raw`` normalizes the dict once.  A
-    series operand adds its finite part and caps the precision, so the
-    result is the finite sum cut at the lowest series precision, which is
-    what adding the operands pairwise gives."""
+def _sum(node: Sum, evaluate_operand, word_factor, ctx: Context):
+    """Evaluate a Sum in one dict, normalized once by ``from_raw``: each
+    operand adds its sign times its literal first factor, if any, times its
+    raw terms, which ``_expand_word`` builds for a word from its memoized
+    factors, with no Element.  A series operand adds its finite part and
+    caps the precision, as adding the operands pairwise would."""
     acc: dict = {}
     get = acc.get
     precision = None
     for subtracted, operand in ((False, node.first), *node.rest):
-        value = evaluate_operand(operand)
-        if isinstance(value, sr.Series):
-            precision = value.precision if precision is None else min(precision, value.precision)
-            value = value.finite_part()
-        if subtracted:
-            for k, v in value.raw_items():
-                acc[k] = get(k, 0) - v
+        c = -1 if subtracted else 1
+        if type(operand) is Product and len(operand.factors) == 2:
+            lit, rest = _literal_first(operand.factors, ctx)
+            if lit is not None:
+                c, (operand,) = c * ctx.ring.raw(lit), rest
+        if type(operand) is Tensor:
+            items = _expand_word([word_factor(f) for f in operand.factors]).items()
         else:
-            for k, v in value.raw_items():
-                acc[k] = get(k, 0) + v
+            value = evaluate_operand(operand)
+            if isinstance(value, sr.Series):
+                precision = value.precision if precision is None else min(precision, value.precision)
+                value = value.finite_part()
+            items = value.raw_items()
+        for k, v in items:
+            acc[k] = get(k, 0) + c * v
     total = from_raw(ctx, acc)
     return total if precision is None else sr.embed(total, precision)
+
+
+def _literal_first(factors: tuple, ctx: Context):
+    """(the literal first factor's Coeff, the other factors), or (None, all
+    factors); the literal is read first, so its error precedes theirs."""
+    first = factors[0]
+    return (_literal(first, ctx), factors[1:]) if type(first) is Lit else (None, factors)
 
 
 def _product(node: Product, evaluate_operand, ctx: Context):
@@ -353,15 +367,11 @@ def _product(node: Product, evaluate_operand, ctx: Context):
     either order, is their product in the completion.  A literal first
     factor, as in a scaled word ``c*T(...)``, scales the next factor's
     value by its coefficient, with no scalar element and no product."""
-    factors = iter(node.factors)
-    first = next(factors)
-    if type(first) is Lit:
-        # the literal is read first, so its error precedes the operand's
-        c = _literal(first, ctx)
-        value = evaluate_operand(next(factors)) * c
-    else:
-        value = evaluate_operand(first)
-    for operand in factors:
+    c, factors = _literal_first(node.factors, ctx)
+    value = evaluate_operand(factors[0])
+    if c is not None:
+        value = value * c
+    for operand in factors[1:]:
         value = value * evaluate_operand(operand)
     return value
 
@@ -389,20 +399,22 @@ def evaluate(node, ctx: Context, precision: int = sr.DEFAULT_PRECISION):
     any other node, as a degree-0 element: the embedding of the base
     algebra, whose products are those of polynomials.  Each word-factor
     node is evaluated once per call, however many words share it."""
-    factors: dict = {}  # id of a word-factor node -> its element; lives for this call
+    factors: dict = {}  # id of a word-factor node -> its raw items; lives for this call
 
     def word_factor(f):
-        e = factors.get(id(f))
-        if e is None:
+        items = factors.get(id(f))
+        if items is None:
             e = value(f)
             if isinstance(e, sr.Series) or any(len(w) != 1 for w, _ in e.raw_items()):
                 raise EvalError("word factors must evaluate to polynomials, elements of degree 0")
-            factors[id(f)] = e
-        return e
+            items = factors[id(f)] = e.raw_items()
+        return items
 
     def value(node):
+        if type(node) is Tensor:
+            return from_raw(ctx, _expand_word([word_factor(f) for f in node.factors]))
         if type(node) is Sum:
-            return _sum(node, value, ctx)
+            return _sum(node, value, word_factor, ctx)
         if type(node) is Product:
             return _product(node, value, ctx)
         if isinstance(node, Lit):
@@ -415,8 +427,6 @@ def evaluate(node, ctx: Context, precision: int = sr.DEFAULT_PRECISION):
             return variable(ctx, node.name)
         if isinstance(node, UnitWord):
             return unit_word(ctx, node.degree)
-        if isinstance(node, Tensor):
-            return tensor_word(ctx, *[word_factor(f) for f in node.factors])
         if isinstance(node, Geom):
             ratio = _as_scalar(value(node.ratio), "geom ratio")
             return sr.geometric_unit_series(ctx, ratio, precision)

@@ -232,10 +232,12 @@ def _add_generator(out: list[dict], m, v, r: int = 0, lam=1) -> None:
     m followed by r units: entry k gets lam^r C(k-1, r) v on m in slot k of
     a level-k word, all earlier slots unit (the trimmed word (1,) when m is
     the unit).  At r = 0 this is v times the generator sequence t(m)."""
-    c = lam ** r * v
+    # b is C(k, r) and w the word of entry k, both carried to entry k + 1
+    b, c = 1, lam ** r * v
+    w, pad = ((m,), ()) if m is UNIT_MONOMIAL else ((UNIT_MONOMIAL,) * r + (m,), (UNIT_MONOMIAL,))
     for k, target in enumerate(out[r:], r):
-        w = (UNIT_MONOMIAL,) if m is UNIT_MONOMIAL else (UNIT_MONOMIAL,) * k + (m,)
-        target[w] = target.get(w, 0) + comb(k, r) * c
+        target[w] = target.get(w, 0) + b * c
+        b, w = b * (k + 1) // (k + 1 - r), pad + w
 
 
 def _prepend(tail_images: list[dict], head, c, out: list[dict]) -> None:

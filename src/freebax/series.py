@@ -93,7 +93,7 @@ class Series:
 
 
 def _check_precision(precision: int) -> None:
-    if not isinstance(precision, int):
+    if not isinstance(precision, int) or isinstance(precision, bool):
         raise ValueError(f"precision must be an integer, got {precision!r}")
     if precision < 0:
         raise ValueError("precision must be nonnegative")
@@ -127,6 +127,7 @@ def embed(a: Element, precision: int) -> Series:
 
 
 def truncate(a: Series, precision: int) -> Series:
+    _check_precision(precision)
     if precision > a.precision:
         raise ValueError("cannot raise precision: the missing components are unknown")
     return embed(a._finite, precision)
@@ -149,6 +150,7 @@ def complete_P(a: Series) -> Series:
 def geometric_unit_series(ctx: Context, c: Coeff, precision: int) -> Series:
     """The series whose degree-n component is c^n times the unit word of
     degree n (the n = 0 term is always the algebra unit)."""
+    _check_precision(precision)
     acc = {}
     cn = ctx.ring.one()
     for n in range(precision + 1):

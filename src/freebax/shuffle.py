@@ -227,6 +227,8 @@ def one(ctx: Context) -> Element:
 
 def unit_word(ctx: Context, degree: int) -> Element:
     """The degree-n word 1 (x) ... (x) 1 with n+1 unit factors."""
+    if not isinstance(degree, int) or isinstance(degree, bool):
+        raise TypeError(f"degree must be an integer, got {degree!r}")
     if degree < 0:
         raise ValueError("degree must be nonnegative")
     return from_raw(ctx, {(UNIT_MONOMIAL,) * (degree + 1): 1})
@@ -256,35 +258,39 @@ def _degree0_raw(ctx: Context, f: Element) -> dict:
 
 def tensor_word(ctx: Context, *factors) -> Element:
     """Build a word from factors that are monomials or polynomials, given
-    as degree-0 elements, expanding multilinearly so that the result is
-    supported on monomial words."""
+    as degree-0 elements, expanding multilinearly by ``_expand_word`` so
+    that the result is supported on monomial words."""
     if not factors:
         raise ValueError("tensor words must have at least one factor")
+    items = []
+    for f in factors:
+        if isinstance(f, Monomial):
+            _check_alphabet(ctx, (f,))
+            items.append((((f,), 1),))
+        elif isinstance(f, Element):
+            items.append(_degree0_raw(ctx, f).items())
+        else:
+            raise TypeError(f"word factors must be monomials or degree-0 elements, got {f!r}")
+    return from_raw(ctx, _expand_word(items))
+
+
+def _expand_word(factors) -> dict:
+    """The one multilinear expansion of a word, for ``tensor_word`` and the
+    evaluator, from the raw items of degree-0 factors to a raw dict."""
     # one word and its coefficient while every factor is one term; then
     # distinct prefixes extended by distinct monomials stay distinct, so
     # each step is a plain dict build; from_raw drops products that vanish
     word, coeff, acc = (), 1, None
-    for f in factors:
-        if isinstance(f, Monomial):
-            _check_alphabet(ctx, (f,))
-            if acc is None:
-                word += (f,)
-            else:
-                acc = {w + (f,): v for w, v in acc.items()}
-        elif isinstance(f, Element):
-            raw = _degree0_raw(ctx, f)
-            if acc is None:
-                if len(raw) == 1:
-                    (u, c), = raw.items()
-                    word += u
-                    coeff = coeff * c
-                    continue
-                acc = {word: coeff}
-            items = raw.items()
-            acc = {w + u: v * c for w, v in acc.items() for u, c in items}
-        else:
-            raise TypeError(f"word factors must be monomials or degree-0 elements, got {f!r}")
-    return from_raw(ctx, {word: coeff} if acc is None else acc)
+    for items in factors:
+        if acc is None:
+            if len(items) == 1:
+                (u, c), = items
+                word += u
+                coeff = coeff * c
+                continue
+            acc = {word: coeff}
+        acc = {w + u: v * c for w, v in acc.items() for u, c in items}
+    return {word: coeff} if acc is None else acc
 
 
 def degree_components(a: Element) -> dict[int, Element]:

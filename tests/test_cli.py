@@ -9,7 +9,7 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
-from math import gcd
+from math import comb, gcd
 
 import pytest
 from hypothesis import example, given, settings
@@ -212,6 +212,41 @@ class TestEvaluation:
         # its error comes first
         with pytest.raises(EvalError, match="1/2 is not an integer"):
             evaluate_source("1/2*geom(U(1))", Context(INT, INT.coeff(1)))
+
+    @pytest.mark.parametrize("ring, src, message", [
+        (INT, "1/2*T(x)", "1/2 is not an integer"),
+        (Zmod(6), "2/3*T(x)", "3 is not invertible in mod:6"),
+        # before the error of the word it scales
+        (INT, "1/2*T(z)", "1/2 is not an integer"),
+        (INT, "T(x) + 1/2*T(1/3)", "1/2 is not an integer"),
+        (Zmod(6), "T(x) - 2/3*T(x, 1/2)", "3 is not invertible in mod:6"),
+    ], ids=["int", "mod6", "int-unknown-variable", "int-sum", "mod6-sum"])
+    def test_a_scaled_word_raises_its_literal_error_first(self, ring, src, message):
+        with pytest.raises(EvalError) as err:
+            evaluate(parse(src), Context(ring, ring.coeff(1), ("x",)))
+        assert str(err.value) == message
+
+    def test_a_sum_of_scaled_words_builds_no_element_per_term(self, monkeypatch):
+        rng = random.Random(27)
+        terms, factors = [], set()
+        for i in range(300):
+            word = [rng.choice(("x", "y", "1", "3")) for _ in range(1 + i % 4)]
+            factors.update(word)
+            c = rng.randint(1, 9)
+            terms.append(f"{c}*T({','.join(word)})" if c > 1 else f"T({','.join(word)})")
+        signs = [rng.choice("+-") for _ in terms[1:]]
+        src = terms[0] + "".join(f" {sign} {term}" for sign, term in zip(signs, terms[1:]))
+        ctx = Context(RAT, RAT.coeff(1), ("x", "y"))
+        expected = pairwise_fold(terms, signs, ctx, 1)
+        calls = []
+        for module in (lang, freebax.shuffle):
+            def counting(ctx, acc, from_raw=module.from_raw):
+                calls.append(len(acc))
+                return from_raw(ctx, acc)
+            monkeypatch.setattr(module, "from_raw", counting)
+        assert evaluate_source(src, ctx) == expected
+        # one element per distinct word factor, and one for the sum
+        assert len(calls) <= len(factors) + 1
 
     def test_geom_requires_scalar_ratio(self):
         ctx = Context(INT, INT.coeff(1))
@@ -777,6 +812,19 @@ class TestCommandLine:
         assert time.perf_counter() - start < 1.0
         assert result == (2, "", f"error: invalid {ring} coefficient {text!r}\n")
 
+    def test_a_long_unit_run_is_placed_in_one_pass(self, capsys):
+        # entry k of phi(U(n)) is lam^n C(k-1, n) T(1), by one running binomial
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "--ring", "mod:7", "--lambda", "2", "phi", "U(6000)", "--len", "12001")
+        assert time.perf_counter() - start < 1.0
+        assert (code, err) == (0, "")
+        lines = out.splitlines()
+        assert len(lines) == 12001
+        assert lines[:6000] == [f"[{k}] 0" for k in range(1, 6001)]
+        for k in (6001, 6002, 6008, 9000, 12001):
+            c = pow(2, 6000, 7) * comb(k - 1, 6000) % 7
+            assert lines[k - 1] == f"[{k}] " + ("0" if not c else "T(1)" if c == 1 else f"{c}*T(1)")
+
     @pytest.mark.parametrize("argv, message", [
         (("--ring", "int", "--lambda", "1/0", "eval", "1"), "zero denominator in int coefficient '1/0'"),
         (("--ring", "int", "--lambda", "1/2", "eval", "1"), "1/2 is not an integer"),
@@ -964,6 +1012,34 @@ def literals(ring):
         lambda t: (f"{t[0]}/{t[1]}", ring.coeff(t[0] * pow(t[1], -1, ring.modulus))))
 
 
+SCALED_WORD_CONTEXTS = [Context(ring, ring.coeff(2), ("x", "y")) for ring in (INT, RAT, Zmod(6), Zmod(7))]
+
+
+def polynomial_texts():
+    """Source text of sums, products and powers of x and y."""
+    return st.recursive(
+        st.sampled_from(["x", "y", "1", "2"]),
+        lambda children: st.one_of(
+            st.tuples(children, st.sampled_from("+-*"), children).map(lambda t: f"({t[0]}) {t[1]} ({t[2]})"),
+            st.tuples(children, st.integers(0, 3)).map(lambda t: f"({t[0]})^{t[1]}"),
+        ),
+        max_leaves=4,
+    )
+
+
+@st.composite
+def scaled_word_terms(draw, ring):
+    """One operand of a sum of scaled words: c*T(...), -T(...), n/d*T(...)
+    or T(...)."""
+    word = "T(" + ", ".join(draw(st.lists(polynomial_texts(), min_size=1, max_size=3))) + ")"
+    kind = draw(st.sampled_from(["int", "neg", "ratio", "plain"]))
+    if kind == "int":
+        return f"{draw(st.integers(0, 12))}*{word}"
+    if kind == "ratio":
+        return f"{draw(literals(ring))[0]}*{word}"
+    return "-" + word if kind == "neg" else word
+
+
 def enumerated_power(a, k):
     """a^k as k products by the enumeration oracle, starting from one."""
     out = one(a.ctx)
@@ -1046,6 +1122,17 @@ class TestProperties:
         operands, signs = signed
         src = operands[0] + "".join(f" {sign} {operand}" for sign, operand in zip(signs, operands[1:]))
         assert evaluate_source(src, ctx, precision) == pairwise_fold(operands, signs, ctx, precision)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.sampled_from(SCALED_WORD_CONTEXTS), st.data(), st.integers(0, 4))
+    def test_a_sum_of_scaled_words_equals_the_termwise_fold(self, ctx, data, precision):
+        terms = data.draw(st.lists(scaled_word_terms(ctx.ring), min_size=1, max_size=8))
+        if data.draw(st.booleans()):
+            k, r = data.draw(st.integers(0, 5)), data.draw(st.integers(-2, 2))
+            terms.insert(data.draw(st.integers(0, len(terms))), f"{k}*geom({r})")
+        signs = data.draw(st.lists(st.sampled_from("+-"), min_size=len(terms) - 1, max_size=len(terms) - 1))
+        src = terms[0] + "".join(f" {sign} {term}" for sign, term in zip(signs, terms[1:]))
+        assert evaluate_source(src, ctx, precision) == pairwise_fold(terms, signs, ctx, precision)
 
     @settings(max_examples=120, deadline=None, derandomize=True)
     @given(st.sampled_from(CONTEXTS), st.data())

@@ -214,6 +214,19 @@ class TestSeriesContract:
             build(ctx_of(INT, 1))
         assert str(err.value) == "precision must be an integer, got 1.5"
 
+    @pytest.mark.parametrize("precision", [True, False, "a", None, 2.5])
+    @pytest.mark.parametrize("build", [
+        lambda ctx, n: embed(unit_word(ctx, 1), n),
+        lambda ctx, n: make_series(ctx, n, {}),
+        lambda ctx, n: truncate(embed(unit_word(ctx, 1), 3), n),
+        lambda ctx, n: geometric_unit_series(ctx, INT.coeff(2), n),
+    ], ids=["embed", "make-series", "truncate", "geometric"])
+    def test_precision_is_checked_before_use(self, build, precision):
+        # a bool is no precision, though it is an int
+        with pytest.raises(ValueError) as err:
+            build(ctx_of(INT, 1), precision)
+        assert str(err.value) == f"precision must be an integer, got {precision!r}"
+
     def test_component_map_round_trip(self):
         ctx = ctx_of(Zmod(9), 3, ("x", "y"))
         rng = random.Random(41)

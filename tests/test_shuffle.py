@@ -906,6 +906,12 @@ class TestInputChecks:
             build(ctx_int(1, ("x",)))
         assert str(err.value) == message
 
+    @pytest.mark.parametrize("degree", [1.5, "a", True, None])
+    def test_unit_word_degree_must_be_an_integer(self, degree):
+        with pytest.raises(TypeError) as err:
+            unit_word(ctx_int(1), degree)
+        assert str(err.value) == f"degree must be an integer, got {degree!r}"
+
     @pytest.mark.parametrize("m, n", [(0, 1), (1, 0), (2, 1), (1, 2)])
     def test_apply_mixable_tails_must_fit_the_shape(self, m, n):
         ms = enumerate_mixable_shuffles(1, 1)[0]

@@ -25,7 +25,7 @@ import sys
 
 from . import series as sr
 from ._record import record
-from .rings import Coeff, literal_coeff
+from .rings import Coeff, literal_value
 from .shuffle import (
     NAME,
     RESERVED,
@@ -337,10 +337,10 @@ def _sum(node: Sum, evaluate_operand, word_factor, ctx: Context):
     precision = None
     for subtracted, operand in ((False, node.first), *node.rest):
         c = -1 if subtracted else 1
-        if type(operand) is Product and len(operand.factors) == 2:
-            lit, rest = _literal_first(operand.factors, ctx)
-            if lit is not None:
-                c, (operand,) = c * ctx.ring.raw(lit), rest
+        if type(operand) is Product and len(operand.factors) == 2 and type(operand.factors[0]) is Lit:
+            # the literal is read first, so its error precedes the word's
+            lit, operand = operand.factors
+            c *= _literal_value(lit, ctx)
         if type(operand) is Tensor:
             items = _expand_word([word_factor(f) for f in operand.factors]).items()
         else:
@@ -355,19 +355,15 @@ def _sum(node: Sum, evaluate_operand, word_factor, ctx: Context):
     return total if precision is None else sr.embed(total, precision)
 
 
-def _literal_first(factors: tuple, ctx: Context):
-    """(the literal first factor's Coeff, the other factors), or (None, all
-    factors); the literal is read first, so its error precedes theirs."""
-    first = factors[0]
-    return (_literal(first, ctx), factors[1:]) if type(first) is Lit else (None, factors)
-
-
 def _product(node: Product, evaluate_operand, ctx: Context):
     """Evaluate a Product left to right; a series times an element, in
     either order, is their product in the completion.  A literal first
     factor, as in a scaled word ``c*T(...)``, scales the next factor's
     value by its coefficient, with no scalar element and no product."""
-    c, factors = _literal_first(node.factors, ctx)
+    factors, c = node.factors, None
+    if type(factors[0]) is Lit:
+        # read first, so its error precedes the other factors'
+        c, factors = _literal(factors[0], ctx), factors[1:]
     value = evaluate_operand(factors[0])
     if c is not None:
         value = value * c
@@ -376,11 +372,16 @@ def _product(node: Product, evaluate_operand, ctx: Context):
     return value
 
 
-def _literal(node: Lit, ctx: Context) -> Coeff:
+def _literal_value(node: Lit, ctx: Context):
+    """The raw value of a literal, its reading error an EvalError."""
     try:
-        return literal_coeff(ctx.ring, node.num, node.den)
+        return literal_value(ctx.ring, node.num, node.den)
     except ValueError as exc:
         raise EvalError(str(exc)) from None
+
+
+def _literal(node: Lit, ctx: Context) -> Coeff:
+    return ctx.ring.coeff(_literal_value(node, ctx))
 
 
 def _as_scalar(value, what: str) -> Coeff:

@@ -31,6 +31,8 @@ class Monomial:
     equality and hashing are object identity and run in C, which matters
     because words of monomials are hashed constantly.  The table holds
     every distinct monomial the process builds, for the life of the process.
+    Each keeps its ``sort_key`` and its ``text``, the ``str``, made once
+    when it is interned.
     """
 
     exps: tuple[tuple[str, int], ...]
@@ -50,6 +52,8 @@ class Monomial:
         m = object.__new__(cls)
         object.__setattr__(m, "exps", exps)
         object.__setattr__(m, "sort_key", (sum(e for _, e in exps), exps))
+        text = "*".join(v if e == 1 else f"{v}^{e}" for v, e in exps) or "1"
+        object.__setattr__(m, "text", text)
         # setdefault keeps one instance even if two threads build it at once
         return _INTERNED.setdefault(exps, m)
 
@@ -84,9 +88,7 @@ class Monomial:
         return [[v, e] for v, e in self.exps]
 
     def __str__(self):
-        if not self.exps:
-            return "1"
-        return "*".join(v if e == 1 else f"{v}^{e}" for v, e in self.exps)
+        return self.text
 
 
 UNIT_MONOMIAL = Monomial()

@@ -279,20 +279,26 @@ def lambda_valuation(c: Coeff, lam: Coeff) -> int | float:
     return v
 
 
-def literal_coeff(ring: Ring, num: int, den: int) -> Coeff:
-    """The literal num/den in ``ring``, for den > 0: exact division over
-    the integers, num * den^-1 over the rationals and Z/m.  This is the
-    one reading of a coefficient literal, for flags and expressions alike."""
-    if den == 1:
-        return Coeff(ring, num)
+def literal_value(ring: Ring, num: int, den: int):
+    """The raw value (see ``Ring.raw``) of the literal num/den in ``ring``,
+    for den > 0: exact division over the integers, num * den^-1 over the
+    rationals and Z/m.  This is the one reading of a coefficient literal,
+    for flags and expressions alike."""
+    if ring.kind == "mod":
+        m = ring.modulus
+        if math.gcd(den, m) != 1:
+            raise ValueError(f"{den} is not invertible in {ring}")
+        return num * pow(den, -1, m) % m
+    if not num % den:
+        return num // den
     if ring.kind == "int":
-        if num % den:
-            raise ValueError(f"{num}/{den} is not an integer")
-        return Coeff(ring, num // den)
-    d = Coeff(ring, den)
-    if not is_unit(d):
-        raise ValueError(f"{den} is not invertible in {ring}")
-    return Coeff(ring, num) * inverse(d)
+        raise ValueError(f"{num}/{den} is not an integer")
+    return Fraction(num, den)
+
+
+def literal_coeff(ring: Ring, num: int, den: int) -> Coeff:
+    """The literal num/den in ``ring`` as a Coeff, read by ``literal_value``."""
+    return Coeff(ring, literal_value(ring, num, den))
 
 
 # an expression literal, n or n/d, with an optional sign

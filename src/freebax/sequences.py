@@ -8,22 +8,30 @@ algebra structure and the summing operator P'; the morphism ``phi``
 realizes the shuffle algebra inside it by sending a word to head-sequence
 times P' of the tail's image.
 
-A bar element stores an unsorted dict from trimmed words (no trailing
-unit factor, but a word of units keeps one) to raw ring values: ``int``,
-or over the rationals ``int`` or ``Fraction`` (integral rationals enter
-as ints, whose arithmetic is several times faster), reduced mod m and
-nonzero.  Sums are the term store's, and a product of trimmed words is
-trimmed, so words are trimmed only where padded ones come in, in ``bar``.
-Only the display pads: ``level`` is the length of the longest word, and
-the sorted ``(word, Coeff)`` view ``terms`` pads every word to it, built
-only when something reads it, such as ``to_obj``.
+A bar element stores an unsorted dict from words to raw ring values:
+``int``, or over the rationals ``int`` or ``Fraction`` (integral rationals
+enter as ints, whose arithmetic is several times faster), reduced mod m
+and nonzero.  A word is keyed by its non-unit slots, the pairs
+(slot, monomial) with a monomial other than the unit in slot order, slots
+counted from 0, and () is the word of units; so a word and its padding are
+one key.  Padded words come in only through ``bar`` and ``coefficient``,
+and go out only through ``terms``, the sorted ``(word, Coeff)`` view that
+pads every word to ``level``, one past the last non-unit slot of any word;
+it is built only when something reads it, such as ``to_obj`` or ``str``.
+Sums are the term store's.  A product of two slot lists is one list: a
+unit word is neutral, lists on disjoint slot ranges are concatenated, and
+other pairs are merged from the last slot down, a shared slot multiplied
+by a lookup in the monomial product table ``poly.PRODUCTS``.  A product
+of non-unit monomials is never the unit, so no product stores a unit.
 
 ``phi`` does not multiply sequences.  Entry k of phi(m0 (x) w') is
-t(m0)_k * lam * sum_{j<k} phi(w')_j.  The words of that partial sum have
-at most k-1 factors, while t(m0)_k is unit everywhere but slot k: the
-product pads each word to k-1 factors and appends m0, or leaves it as it
-is when m0 is the unit.  So the image of a word is built from one running
-prefix sum per entry of its tail's image.
+t(m0)_k * lam * sum_{j<k} phi(w')_j.  The words of that partial sum use
+only slots below k - 1, while t(m0)_k is unit everywhere but slot k - 1:
+the product adds the slot (k - 1, m0) to each word, or leaves it as it is
+when m0 is the unit.  So the image of a word is built from one running
+prefix sum per entry of its tail's image, and its words have no more
+non-unit slots than the source word has non-unit factors, however long
+the sequence.
 
 ``phi`` makes one bottom-up pass over the prefixes of its argument's
 trimmed words.  By linearity, what follows a prefix maps to the images of
@@ -38,8 +46,7 @@ each length, longest first, are then prepended into their parents by
 result.  Nothing recurses, and no pass walks a run of units, so words of
 any length go through.  Skipped are words longer than the sequence, as an
 n-factor word's image is zero in entries 1..n-1, and at weight 0 every
-word of two or more factors.  Slot products of bar elements are lookups
-in the monomial product table ``poly.PRODUCTS``.
+word of two or more factors.
 """
 from __future__ import annotations
 
@@ -61,28 +68,34 @@ class PhiInjectivityWarning(UserWarning):
 @record
 class BarElement(_TermStore):
     """Unit-padded words mapped to nonzero raw ring values, each word
-    stored trimmed (see the module docstring).  Build one with ``bar``; the
-    dict is never mutated."""
+    stored as its non-unit slots (see the module docstring).  Build one
+    with ``bar``; the dict is never mutated."""
 
     ring: Ring
     _raw: dict
 
     @property
     def level(self) -> int:
-        """The length of the longest trimmed word, or 1 for zero."""
-        return max(map(len, self._raw), default=1)
+        """One past the last non-unit slot of any word, or 1 when there is
+        none."""
+        return max((w[-1][0] + 1 for w in self._raw if w), default=1)
 
     @property
     def terms(self) -> tuple[tuple[Word, Coeff], ...]:
         """The terms as (word, Coeff) pairs, each word padded with units to
         the level, sorted by word."""
-        level = self.level
+        units = (UNIT_MONOMIAL,) * self.level
         coeff = self.ring.coeff
-        padded = [(w + (UNIT_MONOMIAL,) * (level - len(w)), v) for w, v in self._raw.items()]
+        padded = []
+        for slots, v in self._raw.items():
+            w = list(units)
+            for i, m in slots:
+                w[i] = m
+            padded.append((tuple(w), v))
         return tuple((w, coeff(v)) for w, v in sorted(padded, key=lambda t: word_key(t[0])))
 
     def coefficient(self, word: Word) -> Coeff:
-        return self.ring.coeff(self._raw.get(_trimmed(word), 0))
+        return self.ring.coeff(self._raw.get(_slots(word), 0))
 
     def _check(self, other: BarElement):
         if not isinstance(other, BarElement):
@@ -98,19 +111,52 @@ class BarElement(_TermStore):
             return self.scaled(other)
         self._check(other)
         right = other._raw.items()
-        product = PRODUCTS.__getitem__
         acc: dict = {}
         get = acc.get
         for wa, va in self._raw.items():
             for wb, vb in right:
-                # the longer word's last factor, or the product of two
-                # non-unit last factors, is not the unit: already trimmed
-                w = tuple(map(product, zip(wa, wb))) + wa[len(wb):] + wb[len(wa):]
+                # a unit word is neutral, and words on disjoint slot ranges
+                # are concatenated; a product of non-unit monomials is never
+                # the unit, so no slot of the result is
+                if not wa:
+                    w = wb
+                elif not wb:
+                    w = wa
+                elif wa[-1][0] < wb[0][0]:
+                    w = wa + wb
+                elif wb[-1][0] < wa[0][0]:
+                    w = wb + wa
+                else:
+                    w = _merged(wa, wb)
                 acc[w] = get(w, 0) + va * vb
         return self._new(acc)
 
     def to_obj(self):
         return {"level": self.level, "terms": self._terms_obj()}
+
+
+def _merged(a: tuple, b: tuple) -> tuple:
+    """The slot-wise product of two slot lists that share a slot range:
+    from the last slot down, a slot of one list alone is kept and a shared
+    slot multiplied, until one list runs out and the other's remaining
+    front goes before what was merged."""
+    product = PRODUCTS.__getitem__
+    i, j = len(a), len(b)
+    back = []
+    while i and j:
+        pa, pb = a[i - 1], b[j - 1]
+        if pa[0] > pb[0]:
+            back.append(pa)
+            i -= 1
+        elif pb[0] > pa[0]:
+            back.append(pb)
+            j -= 1
+        else:
+            back.append((pa[0], product((pa[1], pb[1]))))
+            i -= 1
+            j -= 1
+    back.reverse()
+    return a[:i] + b[:j] + tuple(back)
 
 
 def _trimmed(word: Word) -> Word:
@@ -119,6 +165,12 @@ def _trimmed(word: Word) -> Word:
     while n > 1 and word[n - 1] is UNIT_MONOMIAL:
         n -= 1
     return word[:n]
+
+
+def _slots(word: Word) -> tuple:
+    """The stored form of a padded word: its (slot, monomial) pairs with a
+    non-unit monomial, in slot order; () for a word of units."""
+    return tuple((i, m) for i, m in enumerate(word) if m is not UNIT_MONOMIAL)
 
 
 def bar(ring: Ring, level: int, mapping) -> BarElement:
@@ -131,7 +183,7 @@ def bar(ring: Ring, level: int, mapping) -> BarElement:
             raise ValueError(f"word length {len(w)} != level {level}")
         for m in w:
             _check_monomial(m)
-        acc[_trimmed(w)] = ring.raw(c)
+        acc[_slots(w)] = ring.raw(c)
     return BarElement(ring, ring.reduce(acc))
 
 
@@ -227,40 +279,43 @@ def _sequence(ctx: Context, entries: list[dict]) -> SequenceElement:
     return SequenceElement(ctx, tuple(BarElement(ring, ring.reduce(e)) for e in entries))
 
 
-def _add_generator(out: list[dict], m, v, r: int = 0, lam=1) -> None:
+def _add_generator(out: list[dict], m, v, r: int = 0, lam=1, mod=None) -> None:
     """Add v times t(m) * P'^r(1) into the raw entries ``out``, the image of
-    m followed by r units: entry k gets lam^r C(k-1, r) v on m in slot k of
-    a level-k word, all earlier slots unit (the trimmed word (1,) when m is
-    the unit).  At r = 0 this is v times the generator sequence t(m)."""
-    # b is C(k, r) and w the word of entry k, both carried to entry k + 1
-    b, c = 1, lam ** r * v
-    w, pad = ((m,), ()) if m is UNIT_MONOMIAL else ((UNIT_MONOMIAL,) * r + (m,), (UNIT_MONOMIAL,))
+    m followed by r units: entry k gets lam^r C(k-1, r) v on the word with
+    m in slot k - 1, stored as ((k - 1, m),), or as () when m is the unit.
+    At r = 0 this is v times the generator sequence t(m).  Over Z/m, with
+    ``mod`` its modulus, each stored value is reduced."""
+    # b is C(k, r), exact, carried to entry k + 1; the modulus of a ring
+    # without one is None, where pow is the plain power
+    b, c = 1, pow(lam, r, mod) * v
     for k, target in enumerate(out[r:], r):
-        target[w] = target.get(w, 0) + b * c
-        b, w = b * (k + 1) // (k + 1 - r), pad + w
+        w = () if m is UNIT_MONOMIAL else ((k, m),)
+        value = b * c if mod is None else b * c % mod
+        target[w] = target.get(w, 0) + value
+        b = b * (k + 1) // (k + 1 - r)
 
 
 def _prepend(tail_images: list[dict], head, c, out: list[dict]) -> None:
     """Add t(head) * P'(tail) into the raw entries ``out``, given the raw
     entries ``tail_images`` of the tail and c = lam: entry k + 1 gets c
-    times each word of the sum of the tail's first k entries, padded to k
-    factors and followed by ``head``, or left as it is when ``head`` is the
-    unit.  So the words of tail entry k have at most k factors, as in an
-    image of phi, unless ``head`` is the unit.  Reads as many tail entries
-    as ``out`` has after its first."""
-    pad = None if head is UNIT_MONOMIAL else (head,)
+    times each word of the sum of the tail's first k entries with ``head``
+    in slot k, or as it is when ``head`` is the unit.  That slot is free
+    when the words of tail entry k use only slots below k, as in an image
+    of phi, unless ``head`` is the unit.  Reads as many tail entries as
+    ``out`` has after its first."""
     prefix: dict = {}
     get = prefix.get
     for k, (tail_entry, target) in enumerate(zip(tail_images, out[1:]), 1):
         for w, v in tail_entry.items():
             prefix[w] = get(w, 0) + v
         tget = target.get
-        if pad is None:
+        if head is UNIT_MONOMIAL:
             for w, v in prefix.items():
                 target[w] = tget(w, 0) + c * v
-        else:
+        elif prefix:
+            slot = ((k, head),)
             for w, v in prefix.items():
-                u = w + (UNIT_MONOMIAL,) * (k - len(w)) + pad
+                u = w + slot
                 target[u] = tget(u, 0) + c * v
 
 
@@ -311,6 +366,7 @@ def phi(a: Element, length: int) -> SequenceElement:
     ctx = a.ctx
     _warn_if_not_injective(ctx)
     lam = ctx.ring.raw(ctx.lam)
+    mod = ctx.ring.modulus
     # an n-factor word's image is zero in entries 1..n-1, and at weight 0
     # so is the image of every word of two or more factors; a kept word is
     # its trimmed form u and the length r of its trailing run of units
@@ -320,7 +376,7 @@ def phi(a: Element, length: int) -> SequenceElement:
     depth = max((len(u) for u, _, _ in kept), default=1)
     levels = [defaultdict(lambda n=length - d: [{} for _ in range(n)]) for d in range(depth)]
     for u, n, v in kept:
-        _add_generator(levels[len(u) - 1][u[:-1]], u[-1], v, n - len(u), lam)
+        _add_generator(levels[len(u) - 1][u[:-1]], u[-1], v, n - len(u), lam, mod)
     while len(levels) > 1:
         parents = levels[-2]
         for p, image in levels.pop().items():
@@ -339,7 +395,7 @@ def phi_constants(ctx: Context, coeffs, length: int) -> SequenceElement:
     # lam^i b_i as raw values, reduced mod m only in each entry
     terms = [lam ** i * ring.raw(b) for i, b in enumerate(coeffs)]
     return _sequence(ctx, [
-        {(UNIT_MONOMIAL,): sum(comb(n - 1, i) * t for i, t in enumerate(terms[:n]))}
+        {(): sum(comb(n - 1, i) * t for i, t in enumerate(terms[:n]))}
         for n in range(1, length + 1)
     ])
 

@@ -74,7 +74,7 @@ def word_key(word: Word):
 
 
 def word_str(word: Word) -> str:
-    return "T(" + ",".join(str(m) for m in word) + ")"
+    return "T(" + ",".join([m.text for m in word]) + ")"
 
 
 class _TermStore:

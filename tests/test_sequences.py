@@ -269,6 +269,69 @@ class TestTrimmedStore:
                 assert b.coefficient(w) == c == b.coefficient(w[:b.level]) == b.coefficient(short)
 
 
+def trimmed(word):
+    while len(word) > 1 and word[-1] is UNIT_MONOMIAL:
+        word = word[:-1]
+    return word
+
+
+def dense_product(a, b):
+    """The product of two bar elements from their padded terms alone: each
+    pair of words padded to one length and multiplied slot by slot, each
+    product word trimmed of its trailing units, zeros dropped."""
+    out = {}
+    for wa, ca in a.terms:
+        for wb, cb in b.terms:
+            n = max(len(wa), len(wb))
+            wa_, wb_ = (w + (UNIT_MONOMIAL,) * (n - len(w)) for w in (wa, wb))
+            w = trimmed(tuple(f * g for f, g in zip(wa_, wb_)))
+            out[w] = out.get(w, a.ring.zero()) + ca * cb
+    return {w: c for w, c in out.items() if not c.is_zero()}
+
+
+@st.composite
+def slot_bars(draw, ring):
+    """A bar element whose words are runs of factors, units among them,
+    starting at slot 0 to 6: so two words share slots, interleave, lie on
+    disjoint slot ranges or are the unit word, and some coefficients are
+    zero or cancel."""
+    mapping = {}
+    for _ in range(draw(st.integers(0, 3))):
+        start = draw(st.integers(0, 6))
+        run = draw(st.lists(BAR_FACTORS, max_size=4))
+        word = (UNIT_MONOMIAL,) * start + tuple(run) or (UNIT_MONOMIAL,)
+        num, den = draw(st.integers(-9, 9)), draw(st.integers(1, 3))
+        mapping[trimmed(word)] = ring.coeff(Fraction(num, den) if ring == RAT else num)
+    level = max(map(len, mapping), default=1)
+    return bar(ring, level, pad_to(mapping, level))
+
+
+class TestSlotProduct:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(data=st.data(), ring=st.sampled_from([INT, RAT, Zmod(9)]))
+    def test_product_matches_the_dense_oracle(self, data, ring):
+        a, b = data.draw(slot_bars(ring)), data.draw(slot_bars(ring))
+        product = a * b
+        assert {trimmed(w): c for w, c in product.terms} == dense_product(a, b)
+        for x in (a, b, product):
+            assert bar(ring, x.level, dict(x.terms)) == x
+
+    def test_squaring_a_long_word_does_not_recurse(self):
+        ctx = ctx_of(INT, 1, ("x",))
+        img = phi(element(ctx, {(x,) * 1500: INT.one()}), 1500)
+        square = img * img
+        assert square.entry(1500) == B(INT, 1500, ((Monomial.of(x=2),) * 1500, 1))
+        assert all(e.is_zero() for e in square.entries[:1499])
+
+    def test_phi_stores_one_slot_per_non_unit_factor(self):
+        # entry k of phi(x) is the word with x in slot k, however long k
+        ctx = ctx_of(INT, 2, ("x",))
+        img = phi(unit_word(ctx, 1) + variable(ctx, "x"), 4000)
+        assert sum(len(w) for e in img.entries for w, _ in e.raw_items()) <= 2 * 4000
+        units = (UNIT_MONOMIAL,) * 3999
+        assert img.entry(4000) == B(INT, 4000, (units + (x,), 1), (units + (UNIT_MONOMIAL,), 2 * 3999))
+
+
 class TestSequences:
     def test_identity_sequence(self):
         ctx = ctx_of(INT, 1)

@@ -247,6 +247,10 @@ def main(argv=None) -> int:
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
+        except MemoryError:
+            # what the failed step held is freed by now, so one line prints
+            print("error: out of memory", file=sys.stderr)
+            return 2
 
 
 if __name__ == "__main__":

@@ -148,7 +148,7 @@ class Coeff:
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
-        if not isinstance(k, int) or k < 0:
+        if not isinstance(k, int) or isinstance(k, bool) or k < 0:
             raise ValueError("exponent must be a nonnegative integer")
         # the modulus is None outside Z/m, where pow is the plain power
         return Coeff(self.ring, pow(self.value, k, self.ring.modulus))
@@ -189,7 +189,7 @@ def power(x, k: int, one, by_squaring: bool):
     Square-and-multiply (about 2*log2(k) products) only where the powers do
     not grow, else k - 1 products with the small base: squaring a growing
     power costs more (U(1)^300 at weight 1 is about 15 times slower)."""
-    if not isinstance(k, int) or k < 0:
+    if not isinstance(k, int) or isinstance(k, bool) or k < 0:
         raise ValueError("exponent must be a nonnegative integer")
     if k == 0:
         return one()

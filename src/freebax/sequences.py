@@ -46,12 +46,13 @@ each length, longest first, are then prepended into their parents by
 result.  Nothing recurses, and no pass walks a run of units, so words of
 any length go through.  Skipped are words longer than the sequence, as an
 n-factor word's image is zero in entries 1..n-1, and at weight 0 every
-word of two or more factors.
+word of two or more factors.  For the same reason each prefix's image is
+held from its first entry that can be nonzero, so the passes over one
+long word take a number of steps linear in its length.
 """
 from __future__ import annotations
 
 import warnings
-from collections import defaultdict
 from math import comb
 
 from ._record import record
@@ -157,14 +158,6 @@ def _merged(a: tuple, b: tuple) -> tuple:
             j -= 1
     back.reverse()
     return a[:i] + b[:j] + tuple(back)
-
-
-def _trimmed(word: Word) -> Word:
-    """``word`` without its trailing unit factors; a word of units keeps one."""
-    n = len(word)
-    while n > 1 and word[n - 1] is UNIT_MONOMIAL:
-        n -= 1
-    return word[:n]
 
 
 def _slots(word: Word) -> tuple:
@@ -281,37 +274,59 @@ def _sequence(ctx: Context, entries: list[dict]) -> SequenceElement:
 
 def _add_generator(out: list[dict], m, v, r: int = 0, lam=1, mod=None) -> None:
     """Add v times t(m) * P'^r(1) into the raw entries ``out``, the image of
-    m followed by r units: entry k gets lam^r C(k-1, r) v on the word with
-    m in slot k - 1, stored as ((k - 1, m),), or as () when m is the unit.
-    At r = 0 this is v times the generator sequence t(m).  Over Z/m, with
-    ``mod`` its modulus, each stored value is reduced."""
+    m followed by r units, from entry r + 1 on, which is ``out[0]``: entry
+    k gets lam^r C(k-1, r) v on the word with m in slot k - 1, stored as
+    ((k - 1, m),), or as () when m is the unit; the entries before are
+    zero.  At r = 0 this is v times the generator sequence t(m).  Over Z/m,
+    with ``mod`` its modulus, each stored value is reduced."""
     # b is C(k, r), exact, carried to entry k + 1; the modulus of a ring
     # without one is None, where pow is the plain power
     b, c = 1, pow(lam, r, mod) * v
-    for k, target in enumerate(out[r:], r):
+    for k, target in enumerate(out, r):
         w = () if m is UNIT_MONOMIAL else ((k, m),)
         value = b * c if mod is None else b * c % mod
         target[w] = target.get(w, 0) + value
         b = b * (k + 1) // (k + 1 - r)
 
 
-def _prepend(tail_images: list[dict], head, c, out: list[dict]) -> None:
-    """Add t(head) * P'(tail) into the raw entries ``out``, given the raw
-    entries ``tail_images`` of the tail and c = lam: entry k + 1 gets c
-    times each word of the sum of the tail's first k entries with ``head``
-    in slot k, or as it is when ``head`` is the unit.  That slot is free
-    when the words of tail entry k use only slots below k, as in an image
-    of phi, unless ``head`` is the unit.  Reads as many tail entries as
-    ``out`` has after its first."""
+def _entries(images: dict, p, n: int) -> list[dict]:
+    """The last n entries of the image that ``images`` holds for ``p``,
+    made or extended at the front with empty entries when it holds fewer."""
+    image = images.get(p)
+    if image is None:
+        images[p] = image = [{} for _ in range(n)]
+    elif len(image) < n:
+        image[:0] = [{} for _ in range(n - len(image))]
+    return image if len(image) == n else image[len(image) - n:]
+
+
+def _prepend(tail_images: list[dict], head, c, out: list[dict], k: int) -> None:
+    """Add t(head) * P'(tail) into the raw entries ``out``, from entry
+    k + 1 on, which is ``out[0]``, given c = lam and the raw entries
+    ``tail_images`` of the tail from entry k on, the entries before zero:
+    entry j + 1 gets c times each word of the sum of the tail's first j
+    entries with ``head`` in slot j, or as it is when ``head`` is the unit.
+    That slot is free when the words of tail entry j use only slots below
+    j, as in an image of phi, unless ``head`` is the unit.  Reads as many
+    tail entries as ``out`` has."""
     prefix: dict = {}
     get = prefix.get
-    for k, (tail_entry, target) in enumerate(zip(tail_images, out[1:]), 1):
-        for w, v in tail_entry.items():
-            prefix[w] = get(w, 0) + v
+    for k, (tail_entry, target) in enumerate(zip(tail_images, out), k):
+        # hashing is most of the cost of long words: an empty dict takes
+        # in another's keys without hashing them again, and a new key is
+        # hashed once in a comprehension, where get and set hash it twice
+        if prefix:
+            for w, v in tail_entry.items():
+                prefix[w] = get(w, 0) + v
+        else:
+            prefix.update(tail_entry)
         tget = target.get
         if head is UNIT_MONOMIAL:
             for w, v in prefix.items():
                 target[w] = tget(w, 0) + c * v
+        elif not target:
+            slot = ((k, head),)
+            target.update({w + slot: c * v for w, v in prefix.items()})
         elif prefix:
             slot = ((k, head),)
             for w, v in prefix.items():
@@ -323,7 +338,7 @@ def p_prime(a: SequenceElement) -> SequenceElement:
     """Entry k of the output is lambda times the sum of entries 1..k-1."""
     ctx = a.ctx
     out = [{} for _ in a.entries]
-    _prepend([e._raw for e in a.entries], UNIT_MONOMIAL, ctx.ring.raw(ctx.lam), out)
+    _prepend([e._raw for e in a.entries], UNIT_MONOMIAL, ctx.ring.raw(ctx.lam), out[1:], 1)
     return _sequence(ctx, out)
 
 
@@ -367,21 +382,32 @@ def phi(a: Element, length: int) -> SequenceElement:
     _warn_if_not_injective(ctx)
     lam = ctx.ring.raw(ctx.lam)
     mod = ctx.ring.modulus
-    # an n-factor word's image is zero in entries 1..n-1, and at weight 0
-    # so is the image of every word of two or more factors; a kept word is
-    # its trimmed form u and the length r of its trailing run of units
-    kept = [(_trimmed(w), len(w), v) for w, v in a._raw.items() if len(w) <= length and (len(w) == 1 or lam)]
-    # levels[d] maps each d-factor prefix to the raw image, entries
-    # 1..length - d, of the sum of what follows it in the words it begins
-    depth = max((len(u) for u, _, _ in kept), default=1)
-    levels = [defaultdict(lambda n=length - d: [{} for _ in range(n)]) for d in range(depth)]
-    for u, n, v in kept:
-        _add_generator(levels[len(u) - 1][u[:-1]], u[-1], v, n - len(u), lam, mod)
+    # levels[d] maps each d-factor prefix to the raw image of the sum of
+    # what follows it in the words it begins: the list of its entries up to
+    # entry length - d from the first one held on, those before zero
+    levels: list[dict] = [{}]
+    for w, v in a._raw.items():
+        n = len(w)
+        # an n-factor word's image is zero in entries 1..n-1, and at weight
+        # 0 so is the image of every word of two or more factors
+        if n > length or (n > 1 and not lam):
+            continue
+        # w is u = w[:t] and a run of n - t units, mapped to the image of
+        # u[-1] and the units from entry n - t + 1 on
+        t = n
+        while t > 1 and w[t - 1] is UNIT_MONOMIAL:
+            t -= 1
+        while len(levels) < t:
+            levels.append({})
+        _add_generator(_entries(levels[t - 1], w[:t - 1], length - n + 1), w[t - 1], v, n - t, lam, mod)
     while len(levels) > 1:
+        d = len(levels) - 1
         parents = levels[-2]
         for p, image in levels.pop().items():
-            _prepend(image, p[-1], lam, parents[p[:-1]])
-    return _sequence(ctx, levels[0][()])
+            # image holds entries from length - d - len(image) + 1 on, so the
+            # prepended image is zero before the next entry
+            _prepend(image, p[-1], lam, _entries(parents, p[:-1], len(image)), length - d - len(image) + 1)
+    return _sequence(ctx, _entries(levels[0], (), length))
 
 
 def phi_constants(ctx: Context, coeffs, length: int) -> SequenceElement:

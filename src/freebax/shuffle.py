@@ -543,6 +543,9 @@ class MixableShuffle:
 def enumerate_mixable_shuffles(m: int, n: int) -> list[MixableShuffle]:
     """Every (shuffle, merge-set) pair for tails of lengths m and n, in a
     deterministic order."""
+    for length in (m, n):
+        if not isinstance(length, int) or isinstance(length, bool):
+            raise TypeError(f"tail length must be an integer, got {length!r}")
     if m < 0 or n < 0:
         raise ValueError("tail lengths must be nonnegative")
     out = []
@@ -617,7 +620,7 @@ def baxter_P(a: Element) -> Element:
 
 def p_x_power(x: Element, n: int) -> Element:
     """n-fold application of y -> P(x * y) starting from the unit element."""
-    if not isinstance(n, int) or n < 0:
+    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
         raise ValueError("iteration count must be a nonnegative integer")
     y = one(x.ctx)
     for _ in range(n):

@@ -726,6 +726,14 @@ class TestCommandLine:
         assert code == 1
         assert "FAIL" in out
 
+    def test_out_of_memory_exits_two_with_one_error_line(self, capsys, monkeypatch):
+        def exhausted(a, b):
+            raise MemoryError
+
+        monkeypatch.setattr(freebax.shuffle, "shuffle_product", exhausted)
+        for flag in ((), ("--json",)):
+            assert run_argv(capsys, *flag, "--vars", "x", "eval", "T(x)*T(x)") == (2, "", "error: out of memory\n")
+
     def test_unknown_suite_exits_two_with_one_error_line(self, capsys):
         err = f"error: unknown suites ['nosuch']; available: {', '.join(SUITES)} or all\n"
         for flag in ((), ("--json",)):

@@ -1,8 +1,10 @@
 """The contract of the frozen value classes: the methods ``record`` builds
-behave as those of ``dataclass(frozen=True)`` did, and importing the CLI
-loads neither ``dataclasses`` nor ``inspect``."""
+behave as those of ``dataclass(frozen=True)`` did, importing the CLI loads
+neither ``dataclasses`` nor ``inspect``, and it compiles ``__init__`` alone."""
+import ast
 import copy
 import dataclasses
+import json
 import os
 import pickle
 import subprocess
@@ -13,7 +15,7 @@ import pytest
 
 import freebax
 from freebax import INT, RAT, Context, Monomial, Ring, Zmod, bar, element, make_series, scalar, unit_word
-from freebax.lang import LamRef, Lit, Product, Sum, Tensor, VarRef
+from freebax.lang import LamRef, Lit, Neg, Product, Sum, Tensor, VarRef
 from freebax.verify import WitnessReport
 
 x = Monomial.of(x=1)
@@ -54,6 +56,26 @@ def test_equality_compares_the_class_then_the_fields():
 def test_equal_values_hash_equal(make):
     a, b = make(), make()
     assert a == b and hash(a) == hash(b)
+
+
+@pytest.mark.parametrize("value", [LamRef(), VarRef("x"), Lit(3, 2), CTX],
+                         ids=["no-field", "one-field", "two-fields", "three-fields"])
+def test_hash_is_the_hash_of_the_field_tuple(value):
+    assert hash(value) == hash(tuple(getattr(value, n) for n in type(value).__annotations__))
+
+
+class Unequal:
+    """A field value that fails any comparison."""
+
+    def __eq__(self, other):
+        raise AssertionError("a field was compared")
+
+
+def test_a_record_equals_itself_without_comparing_fields():
+    r = Neg(Unequal())
+    assert r == r and not r != r
+    with pytest.raises(AssertionError, match="a field was compared"):
+        r == Neg(Unequal())
 
 
 @pytest.mark.parametrize("obj, name", [
@@ -130,9 +152,55 @@ sys.exit(f"importing freebax.cli added {sorted(added)}" if added else 0)
 """
 
 
-def test_cli_import_loads_neither_dataclasses_nor_inspect():
+def _run_fresh(code: str) -> subprocess.CompletedProcess:
     src = os.path.dirname(os.path.dirname(freebax.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run([sys.executable, "-c", IMPORT_GUARD], capture_output=True, text=True,
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, timeout=60)
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    proc = _run_fresh(IMPORT_GUARD)
     assert proc.returncode == 0, proc.stderr
+
+
+# Prints each source string exec'd while freebax.cli is imported, with the
+# qualified name of the __init__ it defined, if any.  The import system
+# execs each module's code object, which is not source.
+EXEC_GUARD = """
+import argparse, builtins, fractions, itertools, json, math, operator, random, re, sys, warnings
+real_exec, sources = builtins.exec, []
+def exec(source, *args, **kwargs):
+    if isinstance(source, str):
+        sources.append((source, args[0] if args else kwargs.get("globals", {})))
+    return real_exec(source, *args, **kwargs)
+builtins.exec = exec
+import freebax.cli
+builtins.exec = real_exec
+print(json.dumps([[s, getattr(ns.get("__init__"), "__qualname__", "")] for s, ns in sources]))
+"""
+
+
+def _record_classes() -> list[str]:
+    """The names of the package's classes decorated by ``record``."""
+    package, names = os.path.dirname(freebax.__file__), []
+    for path in sorted(os.listdir(package)):
+        if path.endswith(".py"):
+            with open(os.path.join(package, path), encoding="utf-8") as f:
+                tree = ast.parse(f.read())
+            names += [node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+                      and any(isinstance(d, ast.Name) and d.id == "record" for d in node.decorator_list)]
+    return names
+
+
+def test_cli_import_compiles_one_init_per_record_class():
+    proc = _run_fresh(EXEC_GUARD)
+    assert proc.returncode == 0, proc.stderr
+    sources = json.loads(proc.stdout)
+    classes = _record_classes()
+    assert len(classes) >= 20
+    assert sorted(init for _, init in sources) == sorted(f"{c}.__init__" for c in classes)
+    for source, _ in sources:
+        defined = [node.name for node in ast.walk(ast.parse(source))
+                   if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
+        assert defined == ["__init__"], source

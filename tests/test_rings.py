@@ -299,6 +299,12 @@ class TestInputChecks:
             INT.coeff(2) ** -1
         assert str(err.value) == "exponent must be a nonnegative integer"
 
+    @pytest.mark.parametrize("k", [True, False, 2.0], ids=["true", "false", "float"])
+    def test_coefficient_exponent_must_be_an_int_not_a_bool(self, k):
+        with pytest.raises(ValueError) as err:
+            INT.coeff(2) ** k
+        assert str(err.value) == "exponent must be a nonnegative integer"
+
 
 class TestInPlaceReduce:
     """``Ring.reduce`` normalizes the dict it is handed, which its caller

@@ -41,6 +41,7 @@ from freebax.cli import main
 from freebax.poly import UNIT_MONOMIAL
 from freebax.rings import Coeff, RingMismatchError
 from freebax.shuffle import ContextMismatchError
+from freebax import sequences
 from freebax.sequences import PhiInjectivityWarning
 from freebax.series import embed
 from freebax.shuffle import word_key
@@ -322,6 +323,32 @@ class TestSlotProduct:
         square = img * img
         assert square.entry(1500) == B(INT, 1500, ((Monomial.of(x=2),) * 1500, 1))
         assert all(e.is_zero() for e in square.entries[:1499])
+
+    def test_phi_of_one_long_word_is_linear(self, monkeypatch):
+        # the image of the tail after a d-factor prefix of the 1,500-factor
+        # word is zero but in entry 1,500 - d, so each prefix holds one
+        # entry and the bottom-up pass walks 1,499 in all, not 1,123,500
+        ctx = ctx_of(INT, 1, ("x",))
+        a = element(ctx, {(x,) * 1500: INT.one()})
+        walked = []
+        prepend = sequences._prepend
+
+        def counted(tail, head, c, out, k):
+            walked.append(len(out))
+            prepend(tail, head, c, out, k)
+
+        monkeypatch.setattr(sequences, "_prepend", counted)
+        img = phi(a, 1500)
+        monkeypatch.undo()
+        assert sum(walked) == 1499
+        assert img.entry(1500) == B(INT, 1500, ((x,) * 1500, 1))
+        assert all(e.is_zero() for e in img.entries[:1499])
+        times = []
+        for _ in range(3):
+            start = time.perf_counter()
+            phi(a, 1500)
+            times.append(time.perf_counter() - start)
+        assert min(times) < 0.1
 
     def test_phi_stores_one_slot_per_non_unit_factor(self):
         # entry k of phi(x) is the word with x in slot k, however long k

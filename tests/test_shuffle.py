@@ -906,6 +906,24 @@ class TestInputChecks:
             build(ctx_int(1, ("x",)))
         assert str(err.value) == message
 
+    # a bool is an int to Python, but not a count: it gets the message of 2.0
+    @pytest.mark.parametrize("count", [True, False, 2.0], ids=["true", "false", "float"])
+    @pytest.mark.parametrize("build, message", [
+        (lambda ctx, k: variable(ctx, "x") ** k, "exponent must be a nonnegative integer"),
+        (lambda ctx, k: p_x_power(variable(ctx, "x"), k), "iteration count must be a nonnegative integer"),
+    ], ids=["power", "p-x-power"])
+    def test_counts_must_be_ints_not_bools(self, build, message, count):
+        with pytest.raises(ValueError) as err:
+            build(ctx_int(1, ("x",)), count)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("m, n, bad", [(True, 1, True), (1, False, False), (1.5, 2, 1.5), (2, 2.0, 2.0),
+                                           ("1", 1, "1")], ids=["true", "false", "float", "whole-float", "str"])
+    def test_tail_lengths_must_be_ints_not_bools(self, m, n, bad):
+        with pytest.raises(TypeError) as err:
+            enumerate_mixable_shuffles(m, n)
+        assert str(err.value) == f"tail length must be an integer, got {bad!r}"
+
     @pytest.mark.parametrize("degree", [1.5, "a", True, None])
     def test_unit_word_degree_must_be_an_integer(self, degree):
         with pytest.raises(TypeError) as err:

@@ -7,13 +7,13 @@ coming from opposite words at the cost of one factor of lambda, while the
 two head factors always multiply in the base algebra.
 
 Two independent implementations of the product live here.  The production
-path, ``shuffle_product``, takes one of three routes per term pair: two
-all-unit tails are summed by the binomial closed form of their mixable
-shuffle, a tail of one or two factors is inserted straight into the other
-tail (the insertion form of the mixable shuffle), and every other pair goes
-through the memoized quasi-shuffle recursion on tails.  The oracle all
-routes are tested against is a direct enumeration over all (shuffle,
-merge-set) pairs.
+path, ``shuffle_product``, sums all pairs of all-unit tails behind a pair of
+heads at once, by the binomial closed form of their mixable shuffle read as
+Pascal's rule; of the other term pairs, a tail of one or two factors is
+inserted straight into the other tail (the insertion form of the mixable
+shuffle), and every other pair goes through the memoized quasi-shuffle
+recursion on tails.  The oracle all routes are tested against is a direct
+enumeration over all (shuffle, merge-set) pairs.
 """
 from __future__ import annotations
 
@@ -304,19 +304,23 @@ def degree_components(a: Element) -> dict[int, Element]:
 # --- the product, production routes ---
 #
 # The tail of a product of two words is mix(u, v) of their tails, and
-# ``shuffle_product`` computes it by one of three routes per term pair.
-# Monomials are interned, so hashing a word stays in C, and so does a
-# product of two heads or of a merged pair: a lookup in the table
-# ``poly.PRODUCTS``.  Coefficients are raw ring values throughout.
+# ``shuffle_product`` computes it by one of three routes.  Monomials are
+# interned, so hashing a word stays in C, and so does a product of two
+# heads or of a merged pair: a lookup in the table ``poly.PRODUCTS``.
+# Coefficients are raw ring values throughout.
 #
-# ``_unit_mix`` takes a pair whose tails are both all units, as in every
-# series that ``geom`` and unit words build.  There the mixable shuffle has
-# a closed form (Guo and Keigher, "Baxter algebras and shuffle products"):
+# ``_unit_rows`` takes the words h (x) 1^n with n >= 1, as in every series
+# that ``geom`` and unit words build, grouped by head as {n: value}.  Two
+# unit tails have a closed form (Guo and Keigher, "Baxter algebras and
+# shuffle products"):
 #   mix(1^m, 1^n) = sum_k C(m+n-k, m) C(m, k) lam^k 1^(m+n-k),  k = 0..min(m, n)
-# so a pair adds raw weights to a few unit words, from one list per (m, n)
-# and product.  Given the cut of ``complete_product``, this route skips
-# every length above it; the words the other routes build above the cut
-# are dropped by ``embed``.
+# so for the groups A and B of a pair of heads the weight of 1^L is
+#   sum_m A[m] C(L, m) d_m[L-m],  d_m[j] = sum_k C(m, k) lam^k B[j+k],
+# and by Pascal's rule d_m = d_{m-1} + lam (d_{m-1} shifted down by one).
+# One pass of rows sums all pairs of the two groups in O(N^2), not O(N^3),
+# with no division: raw values stay exact and ``from_raw`` reduces them.
+# Given the cut of ``complete_product``, the rows drop what only words above
+# it read; the words the other routes build above it are dropped by ``embed``.
 #
 # ``_insert`` is the insertion form of the same sum (Ebrahimi-Fard and Guo,
 # "Mixable shuffles, quasi-shuffles and Hopf algebras"): the first factor of
@@ -430,38 +434,56 @@ def _insert(acc: dict, pre: Word, long: Word, short: Word, c, lam_raw) -> None:
         p = p + (f,)
 
 
-def _parts(a: Element) -> list:
-    """Each word of a as (head, tail, value, tail length, whether the tail
-    is all units)."""
-    parts = []
+def _parts(a: Element) -> tuple[list, dict]:
+    """The words of a whose tail is empty or not all units, each as (head,
+    tail, value, tail length, False), and the words h (x) 1^n with n >= 1
+    grouped by head as {h: {n: value}}."""
+    others, units = [], {}
     for w, v in a._raw.items():
-        t = w[1:]
-        parts.append((w[0], t, v, len(t), t.count(UNIT_MONOMIAL) == len(t)))
-    return parts
+        n = len(w) - 1
+        if n and w.count(UNIT_MONOMIAL) - (w[0] is UNIT_MONOMIAL) == n:
+            units.setdefault(w[0], {})[n] = v
+        else:
+            others.append((w[0], w[1:], v, n, False))
+    return others, units
 
 
-def _unit_mix(m: int, n: int, lam_raw, cut: int) -> list:
-    """mix(1^m, 1^n) by its closed form, as (length, raw weight) pairs:
-    C(L, m) C(m, k) lam^k on the unit tail of L = m + n - k factors, for
-    the k in 0..min(m, n) with L <= cut, and k = 0 alone at weight 0."""
-    k = max(0, m + n - cut)
-    last = min(m, n) if lam_raw else 0
-    out = []
-    if k > last:
-        return out
-    lk = lam_raw ** k
-    for k in range(k, last + 1):
-        size = m + n - k
-        out.append((size, comb(size, m) * comb(m, k) * lk))
-        lk = lk * lam_raw
-    return out
+def _unit_parts(units: dict) -> list:
+    """The grouped words of ``_parts`` as its other words are, flagged True."""
+    return [(h, (UNIT_MONOMIAL,) * n, v, n, True) for h, g in units.items() for n, v in g.items()]
+
+
+def _unit_rows(out: dict, ga: dict, gb: dict, lam_raw, cut: int | None) -> None:
+    """Add the sum of ga[m] gb[n] mix(1^m, 1^n) to out, {L: raw weight of
+    1^L}, for L <= cut, by one pass of the rows d_m over the group of the
+    lower top degree.  A row is a dict of the degrees it reaches, and at
+    weight 0 it never changes, so only the degrees of the group are read."""
+    top_a, top_b = max(ga), max(gb)
+    rows, d, last = (ga, gb, top_a) if top_a <= top_b else (gb, ga, top_b)
+    cut = top_a + top_b if cut is None else cut
+    get = out.get
+    for m in range(1, last + 1) if lam_raw else rows:
+        top = cut - m  # the largest j of a word of at most cut + 1 factors
+        if lam_raw:
+            step = dict(d)
+            for j, v in d.items():
+                if j:
+                    step[j - 1] = step.get(j - 1, 0) + lam_raw * v
+            step.pop(top + 1, None)  # d_m[j] reads d_{m-1} at j and j + 1 only
+            d = step
+        if (c := rows.get(m)) is not None:
+            for j, v in d.items():
+                if j <= top:
+                    t = c * comb(m + j, m) * v
+                    prev = get(m + j)
+                    out[m + j] = t if prev is None else prev + t
 
 
 def shuffle_product(a: Element, b: Element, *, _cut: int | None = None) -> Element:
     """The product of a and b.  ``complete_product`` passes its precision
-    as ``_cut``: pairs of all-unit tails then build no word of degree above
-    it, and the caller drops the words of degree above it that the other
-    routes still build."""
+    as ``_cut``: the rows of all-unit tails then build no word of degree
+    above it, and the caller drops the words of degree above it that the
+    other routes still build."""
     a._check(b)
     # a scalar operand, one unit word, only scales the other: the same
     # dict as the kernel builds, with no term pairs
@@ -470,12 +492,21 @@ def shuffle_product(a: Element, b: Element, *, _cut: int | None = None) -> Eleme
             return other._new({w: c * v for w, v in other._raw.items()})
     lam_raw = a.ring.raw(a.ctx.lam)
     memo: dict = {}
-    units: dict = {}
-    acc: dict = {}
+    a_others, a_units = _parts(a)
+    b_others, b_units = _parts(b)
+    # the unit route first: its words fill the empty dict, one hash each
+    sums: dict = {}  # product head -> {L: raw weight of 1^L}
+    for ha, ga in a_units.items():
+        for hb, gb in b_units.items():
+            _unit_rows(sums.setdefault(PRODUCTS[ha, hb], {}), ga, gb, lam_raw, _cut)
+    acc = {(h,) + (UNIT_MONOMIAL,) * size: t
+           for h, out in sums.items() for size, t in out.items()} if sums else {}
     aget = acc.get
-    b_parts = _parts(b)
-    for ha, ta, ca, na, ua in _parts(a):
-        for hb, tb, cb, nb, ub in b_parts:
+    # every other pair has one of the other words on a side at least
+    a_parts = a_others + _unit_parts(a_units) if b_others and a_units else a_others
+    b_parts = b_others + _unit_parts(b_units) if a_others and b_units else b_others
+    for ha, ta, ca, na, ua in a_parts:
+        for hb, tb, cb, nb, ub in b_others if ua else b_parts:
             c = ca * cb
             h = PRODUCTS[ha, hb]
             if not na or not nb:
@@ -483,17 +514,6 @@ def shuffle_product(a: Element, b: Element, *, _cut: int | None = None) -> Eleme
                 w = (h,) + (ta or tb)
                 prev = aget(w)
                 acc[w] = c if prev is None else prev + c
-                continue
-            if ua and ub:
-                key = (na, nb) if na <= nb else (nb, na)
-                pairs = units.get(key)
-                if pairs is None:
-                    pairs = units[key] = _unit_mix(*key, lam_raw, na + nb if _cut is None else _cut)
-                for size, weight in pairs:
-                    w = (h,) + (UNIT_MONOMIAL,) * size
-                    t = c * weight
-                    prev = aget(w)
-                    acc[w] = t if prev is None else prev + t
                 continue
             head = (h,)
             if nb <= na:

@@ -339,8 +339,8 @@ def suite_baxter_identity(seed=DEFAULT_SEED, precision=DEFAULT_PRECISION, pairs=
 
 def suite_prop_unit(seed=DEFAULT_SEED, precision=DEFAULT_PRECISION):
     """The closed form, the kernel and the enumeration agree on products of
-    unit words.  The kernel sums all-unit tails by the closed form's own
-    formula, so the enumeration is the independent referee of both."""
+    unit words.  The kernel sums all-unit tails by Pascal's rule on rows,
+    so the closed form and the enumeration are independent referees."""
     def mismatches(ctx):
         for m in range(7):
             for n in range(7):

@@ -833,6 +833,20 @@ class TestCommandLine:
             c = pow(2, 6000, 7) * comb(k - 1, 6000) % 7
             assert lines[k - 1] == f"[{k}] " + ("0" if not c else "T(1)" if c == 1 else f"{c}*T(1)")
 
+    def test_dense_unit_series_multiply_in_one_pass_of_rows(self, capsys):
+        # geom(a)*geom(b) = geom(a + b + lam*a*b), and 2 + 3 + 3*2*3 = 2 mod 7;
+        # the bound holds for one pass of rows, O(N^2), and fails a sum per
+        # term pair, O(N^3)
+        flags = ("--ring", "mod:7", "--lambda", "3", "--precision", "120", "eval")
+        want = run_cli(capsys, *flags, "geom(2)")
+        assert want[0] == 0 and want[1].count("T(") == 121
+        times = []
+        for _ in range(3):
+            start = time.perf_counter()
+            assert run_cli(capsys, *flags, "geom(2)*geom(3)") == want
+            times.append(time.perf_counter() - start)
+        assert min(times) < 0.25
+
     @pytest.mark.parametrize("argv, message", [
         (("--ring", "int", "--lambda", "1/0", "eval", "1"), "zero denominator in int coefficient '1/0'"),
         (("--ring", "int", "--lambda", "1/2", "eval", "1"), "1/2 is not an integer"),

@@ -305,9 +305,9 @@ def cut_product_inputs(ring, lam, n, rng):
 
 
 class TestCutProducts:
-    """``complete_product`` hands its precision to the kernel, whose
-    closed-form route for all-unit tails then builds no word above it; the
-    cut product must equal the full product cut afterwards."""
+    """``complete_product`` hands its precision to the kernel, whose route
+    for all-unit tails then builds no word above it; the cut product must
+    equal the full product cut afterwards."""
 
     @pytest.mark.parametrize("ring, lam", BAXTER_IDENTITY_CONFIGS, ids=str)
     def test_equals_the_product_cut_afterwards(self, ring, lam):

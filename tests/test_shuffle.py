@@ -167,8 +167,8 @@ class TestClosedForm:
 
     @pytest.mark.parametrize("lam", [0, 1, 2, 5])
     def test_kernel_and_closed_form_match_the_enumeration_up_to_6(self, lam):
-        # the kernel sums all-unit tails by the closed form's own formula,
-        # so the definitional enumeration referees both
+        # the kernel sums all-unit tails by Pascal's rule on rows; the
+        # closed form and the definitional enumeration referee it
         ctx = ctx_int(lam)
         for m in range(7):
             for n in range(7):
@@ -288,9 +288,10 @@ def elements_of(ctx, words):
 
 
 class TestKernelRoutes:
-    """A term pair whose tails are both all units is summed by the closed
-    form.  Any other pair whose shorter tail has at most INSERT_MAX factors
-    is inserted straight into the product, unless the longer tail is all
+    """The pairs of all-unit tails behind one pair of heads are summed at
+    once by ``_unit_rows``, the closed form read by Pascal's rule.  Any
+    other pair whose shorter tail has at most INSERT_MAX factors is
+    inserted straight into the product, unless the longer tail is all
     units; every other pair enters the memoized ``_mix``."""
 
     def test_short_tail_is_inserted(self, monkeypatch):
@@ -313,7 +314,7 @@ class TestKernelRoutes:
             (tensor_word(ctx, x, y, x, UNIT_MONOMIAL), tensor_word(ctx, y, UNIT_MONOMIAL, x, y, x)),
             # a short tail against a tail of repeated unit factors
             (tensor_word(ctx, x, y), unit_word(ctx, 4)),
-            # two all-unit tails: the closed form, neither _mix nor _insert
+            # two all-unit tails: _unit_rows, neither _mix nor _insert
             (unit_word(ctx, 2), unit_word(ctx, 1)),
         ]
         for a, b in pairs:
@@ -405,6 +406,71 @@ class TestKernelRoutes:
         assert shuffle_product(a, b) == shuffle_product_enumerated(a, b)
 
 
+# the settings of the Baxter-identity suite, and weights whose square
+# vanishes: 2 in Z/4, and 4 in Z/8
+UNIT_ROW_CONFIGS = BAXTER_IDENTITY_CONFIGS + ((Zmod(4), 2), (Zmod(8), 4))
+UNIT_HEADS = (UNIT_MONOMIAL, Monomial.of(x=1), Monomial.of(x=1, y=1))
+
+
+@st.composite
+def unit_tail_sums(draw, ctx, top):
+    """A sum of c * h (x) 1^n with heads h from UNIT_HEADS and n <= top:
+    per head, either every degree up to a drawn one (dense) or a few
+    degrees (sparse)."""
+    terms = {}
+    for h in draw(st.lists(st.sampled_from(UNIT_HEADS), min_size=1, max_size=3, unique=True)):
+        if draw(st.booleans()):
+            degrees = range(draw(st.integers(0, top)) + 1)
+        else:
+            degrees = draw(st.sets(st.integers(0, top), min_size=1, max_size=3))
+        for n in degrees:
+            terms[(h,) + (UNIT_MONOMIAL,) * n] = draw(st.integers(-4, 4))
+    return element(ctx, terms)
+
+
+def closed_form_sum(a, b):
+    """The product of two sums of words h (x) 1^n, term pair by term pair,
+    from ``closed_form_unit_product`` with its heads multiplied."""
+    ctx = a.ctx
+    acc = {}
+    for wa, ca in a.terms:
+        for wb, cb in b.terms:
+            head = wa[0] * wb[0]
+            for w, c in closed_form_unit_product(ctx, len(wa) - 1, len(wb) - 1).terms:
+                w = (head,) + w[1:]
+                acc[w] = acc[w] + ca * cb * c if w in acc else ca * cb * c
+    return element(ctx, acc)
+
+
+class TestUnitRows:
+    """``_unit_rows`` sums all the pairs of all-unit tails behind a pair of
+    heads by Pascal's rule on rows; the closed form term pair by term pair,
+    the enumeration and the uncut product referee it."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(config=st.sampled_from(UNIT_ROW_CONFIGS), data=st.data())
+    def test_unit_tail_sums_match_the_referees(self, config, data):
+        ring, lam = config
+        ctx = Context(ring, ring.coeff(lam), ("x", "y"))
+        a, b = data.draw(unit_tail_sums(ctx, 40)), data.draw(unit_tail_sums(ctx, 40))
+        product = shuffle_product(a, b)
+        assert product == closed_form_sum(a, b)
+        # cut at the lower of two precisions, which may lie below the
+        # degrees of the other operand
+        p, q = data.draw(st.integers(0, 40)), data.draw(st.integers(0, 40))
+        x, y = embed(a, p), embed(b, q)
+        want = embed(shuffle_product(x.finite_part(), y.finite_part()), min(p, q))
+        assert complete_product(x, y) == want == embed(product, min(p, q))
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(config=st.sampled_from(UNIT_ROW_CONFIGS), data=st.data())
+    def test_short_unit_tail_sums_match_the_enumeration(self, config, data):
+        ring, lam = config
+        ctx = Context(ring, ring.coeff(lam), ("x", "y"))
+        a, b = data.draw(unit_tail_sums(ctx, 5)), data.draw(unit_tail_sums(ctx, 5))
+        assert shuffle_product(a, b) == shuffle_product_enumerated(a, b)
+
+
 def law_context(config):
     ring, lam = config
     return Context(ring, ring.coeff(lam), ("x", "y"))
@@ -419,8 +485,8 @@ def law_elements(ctx):
 class TestAlgebraLaws:
     """The laws of the free Baxter algebra, on small elements over each
     ``BAXTER_IDENTITY_CONFIGS`` setting.  Their products take all three
-    kernel routes: two all-unit tails such as (1, 1) are summed by the
-    closed form, a tail of 1-2 factors is inserted, and one against an
+    kernel routes: two all-unit tails such as (1, 1) are summed by
+    ``_unit_rows``, a tail of 1-2 factors is inserted, and one against an
     all-unit tail enters ``_mix``."""
 
     @settings(max_examples=60, deadline=None)

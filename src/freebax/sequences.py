@@ -338,7 +338,7 @@ def p_prime(a: SequenceElement) -> SequenceElement:
     """Entry k of the output is lambda times the sum of entries 1..k-1."""
     ctx = a.ctx
     out = [{} for _ in a.entries]
-    _prepend([e._raw for e in a.entries], UNIT_MONOMIAL, ctx.ring.raw(ctx.lam), out[1:], 1)
+    _prepend([e._raw for e in a.entries], UNIT_MONOMIAL, ctx.lam_raw, out[1:], 1)
     return _sequence(ctx, out)
 
 
@@ -380,7 +380,7 @@ def phi(a: Element, length: int) -> SequenceElement:
     _check_length(length)
     ctx = a.ctx
     _warn_if_not_injective(ctx)
-    lam = ctx.ring.raw(ctx.lam)
+    lam = ctx.lam_raw
     mod = ctx.ring.modulus
     # levels[d] maps each d-factor prefix to the raw image of the sum of
     # what follows it in the words it begins: the list of its entries up to
@@ -417,7 +417,7 @@ def phi_constants(ctx: Context, coeffs, length: int) -> SequenceElement:
     _check_length(length)
     _warn_if_not_injective(ctx)
     ring = ctx.ring
-    lam = ring.raw(ctx.lam)
+    lam = ctx.lam_raw
     # lam^i b_i as raw values, reduced mod m only in each entry
     terms = [lam ** i * ring.raw(b) for i, b in enumerate(coeffs)]
     return _sequence(ctx, [

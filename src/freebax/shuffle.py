@@ -9,17 +9,21 @@ two head factors always multiply in the base algebra.
 Two independent implementations of the product live here.  The production
 path, ``shuffle_product``, sums all pairs of all-unit tails behind a pair of
 heads at once, by the binomial closed form of their mixable shuffle read as
-Pascal's rule; of the other term pairs, a tail of one or two factors is
-inserted straight into the other tail (the insertion form of the mixable
-shuffle), and every other pair goes through the memoized quasi-shuffle
-recursion on tails.  The oracle all routes are tested against is a direct
-enumeration over all (shuffle, merge-set) pairs.
+Pascal's rule; of the other term pairs, two short tails of at least two
+factors each are arranged by a cached table of the shape's mixable
+shuffles, a tail of one factor, or of two against a tail too long for a
+table, is inserted straight into the other tail (the insertion form of the
+mixable shuffle), and every other pair goes through the memoized
+quasi-shuffle recursion on tails.  The oracle all routes are tested against
+is a direct enumeration over all (shuffle, merge-set) pairs, which shares
+no code with the tables.
 """
 from __future__ import annotations
 
 import itertools
 import re
 from math import comb
+from operator import itemgetter
 
 from ._record import record
 from .poly import PRODUCTS, UNIT_MONOMIAL, Monomial
@@ -64,6 +68,9 @@ class Context:
             check_variable_name(v)
         if len(set(self.variables)) != len(self.variables):
             raise ValueError("variable names must be distinct")
+        # the raw value the kernels read, once per context; not a field, so
+        # equality, hashing, repr and to_obj do not see it
+        object.__setattr__(self, "lam_raw", self.ring.raw(self.lam))
 
     def to_obj(self):
         return {"ring": str(self.ring), "lambda": str(self.lam), "variables": list(self.variables)}
@@ -208,8 +215,12 @@ def _check_alphabet(ctx: Context, monomials) -> None:
 def element(ctx: Context, mapping) -> Element:
     """Normalize a word -> coefficient mapping into an Element."""
     ring = ctx.ring
+    try:
+        items = dict(mapping).items()
+    except TypeError:
+        raise TypeError(f"mapping must map words to coefficients, got {mapping!r}") from None
     acc = {}
-    for w, c in dict(mapping).items():
+    for w, c in items:
         v = ring.raw(c)
         if not w:
             raise ValueError("tensor words must have at least one factor")
@@ -304,7 +315,7 @@ def degree_components(a: Element) -> dict[int, Element]:
 # --- the product, production routes ---
 #
 # The tail of a product of two words is mix(u, v) of their tails, and
-# ``shuffle_product`` computes it by one of three routes.  Monomials are
+# ``shuffle_product`` computes it by one of four routes.  Monomials are
 # interned, so hashing a word stays in C, and so does a product of two
 # heads or of a merged pair: a lookup in the table ``poly.PRODUCTS``.
 # Coefficients are raw ring values throughout.
@@ -322,6 +333,18 @@ def degree_components(a: Element) -> dict[int, Element]:
 # Given the cut of ``complete_product``, the rows drop what only words above
 # it read; the words the other routes build above it are dropped by ``embed``.
 #
+# ``_place`` takes the other pairs whose shorter tail has at least two
+# factors, unless the longer tail is all units, when the table of their
+# shape fits TEMPLATE_MAX.  Tails of m >= n factors have D(m, n) mixable
+# shuffles (a Delannoy number), or C(m + n, n) at weight 0, whatever their
+# factors are.  The table of (m, n, lam != 0), built once by ``_template``,
+# lists them as ``operator.itemgetter`` maps into the tuple
+#   (head, *long, *short, *merges),  long[i] short[j] at 1 + m + n + i*n + j,
+# grouped by their number r of merges, so each word of a pair is one C call
+# and one dict update at weight c lam^r, with no intermediate tuple or dict.
+# A repeated factor gives one word several times, and the updates sum it.
+# The cap bounds the cache: 45 tables, about 1.2 MB, when all are built.
+#
 # ``_insert`` is the insertion form of the same sum (Ebrahimi-Fard and Guo,
 # "Mixable shuffles, quasi-shuffles and Hopf algebras"): the first factor of
 # the shorter tail goes after each prefix of the longer one, alone or merged
@@ -333,7 +356,8 @@ def degree_components(a: Element) -> dict[int, Element]:
 # emitted once at weight r + 1.  Merges are emitted per position.  It
 # takes the other pairs whose shorter tail has at most INSERT_MAX factors,
 # which keeps the words it emits per pair at O(len^2) however few letters
-# the tails use, unless the longer tail is all units.
+# the tails use, unless the longer tail is all units: a tail of one factor,
+# and one of two against a tail too long for a table.
 #
 # ``_mix`` takes every other pair, by the memoized recursion on tails u, v:
 #   mix(u, v) = u0 (x) mix(u', v)  +  v0 (x) mix(u, v')  +  lam (u0 v0) (x) mix(u', v')
@@ -343,6 +367,77 @@ def degree_components(a: Element) -> dict[int, Element]:
 # the short tail into each of them anew.
 
 INSERT_MAX = 2  # the most factors of a tail that ``_insert`` places
+# the most index entries of one table of ``_place``: its mixable shuffles
+# times m + n + 1; 4,096 and 16,384 measured the same
+TEMPLATE_MAX = 4096
+
+
+def _entries(m: int, n: int, merging: bool) -> int:
+    """The index entries of the table of tails of m and n factors: its
+    mixable shuffles, D(m, n) with merges or C(m + n, n) without, times
+    m + n + 1."""
+    if merging:
+        shuffles = sum(comb(m, k) * comb(n, k) << k for k in range(min(m, n) + 1))
+    else:
+        shuffles = comb(m + n, n)
+    return shuffles * (m + n + 1)
+
+
+def _longest(merging: bool) -> tuple[int, ...]:
+    """Entry n is the most factors m >= n of a longer tail whose table with
+    a shorter tail of n factors fits TEMPLATE_MAX, and -1 for n < 2, which
+    ``_place`` leaves; the entries end at the first n with no such m."""
+    out = [-1, -1]
+    while _entries(len(out), len(out), merging) <= TEMPLATE_MAX:
+        n = m = len(out)
+        while _entries(m + 1, n, merging) <= TEMPLATE_MAX:
+            m += 1
+        out.append(m)
+    return tuple(out)
+
+
+_LONGEST = (_longest(False), _longest(True))  # indexed by lam != 0
+_TEMPLATES: dict = {}  # (m, n, lam != 0) -> table, for the shapes that fit
+
+
+def _template(m: int, n: int, merging: bool) -> tuple:
+    """The table of tails of m and n factors, built and cached: per merge
+    count r, in order, the getters of the words of the mixable shuffles with
+    r merges from (head, *long, *short, *merges), long[i] short[j] at index
+    1 + m + n + i*n + j.  At weight 0 it is the one group r = 0."""
+    groups = [[] for _ in range(min(m, n) + 1 if merging else 1)]
+    rest = tuple(range(1, m + n + 1))
+
+    def place(i: int, j: int, word: tuple, r: int) -> None:
+        if i == m or j == n:
+            groups[r].append(itemgetter(0, *word, *rest[i:m], *rest[m + j:]))
+            return
+        place(i + 1, j, word + (1 + i,), r)
+        place(i, j + 1, word + (1 + m + j,), r)
+        if merging:
+            place(i + 1, j + 1, word + (1 + m + n + i * n + j,), r + 1)
+
+    place(0, 0, (), 0)
+    table = _TEMPLATES[m, n, merging] = tuple(map(tuple, groups))
+    return table
+
+
+def _place(acc: dict, head: Word, long: Word, short: Word, c, lam_raw) -> None:
+    """Add c * (head (x) mix(long, short)) to acc, each word read off the
+    source tuple by a getter of the shape's table, at weight c lam^r."""
+    m, n, merging = len(long), len(short), bool(lam_raw)
+    table = _TEMPLATES.get((m, n, merging)) or _template(m, n, merging)
+    src = head + long + short
+    if merging:
+        src += tuple([PRODUCTS[f, s] for f in long for s in short])
+    get = acc.get
+    t = c
+    for getters in table:
+        for g in getters:
+            w = g(src)
+            prev = get(w)
+            acc[w] = t if prev is None else prev + t
+        t = t * lam_raw
 
 
 def _mix(u: Word, v: Word, lam_raw, memo: dict):
@@ -490,7 +585,7 @@ def shuffle_product(a: Element, b: Element, *, _cut: int | None = None) -> Eleme
     for s, other in ((a, b), (b, a)):
         if len(s._raw) == 1 and (c := s._raw.get((UNIT_MONOMIAL,))) is not None:
             return other._new({w: c * v for w, v in other._raw.items()})
-    lam_raw = a.ring.raw(a.ctx.lam)
+    lam_raw = a.ctx.lam_raw
     memo: dict = {}
     a_others, a_units = _parts(a)
     b_others, b_units = _parts(b)
@@ -502,6 +597,7 @@ def shuffle_product(a: Element, b: Element, *, _cut: int | None = None) -> Eleme
     acc = {(h,) + (UNIT_MONOMIAL,) * size: t
            for h, out in sums.items() for size, t in out.items()} if sums else {}
     aget = acc.get
+    longest = _LONGEST[bool(lam_raw)]
     # every other pair has one of the other words on a side at least
     a_parts = a_others + _unit_parts(a_units) if b_others and a_units else a_others
     b_parts = b_others + _unit_parts(b_units) if a_others and b_units else b_others
@@ -517,12 +613,16 @@ def shuffle_product(a: Element, b: Element, *, _cut: int | None = None) -> Eleme
                 continue
             head = (h,)
             if nb <= na:
-                long, short, n, long_units = ta, tb, nb, ua
+                long, short, m, n, long_units = ta, tb, na, nb, ua
             else:
-                long, short, n, long_units = tb, ta, na, ub
-            if n <= INSERT_MAX and not long_units:
-                _insert(acc, head, long, short, c, lam_raw)
-                continue
+                long, short, m, n, long_units = tb, ta, nb, na, ub
+            if not long_units:
+                if n < len(longest) and m <= longest[n]:
+                    _place(acc, head, long, short, c, lam_raw)
+                    continue
+                if n <= INSERT_MAX:
+                    _insert(acc, head, long, short, c, lam_raw)
+                    continue
             for tail, weight in _mix(ta, tb, lam_raw, memo).items():
                 w = head + tail
                 t = c * weight

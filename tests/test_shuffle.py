@@ -1,6 +1,7 @@
 import math
 import random
 import warnings
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -43,7 +44,7 @@ from freebax import (
     variable,
     zero,
 )
-from freebax.poly import UNIT_MONOMIAL
+from freebax.poly import PRODUCTS, UNIT_MONOMIAL
 from freebax.rings import power
 from freebax.sequences import PhiInjectivityWarning
 from freebax.shuffle import word_key
@@ -287,12 +288,19 @@ def elements_of(ctx, words):
     return st.dictionaries(words, st.integers(1, 8), min_size=1, max_size=2).map(lambda m: element(ctx, m))
 
 
+def count_routes(monkeypatch):
+    """Counters of the calls into the three routes of single term pairs."""
+    return {name: count_calls(monkeypatch, name) for name in ("_place", "_insert", "_mix")}
+
+
 class TestKernelRoutes:
     """The pairs of all-unit tails behind one pair of heads are summed at
-    once by ``_unit_rows``, the closed form read by Pascal's rule.  Any
-    other pair whose shorter tail has at most INSERT_MAX factors is
-    inserted straight into the product, unless the longer tail is all
-    units; every other pair enters the memoized ``_mix``."""
+    once by ``_unit_rows``, the closed form read by Pascal's rule.  Of the
+    other pairs, unless the longer tail is all units: one whose shorter
+    tail has two factors or more is arranged by ``_place`` from the cached
+    table of its shape when that fits TEMPLATE_MAX; one whose shorter tail
+    has at most INSERT_MAX factors is otherwise inserted straight into the
+    product.  Every other pair enters the memoized ``_mix``."""
 
     def test_short_tail_is_inserted(self, monkeypatch):
         mixed, inserted = count_calls(monkeypatch, "_mix"), count_calls(monkeypatch, "_insert")
@@ -306,21 +314,25 @@ class TestKernelRoutes:
         assert inserted and mixed == []
 
     def test_long_tails_and_repeated_factors_enter_mix(self, monkeypatch):
-        mixed, inserted = count_calls(monkeypatch, "_mix"), count_calls(monkeypatch, "_insert")
+        routes = count_routes(monkeypatch)
         ctx = Context(RAT, RAT.coeff(2), ("x", "y"))
         x, y = Monomial.of(x=1), Monomial.of(y=1)
         pairs = [
-            # two tails of three or more factors
-            (tensor_word(ctx, x, y, x, UNIT_MONOMIAL), tensor_word(ctx, y, UNIT_MONOMIAL, x, y, x)),
+            # two tails of three and four factors: a table fits at weight 2
+            (tensor_word(ctx, x, y, x, UNIT_MONOMIAL), tensor_word(ctx, y, UNIT_MONOMIAL, x, y, x), "_place"),
+            # tails of four and five factors: D(5, 4) = 681 shuffles, past the cap
+            (tensor_word(ctx, x, y, x, UNIT_MONOMIAL, y), tensor_word(ctx, y, UNIT_MONOMIAL, x, y, x, x), "_mix"),
             # a short tail against a tail of repeated unit factors
-            (tensor_word(ctx, x, y), unit_word(ctx, 4)),
-            # two all-unit tails: _unit_rows, neither _mix nor _insert
-            (unit_word(ctx, 2), unit_word(ctx, 1)),
+            (tensor_word(ctx, x, y), unit_word(ctx, 4), "_mix"),
+            # two all-unit tails: _unit_rows, none of the single-pair routes
+            (unit_word(ctx, 2), unit_word(ctx, 1), None),
         ]
-        for a, b in pairs:
+        for a, b, route in pairs:
+            for calls in routes.values():
+                calls.clear()
             assert shuffle_product(a, b) == shuffle_product_enumerated(a, b)
             assert shuffle_product(b, a) == shuffle_product_enumerated(b, a)
-        assert mixed and inserted == []
+            assert {name for name, calls in routes.items() if calls} == ({route} if route else set())
 
     def test_a_repeated_nonunit_factor_is_inserted_like_any_tail(self, monkeypatch):
         mixed, inserted = count_calls(monkeypatch, "_mix"), count_calls(monkeypatch, "_insert")
@@ -345,6 +357,8 @@ class TestKernelRoutes:
             tensor_word(ctx, x, u, u, x, u, u, u),
             tensor_word(ctx, u, x, x, x, x),
             tensor_word(ctx, y, u, y, u, u),
+            # too long for any table, so a tail of two factors is inserted too
+            tensor_word(ctx, y, *[x, x, u, x, x, x, y] * 3),
         )
         shorts = (
             tensor_word(ctx, y, x), tensor_word(ctx, x, u), tensor_word(ctx, u, x, x),
@@ -404,6 +418,100 @@ class TestKernelRoutes:
         other = data.draw(elements_of(ctx, words_of(1, 7)))
         a, b = (other, short) if swap else (short, other)
         assert shuffle_product(a, b) == shuffle_product_enumerated(a, b)
+
+
+def letter_word(length, start=1):
+    """A word of ``length`` factors from LETTERS, cycling from ``start``, so
+    that its tail repeats letters and holds units but is not all units."""
+    return tuple(LETTERS[(start + k) % len(LETTERS)] for k in range(length))
+
+
+def fits(m, n, merging):
+    """Whether the table of tails of m >= n factors fits TEMPLATE_MAX: its
+    shuffles, counted by the lattice-path oracle, times m + n + 1."""
+    shuffles = delannoy(m, n) if merging else math.comb(m + n, n)
+    return shuffles * (m + n + 1) <= shuffle_module.TEMPLATE_MAX
+
+
+class TestTemplateRoute:
+    """``_place`` arranges the two tails of a pair by the cached table of
+    its shape, built by ``_template`` from no code of the enumeration."""
+
+    def test_template_pairs_match_the_oracle(self, monkeypatch):
+        placed = count_calls(monkeypatch, "_place")
+
+        @settings(max_examples=100, deadline=None, derandomize=True)
+        @given(config=st.sampled_from(BAXTER_IDENTITY_CONFIGS + ((Zmod(4), 2),)), data=st.data(),
+               swap=st.booleans())
+        def check(config, data, swap):
+            ring, lam = config
+            ctx = Context(ring, ring.coeff(lam), ("x", "y"))
+            # a shorter tail of 2-4 factors, a longer one of 2-8
+            short = data.draw(elements_of(ctx, words_of(3, 5)))
+            other = data.draw(elements_of(ctx, words_of(3, 9)))
+            a, b = (other, short) if swap else (short, other)
+            assert shuffle_product(a, b) == shuffle_product_enumerated(a, b)
+
+        check()
+        assert placed
+
+    @pytest.mark.parametrize("merging", [False, True], ids=["weight-0", "weight-nonzero"])
+    def test_tables_list_the_mixable_shuffles(self, merging, monkeypatch):
+        # on distinct letters every word of the table is told apart, so the
+        # groups must equal the enumeration's words, merge count by merge count
+        monkeypatch.setattr(shuffle_module, "_TEMPLATES", {})
+        names = tuple("abcdefgh")
+        letters = [Monomial.of(**{v: 1}) for v in names]
+        head = Monomial.of(a=1, b=1)
+        for m in range(1, 5):
+            for n in range(1, 5):
+                long, short = tuple(letters[:m]), tuple(letters[4:4 + n])
+                src = (head,) + long + short + tuple(PRODUCTS[f, s] for f in long for s in short)
+                table = shuffle_module._template(m, n, merging)
+                got = [Counter(g(src) for g in getters) for getters in table]
+                want = [Counter() for _ in range(min(m, n) + 1 if merging else 1)]
+                for ms in enumerate_mixable_shuffles(m, n):
+                    if merging or not ms.merges:
+                        want[len(ms.merges)][(head,) + apply_mixable(ms, long, short)] += 1
+                assert got == want, (m, n)
+
+    @pytest.mark.parametrize("ring, lam", [(INT, 0), (RAT, 2)], ids=["weight-0", "weight-2"])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_the_shapes_either_side_of_the_cap(self, ring, lam, n, monkeypatch):
+        routes = count_routes(monkeypatch)
+        ctx = Context(ring, ring.coeff(lam), ("x", "y"))
+        m = n
+        while fits(m + 1, n, bool(lam)):
+            m += 1
+        assert fits(m, n, bool(lam))
+        # the largest longer tail that fits, and one factor more
+        for long, route in ((m, "_place"), (m + 1, "_insert" if n <= shuffle_module.INSERT_MAX else "_mix")):
+            for calls in routes.values():
+                calls.clear()
+            a = element(ctx, {letter_word(long + 1): 3})
+            b = element(ctx, {letter_word(n + 1, start=2): -2})
+            assert shuffle_product(a, b) == shuffle_product_enumerated(a, b)
+            assert shuffle_product(b, a) == shuffle_product_enumerated(b, a)
+            assert {name for name, calls in routes.items() if calls} == {route}, (long, n)
+
+    def test_the_tables_share_no_code_with_the_oracle(self, monkeypatch):
+        ctx2, ctx0 = Context(RAT, RAT.coeff(2), ("x", "y")), Context(Zmod(9), Zmod(9).zero(), ("x", "y"))
+        pairs = []
+        for ctx in (ctx2, ctx0):
+            a = element(ctx, {letter_word(5): 2, letter_word(3, start=3): 1})
+            b = element(ctx, {letter_word(4, start=2): 5, letter_word(7): -1})
+            pairs.append((a, b, shuffle_product_enumerated(a, b)))
+
+        def refuse(*args):
+            raise AssertionError("the kernel read the enumeration oracle")
+
+        monkeypatch.setattr(shuffle_module, "enumerate_mixable_shuffles", refuse)
+        monkeypatch.setattr(shuffle_module, "apply_mixable", refuse)
+        monkeypatch.setattr(shuffle_module, "_TEMPLATES", {})
+        placed = count_calls(monkeypatch, "_place")
+        for a, b, want in pairs:
+            assert shuffle_product(a, b) == shuffle_product(b, a) == want
+        assert placed and shuffle_module._TEMPLATES
 
 
 # the settings of the Baxter-identity suite, and weights whose square
@@ -484,10 +592,11 @@ def law_elements(ctx):
 
 class TestAlgebraLaws:
     """The laws of the free Baxter algebra, on small elements over each
-    ``BAXTER_IDENTITY_CONFIGS`` setting.  Their products take all three
+    ``BAXTER_IDENTITY_CONFIGS`` setting.  Their products take all four
     kernel routes: two all-unit tails such as (1, 1) are summed by
-    ``_unit_rows``, a tail of 1-2 factors is inserted, and one against an
-    all-unit tail enters ``_mix``."""
+    ``_unit_rows``, two tails of two factors are arranged by a table, a
+    tail of one factor is inserted, and one against an all-unit tail
+    enters ``_mix``."""
 
     @settings(max_examples=60, deadline=None)
     @given(config=st.sampled_from(BAXTER_IDENTITY_CONFIGS), data=st.data())
@@ -944,6 +1053,15 @@ class TestContextChecks:
         assert ctx.variables == ("x",)
         assert ctx == ctx_int(1, ("x",)) and hash(ctx) == hash(ctx_int(1, ("x",)))
 
+    def test_the_raw_weight_is_read_once_and_not_a_field(self):
+        half, two = Context(RAT, RAT.coeff(Fraction(1, 2))), Context(RAT, RAT.coeff(Fraction(4, 2)))
+        assert half.lam_raw == Fraction(1, 2) and type(two.lam_raw) is int and two.lam_raw == 2
+        assert Context(Zmod(9), Zmod(9).coeff(-6)).lam_raw == 3
+        assert repr(two) == "Context(ring=Ring(kind='rat', modulus=None), lam=Coeff(ring=Ring(kind='rat', " \
+            "modulus=None), value=Fraction(2, 1)), variables=())"
+        assert two.to_obj() == {"ring": "rat", "lambda": "2", "variables": []}
+        assert two == Context(RAT, RAT.coeff(2)) and hash(two) == hash(Context(RAT, RAT.coeff(2)))
+
     def test_scalar_embedding(self):
         ctx = ctx_int(1)
         assert scalar(ctx, 3) == one(ctx).scaled(3)
@@ -1002,6 +1120,12 @@ class TestInputChecks:
         with pytest.raises(ValueError) as err:
             apply_mixable(ms, (UNIT_MONOMIAL,) * m, (UNIT_MONOMIAL,) * n)
         assert str(err.value) == "tail lengths do not match the shuffle shape"
+
+    @pytest.mark.parametrize("mapping", [None, 5, [1, 2]], ids=["none", "int", "list-of-ints"])
+    def test_element_needs_a_mapping(self, mapping):
+        with pytest.raises(TypeError) as err:
+            element(ctx_int(1), mapping)
+        assert str(err.value) == f"mapping must map words to coefficients, got {mapping!r}"
 
     def test_word_factor_of_another_type(self):
         with pytest.raises(TypeError) as err:

@@ -9,14 +9,13 @@ two head factors always multiply in the base algebra.
 Two independent implementations of the product live here.  The production
 path, ``shuffle_product``, sums all pairs of all-unit tails behind a pair of
 heads at once, by the binomial closed form of their mixable shuffle read as
-Pascal's rule; of the other term pairs, two short tails of at least two
-factors each are arranged by a cached table of the shape's mixable
-shuffles, a tail of one factor, or of two against a tail too long for a
-table, is inserted straight into the other tail (the insertion form of the
-mixable shuffle), and every other pair goes through the memoized
-quasi-shuffle recursion on tails.  The oracle all routes are tested against
-is a direct enumeration over all (shuffle, merge-set) pairs, which shares
-no code with the tables.
+Pascal's rule; of the other term pairs, a tail of one or two factors is
+inserted straight into the other tail (the insertion form of the mixable
+shuffle), two longer tails of a small shape are arranged by a cached table
+of the shape's mixable shuffles, and every other pair goes through the
+memoized quasi-shuffle recursion on tails.  The oracle all routes are
+tested against is a direct enumeration over all (shuffle, merge-set)
+pairs, which shares no code with the tables.
 """
 from __future__ import annotations
 
@@ -333,18 +332,6 @@ def degree_components(a: Element) -> dict[int, Element]:
 # Given the cut of ``complete_product``, the rows drop what only words above
 # it read; the words the other routes build above it are dropped by ``embed``.
 #
-# ``_place`` takes the other pairs whose shorter tail has at least two
-# factors, unless the longer tail is all units, when the table of their
-# shape fits TEMPLATE_MAX.  Tails of m >= n factors have D(m, n) mixable
-# shuffles (a Delannoy number), or C(m + n, n) at weight 0, whatever their
-# factors are.  The table of (m, n, lam != 0), built once by ``_template``,
-# lists them as ``operator.itemgetter`` maps into the tuple
-#   (head, *long, *short, *merges),  long[i] short[j] at 1 + m + n + i*n + j,
-# grouped by their number r of merges, so each word of a pair is one C call
-# and one dict update at weight c lam^r, with no intermediate tuple or dict.
-# A repeated factor gives one word several times, and the updates sum it.
-# The cap bounds the cache: 45 tables, about 1.2 MB, when all are built.
-#
 # ``_insert`` is the insertion form of the same sum (Ebrahimi-Fard and Guo,
 # "Mixable shuffles, quasi-shuffles and Hopf algebras"): the first factor of
 # the shorter tail goes after each prefix of the longer one, alone or merged
@@ -356,8 +343,21 @@ def degree_components(a: Element) -> dict[int, Element]:
 # emitted once at weight r + 1.  Merges are emitted per position.  It
 # takes the other pairs whose shorter tail has at most INSERT_MAX factors,
 # which keeps the words it emits per pair at O(len^2) however few letters
-# the tails use, unless the longer tail is all units: a tail of one factor,
-# and one of two against a tail too long for a table.
+# the tails use, unless the longer tail is all units.
+#
+# ``_place`` takes the other pairs, unless the longer tail is all units or
+# both tails repeat one factor, when the table of their shape fits
+# TEMPLATE_MAX.  Tails of m >= n factors have D(m, n) mixable shuffles (a
+# Delannoy number), or C(m + n, n) at weight 0, whatever their factors are.
+# The table of (m, n, lam != 0), built once by ``_template``, lists them as
+# ``operator.itemgetter`` maps into the tuple
+#   (head, *long, *short, *merges),  long[i] short[j] at 1 + m + n + i*n + j,
+# grouped by their number r of merges, so each word of a pair is one C call
+# and one dict update at weight c lam^r, with no intermediate tuple or dict.
+# A repeated factor gives one word several times, and the updates sum it;
+# when both tails repeat one factor, every word at weight 0 is one word,
+# which ``_mix`` reaches with far fewer steps.  The cap bounds the cache:
+# 6 tables, 328 getters, when all are built.
 #
 # ``_mix`` takes every other pair, by the memoized recursion on tails u, v:
 #   mix(u, v) = u0 (x) mix(u', v)  +  v0 (x) mix(u, v')  +  lam (u0 v0) (x) mix(u', v')
@@ -368,8 +368,9 @@ def degree_components(a: Element) -> dict[int, Element]:
 
 INSERT_MAX = 2  # the most factors of a tail that ``_insert`` places
 # the most index entries of one table of ``_place``: its mixable shuffles
-# times m + n + 1; 4,096 and 16,384 measured the same
-TEMPLATE_MAX = 4096
+# times m + n + 1.  Past it, a table of tails of two letters at weight 0
+# measured slower than ``_mix``, whose memo shares the words they repeat.
+TEMPLATE_MAX = 1024
 
 
 def _entries(m: int, n: int, merging: bool) -> int:
@@ -385,9 +386,10 @@ def _entries(m: int, n: int, merging: bool) -> int:
 
 def _longest(merging: bool) -> tuple[int, ...]:
     """Entry n is the most factors m >= n of a longer tail whose table with
-    a shorter tail of n factors fits TEMPLATE_MAX, and -1 for n < 2, which
-    ``_place`` leaves; the entries end at the first n with no such m."""
-    out = [-1, -1]
+    a shorter tail of n factors fits TEMPLATE_MAX, and -1 for n <=
+    INSERT_MAX, which ``_insert`` takes; the entries end at the first n with
+    no such m."""
+    out = [-1] * (INSERT_MAX + 1)
     while _entries(len(out), len(out), merging) <= TEMPLATE_MAX:
         n = m = len(out)
         while _entries(m + 1, n, merging) <= TEMPLATE_MAX:
@@ -617,11 +619,13 @@ def shuffle_product(a: Element, b: Element, *, _cut: int | None = None) -> Eleme
             else:
                 long, short, m, n, long_units = tb, ta, nb, na, ub
             if not long_units:
-                if n < len(longest) and m <= longest[n]:
-                    _place(acc, head, long, short, c, lam_raw)
-                    continue
                 if n <= INSERT_MAX:
                     _insert(acc, head, long, short, c, lam_raw)
+                    continue
+                # two tails of one factor repeated make one word at weight 0,
+                # which the memo of ``_mix`` reaches in O(m n) steps
+                if n < len(longest) and m <= longest[n] and (long + short).count(long[0]) < m + n:
+                    _place(acc, head, long, short, c, lam_raw)
                     continue
             for tail, weight in _mix(ta, tb, lam_raw, memo).items():
                 w = head + tail

@@ -293,17 +293,26 @@ def count_routes(monkeypatch):
     return {name: count_calls(monkeypatch, name) for name in ("_place", "_insert", "_mix")}
 
 
+def routes_taken(routes):
+    """The routes that ran since the last call, whose counters it clears."""
+    taken = {name for name, calls in routes.items() if calls}
+    for calls in routes.values():
+        calls.clear()
+    return taken
+
+
 class TestKernelRoutes:
     """The pairs of all-unit tails behind one pair of heads are summed at
     once by ``_unit_rows``, the closed form read by Pascal's rule.  Of the
     other pairs, unless the longer tail is all units: one whose shorter
-    tail has two factors or more is arranged by ``_place`` from the cached
-    table of its shape when that fits TEMPLATE_MAX; one whose shorter tail
-    has at most INSERT_MAX factors is otherwise inserted straight into the
-    product.  Every other pair enters the memoized ``_mix``."""
+    tail has at most INSERT_MAX factors is inserted straight into the
+    product; one with a longer shorter tail is arranged by ``_place`` from
+    the cached table of its shape when that fits TEMPLATE_MAX, unless both
+    tails repeat one factor.  Every other pair enters the memoized
+    ``_mix``."""
 
     def test_short_tail_is_inserted(self, monkeypatch):
-        mixed, inserted = count_calls(monkeypatch, "_mix"), count_calls(monkeypatch, "_insert")
+        routes = count_routes(monkeypatch)
         ctx = Context(RAT, RAT.coeff(2), ("x", "y"))
         x, y = Monomial.of(x=1), Monomial.of(y=1)
         long_word = tensor_word(ctx, UNIT_MONOMIAL, x, y, UNIT_MONOMIAL, x)
@@ -311,38 +320,39 @@ class TestKernelRoutes:
                       tensor_word(ctx, x, y)):
             assert shuffle_product(long_word, short) == shuffle_product_enumerated(long_word, short)
             assert shuffle_product(short, long_word) == shuffle_product_enumerated(short, long_word)
-        assert inserted and mixed == []
+            assert routes_taken(routes) == {"_insert"}
 
     def test_long_tails_and_repeated_factors_enter_mix(self, monkeypatch):
         routes = count_routes(monkeypatch)
         ctx = Context(RAT, RAT.coeff(2), ("x", "y"))
         x, y = Monomial.of(x=1), Monomial.of(y=1)
         pairs = [
-            # two tails of three and four factors: a table fits at weight 2
-            (tensor_word(ctx, x, y, x, UNIT_MONOMIAL), tensor_word(ctx, y, UNIT_MONOMIAL, x, y, x), "_place"),
-            # tails of four and five factors: D(5, 4) = 681 shuffles, past the cap
-            (tensor_word(ctx, x, y, x, UNIT_MONOMIAL, y), tensor_word(ctx, y, UNIT_MONOMIAL, x, y, x, x), "_mix"),
+            # two tails of three factors: D(3, 3) = 63 shuffles, a table fits at weight 2
+            (tensor_word(ctx, x, y, x, UNIT_MONOMIAL), tensor_word(ctx, y, UNIT_MONOMIAL, x, y), "_place"),
+            # tails of three and four factors: D(4, 3) = 129 shuffles, past the cap
+            (tensor_word(ctx, x, y, x, UNIT_MONOMIAL), tensor_word(ctx, y, UNIT_MONOMIAL, x, y, x), "_mix"),
+            # two tails of one factor repeated, whose table would fit
+            (tensor_word(ctx, y, x, x, x), tensor_word(ctx, x, x, x, x), "_mix"),
             # a short tail against a tail of repeated unit factors
             (tensor_word(ctx, x, y), unit_word(ctx, 4), "_mix"),
             # two all-unit tails: _unit_rows, none of the single-pair routes
             (unit_word(ctx, 2), unit_word(ctx, 1), None),
         ]
         for a, b, route in pairs:
-            for calls in routes.values():
-                calls.clear()
+            routes_taken(routes)
             assert shuffle_product(a, b) == shuffle_product_enumerated(a, b)
             assert shuffle_product(b, a) == shuffle_product_enumerated(b, a)
-            assert {name for name, calls in routes.items() if calls} == ({route} if route else set())
+            assert routes_taken(routes) == ({route} if route else set())
 
     def test_a_repeated_nonunit_factor_is_inserted_like_any_tail(self, monkeypatch):
-        mixed, inserted = count_calls(monkeypatch, "_mix"), count_calls(monkeypatch, "_insert")
+        routes = count_routes(monkeypatch)
         ctx = Context(RAT, RAT.coeff(2), ("x", "y"))
         x, y = Monomial.of(x=1), Monomial.of(y=1)
         long_word = tensor_word(ctx, *[x] * 9)
         for short in (tensor_word(ctx, y, y), tensor_word(ctx, UNIT_MONOMIAL, x, x), unit_word(ctx, 1)):
             assert shuffle_product(long_word, short) == shuffle_product_enumerated(long_word, short)
             assert shuffle_product(short, long_word) == shuffle_product_enumerated(short, long_word)
-        assert inserted and mixed == []
+            assert routes_taken(routes) == {"_insert"}
 
     @pytest.mark.parametrize("ring, lam", BAXTER_IDENTITY_CONFIGS, ids=str)
     def test_runs_of_the_inserted_factor_match_the_oracle(self, ring, lam, monkeypatch):
@@ -357,8 +367,6 @@ class TestKernelRoutes:
             tensor_word(ctx, x, u, u, x, u, u, u),
             tensor_word(ctx, u, x, x, x, x),
             tensor_word(ctx, y, u, y, u, u),
-            # too long for any table, so a tail of two factors is inserted too
-            tensor_word(ctx, y, *[x, x, u, x, x, x, y] * 3),
         )
         shorts = (
             tensor_word(ctx, y, x), tensor_word(ctx, x, u), tensor_word(ctx, u, x, x),
@@ -455,6 +463,20 @@ class TestTemplateRoute:
         check()
         assert placed
 
+    @pytest.mark.parametrize("ring, lam", BAXTER_IDENTITY_CONFIGS + ((Zmod(4), 2),), ids=str)
+    def test_every_shape_with_a_table_matches_the_oracle(self, ring, lam, monkeypatch):
+        placed = count_calls(monkeypatch, "_place")
+        ctx = Context(ring, ring.coeff(lam), ("x", "y"))
+        rng = random.Random(31)
+        shapes = [(m, n) for n in range(shuffle_module.INSERT_MAX + 1, 6) for m in range(n, 12) if fits(m, n, bool(lam))]
+        assert shapes
+        for m, n in shapes:
+            for _ in range(3):
+                a = element(ctx, {tuple(rng.choice(LETTERS) for _ in range(m + 1)): rng.randint(1, 3)})
+                b = element(ctx, {tuple(rng.choice(LETTERS) for _ in range(n + 1)): rng.randint(1, 3)})
+                assert shuffle_product(a, b) == shuffle_product_enumerated(a, b), (m, n)
+        assert len(placed) >= 2 * len(shapes)
+
     @pytest.mark.parametrize("merging", [False, True], ids=["weight-0", "weight-nonzero"])
     def test_tables_list_the_mixable_shuffles(self, merging, monkeypatch):
         # on distinct letters every word of the table is told apart, so the
@@ -475,30 +497,39 @@ class TestTemplateRoute:
                         want[len(ms.merges)][(head,) + apply_mixable(ms, long, short)] += 1
                 assert got == want, (m, n)
 
-    @pytest.mark.parametrize("ring, lam", [(INT, 0), (RAT, 2)], ids=["weight-0", "weight-2"])
-    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("ring, lam, n", [(INT, 0, 3), (INT, 0, 4), (RAT, 2, 3)],
+                             ids=["weight-0-short-3", "weight-0-short-4", "weight-2-short-3"])
     def test_the_shapes_either_side_of_the_cap(self, ring, lam, n, monkeypatch):
         routes = count_routes(monkeypatch)
         ctx = Context(ring, ring.coeff(lam), ("x", "y"))
+        assert n > shuffle_module.INSERT_MAX and fits(n, n, bool(lam))
         m = n
         while fits(m + 1, n, bool(lam)):
             m += 1
-        assert fits(m, n, bool(lam))
         # the largest longer tail that fits, and one factor more
-        for long, route in ((m, "_place"), (m + 1, "_insert" if n <= shuffle_module.INSERT_MAX else "_mix")):
-            for calls in routes.values():
-                calls.clear()
+        for long, route in ((m, "_place"), (m + 1, "_mix")):
             a = element(ctx, {letter_word(long + 1): 3})
             b = element(ctx, {letter_word(n + 1, start=2): -2})
             assert shuffle_product(a, b) == shuffle_product_enumerated(a, b)
             assert shuffle_product(b, a) == shuffle_product_enumerated(b, a)
-            assert {name for name, calls in routes.items() if calls} == {route}, (long, n)
+            assert routes_taken(routes) == {route}, (long, n)
+
+    @pytest.mark.parametrize("ring, lam", [(INT, 0), (RAT, 2)], ids=["weight-0", "weight-2"])
+    def test_tails_of_one_repeated_factor_enter_mix(self, ring, lam, monkeypatch):
+        # at weight 0 the table would write C(6, 3) = 20 copies of one word
+        routes = count_routes(monkeypatch)
+        ctx = Context(ring, ring.coeff(lam), ("x", "y"))
+        x, y = Monomial.of(x=1), Monomial.of(y=1)
+        for tail, route in (((x, x, x), "_mix"), ((x, x, y), "_place"), ((y, y, y), "_place")):
+            a, b = tensor_word(ctx, y, x, x, x), tensor_word(ctx, x, *tail)
+            assert shuffle_product(a, b) == shuffle_product_enumerated(a, b)
+            assert routes_taken(routes) == {route}, tail
 
     def test_the_tables_share_no_code_with_the_oracle(self, monkeypatch):
         ctx2, ctx0 = Context(RAT, RAT.coeff(2), ("x", "y")), Context(Zmod(9), Zmod(9).zero(), ("x", "y"))
         pairs = []
         for ctx in (ctx2, ctx0):
-            a = element(ctx, {letter_word(5): 2, letter_word(3, start=3): 1})
+            a = element(ctx, {letter_word(4): 2, letter_word(3, start=3): 1})
             b = element(ctx, {letter_word(4, start=2): 5, letter_word(7): -1})
             pairs.append((a, b, shuffle_product_enumerated(a, b)))
 
@@ -594,9 +625,9 @@ class TestAlgebraLaws:
     """The laws of the free Baxter algebra, on small elements over each
     ``BAXTER_IDENTITY_CONFIGS`` setting.  Their products take all four
     kernel routes: two all-unit tails such as (1, 1) are summed by
-    ``_unit_rows``, two tails of two factors are arranged by a table, a
-    tail of one factor is inserted, and one against an all-unit tail
-    enters ``_mix``."""
+    ``_unit_rows``, a tail of 1-2 factors is inserted, two tails of three
+    factors, as in P(a) P(b), are arranged by a table, and one against an
+    all-unit tail enters ``_mix``."""
 
     @settings(max_examples=60, deadline=None)
     @given(config=st.sampled_from(BAXTER_IDENTITY_CONFIGS), data=st.data())

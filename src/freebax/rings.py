@@ -148,8 +148,7 @@ class Coeff:
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
-        if not isinstance(k, int) or isinstance(k, bool) or k < 0:
-            raise ValueError("exponent must be a nonnegative integer")
+        check_count(k, "exponent")
         # the modulus is None outside Z/m, where pow is the plain power
         return Coeff(self.ring, pow(self.value, k, self.ring.modulus))
 
@@ -184,13 +183,22 @@ def _digit_count(n: int) -> int:
     return d + 1 if n >= 10 ** d else d
 
 
+def check_count(value, what: str, least: int = 0) -> None:
+    """The one check of a count, such as a degree, length, precision,
+    exponent or level: a ``TypeError`` unless ``value`` is an int and not
+    a bool, a ``ValueError`` below ``least``; each message names ``what``."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise TypeError(f"{what} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{what} must be at least {least}" if least else f"{what} must be nonnegative")
+
+
 def power(x, k: int, one, by_squaring: bool):
     """x**k for an associative, commutative product; ``one()`` for k = 0.
     Square-and-multiply (about 2*log2(k) products) only where the powers do
     not grow, else k - 1 products with the small base: squaring a growing
     power costs more (U(1)^300 at weight 1 is about 15 times slower)."""
-    if not isinstance(k, int) or isinstance(k, bool) or k < 0:
-        raise ValueError("exponent must be a nonnegative integer")
+    check_count(k, "exponent")
     if k == 0:
         return one()
     if not by_squaring:

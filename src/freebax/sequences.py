@@ -57,7 +57,7 @@ from math import comb
 
 from ._record import record
 from .poly import PRODUCTS, UNIT_MONOMIAL
-from .rings import Coeff, Ring, RingMismatchError, is_zero_divisor
+from .rings import Coeff, Ring, RingMismatchError, check_count, is_zero_divisor
 from .series import Series
 from .shuffle import Context, ContextMismatchError, Element, Word, _check_monomial, _degree0_raw, _TermStore, word_key
 
@@ -168,8 +168,7 @@ def _slots(word: Word) -> tuple:
 
 def bar(ring: Ring, level: int, mapping) -> BarElement:
     """The bar element of a mapping from words of ``level`` factors to Coeffs."""
-    if level < 1:
-        raise ValueError("bar level must be positive")
+    check_count(level, "bar level", 1)
     acc = {}
     for w, c in dict(mapping).items():
         if len(w) != level:
@@ -248,20 +247,13 @@ class SequenceElement:
         return "\n".join(f"[{k + 1}] {e}" for k, e in enumerate(self.entries))
 
 
-def _check_length(length: int) -> None:
-    if not isinstance(length, int) or isinstance(length, bool):
-        raise TypeError(f"sequence length must be an integer, got {length!r}")
-    if length < 1:
-        raise ValueError("sequence length must be at least 1")
-
-
 def seq_zero(ctx: Context, length: int) -> SequenceElement:
-    _check_length(length)
+    check_count(length, "sequence length", 1)
     return SequenceElement(ctx, (bar_zero(ctx.ring),) * length)
 
 
 def seq_one(ctx: Context, length: int) -> SequenceElement:
-    _check_length(length)
+    check_count(length, "sequence length", 1)
     return SequenceElement(ctx, (bar_one(ctx.ring),) * length)
 
 
@@ -346,7 +338,7 @@ def t_sequence(ctx: Context, p: Element, length: int) -> SequenceElement:
     """The generator sequence of a polynomial, given as a degree-0
     element: entry k puts each term's monomial in slot k of a level-k word,
     all earlier slots unit."""
-    _check_length(length)
+    check_count(length, "sequence length", 1)
     if not isinstance(p, Element):
         raise TypeError(f"expected a degree-0 element, got {p!r}")
     out = [{} for _ in range(length)]
@@ -377,7 +369,7 @@ def phi(a: Element, length: int) -> SequenceElement:
     r = n-1.  When the weight is a zero divisor the map is still computed,
     but it need not be injective.
     """
-    _check_length(length)
+    check_count(length, "sequence length", 1)
     ctx = a.ctx
     _warn_if_not_injective(ctx)
     lam = ctx.lam_raw
@@ -414,7 +406,7 @@ def phi_constants(ctx: Context, coeffs, length: int) -> SequenceElement:
     """Closed form of phi on a combination of pure unit words: for input
     coefficients b_0..b_M (b_n weighting the degree-n unit word), entry n
     of the image is sum_i C(n-1, i) lam^i b_i over i = 0..n-1."""
-    _check_length(length)
+    check_count(length, "sequence length", 1)
     _warn_if_not_injective(ctx)
     ring = ctx.ring
     lam = ctx.lam_raw
@@ -430,7 +422,7 @@ def phi_series(a: Series, length: int) -> SequenceElement:
     """phi extended to the completion.  Entry k only receives contributions
     from components of degree < k, so the first precision + 1 entries are
     exact, and components of degree >= length do not reach the image."""
-    _check_length(length)
+    check_count(length, "sequence length", 1)
     if length > a.precision + 1:
         raise ValueError(
             f"entries beyond {a.precision + 1} need components beyond precision {a.precision}"

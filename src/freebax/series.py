@@ -8,9 +8,11 @@ determine truncated outputs exactly.
 """
 from __future__ import annotations
 
+import math
+
 from ._record import record
 from .poly import UNIT_MONOMIAL
-from .rings import Coeff, power
+from .rings import Coeff, check_count, power
 from .shuffle import (
     Context,
     ContextMismatchError,
@@ -92,21 +94,16 @@ class Series:
         return f"{self._finite} + O(deg {self.precision + 1})"
 
 
-def _check_precision(precision: int) -> None:
-    if not isinstance(precision, int) or isinstance(precision, bool):
-        raise ValueError(f"precision must be an integer, got {precision!r}")
-    if precision < 0:
-        raise ValueError("precision must be nonnegative")
-
-
 def make_series(ctx: Context, precision: int, components) -> Series:
     """Validate a degree -> homogeneous element mapping and join it into a
     Series."""
-    _check_precision(precision)
+    check_count(precision, "precision")
     acc: dict = {}
     for d, e in dict(components).items():
         if e.ctx != ctx:
             raise ContextMismatchError("component context mismatch")
+        # any int passes here: the bounds are named below
+        check_count(d, "component degree", -math.inf)
         if d < 0 or d > precision:
             raise ValueError(f"component degree {d} outside [0, {precision}]")
         if any(len(w) - 1 != d for w in e._raw):
@@ -121,13 +118,13 @@ def zero_series(ctx: Context, precision: int) -> Series:
 
 def embed(a: Element, precision: int) -> Series:
     """View a finite element in the completion, forgetting degrees > precision."""
-    _check_precision(precision)
+    check_count(precision, "precision")
     top = precision + 1
     return Series(a.ctx, precision, Element(a.ctx, {w: v for w, v in a._raw.items() if len(w) <= top}))
 
 
 def truncate(a: Series, precision: int) -> Series:
-    _check_precision(precision)
+    check_count(precision, "precision")
     if precision > a.precision:
         raise ValueError("cannot raise precision: the missing components are unknown")
     return embed(a._finite, precision)
@@ -150,7 +147,7 @@ def complete_P(a: Series) -> Series:
 def geometric_unit_series(ctx: Context, c: Coeff, precision: int) -> Series:
     """The series whose degree-n component is c^n times the unit word of
     degree n (the n = 0 term is always the algebra unit)."""
-    _check_precision(precision)
+    check_count(precision, "precision")
     acc = {}
     cn = ctx.ring.one()
     for n in range(precision + 1):

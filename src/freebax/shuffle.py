@@ -26,7 +26,7 @@ from operator import itemgetter
 
 from ._record import record
 from .poly import PRODUCTS, UNIT_MONOMIAL, Monomial
-from .rings import Coeff, Ring, RingMismatchError, lambda_valuation, power
+from .rings import Coeff, Ring, RingMismatchError, check_count, lambda_valuation, power
 
 Word = tuple[Monomial, ...]
 
@@ -237,10 +237,7 @@ def one(ctx: Context) -> Element:
 
 def unit_word(ctx: Context, degree: int) -> Element:
     """The degree-n word 1 (x) ... (x) 1 with n+1 unit factors."""
-    if not isinstance(degree, int) or isinstance(degree, bool):
-        raise TypeError(f"degree must be an integer, got {degree!r}")
-    if degree < 0:
-        raise ValueError("degree must be nonnegative")
+    check_count(degree, "degree")
     return from_raw(ctx, {(UNIT_MONOMIAL,) * (degree + 1): 1})
 
 
@@ -667,11 +664,8 @@ class MixableShuffle:
 def enumerate_mixable_shuffles(m: int, n: int) -> list[MixableShuffle]:
     """Every (shuffle, merge-set) pair for tails of lengths m and n, in a
     deterministic order."""
-    for length in (m, n):
-        if not isinstance(length, int) or isinstance(length, bool):
-            raise TypeError(f"tail length must be an integer, got {length!r}")
-    if m < 0 or n < 0:
-        raise ValueError("tail lengths must be nonnegative")
+    check_count(m, "tail length")
+    check_count(n, "tail length")
     out = []
     for first_positions in itertools.combinations(range(m + n), m):
         sigma = [0] * (m + n)
@@ -726,6 +720,8 @@ def closed_form_unit_product(ctx: Context, m: int, n: int) -> Element:
 
     for k = 0..m; terms with k > n vanish through C(n, k) = 0.
     """
+    check_count(m, "degree")
+    check_count(n, "degree")
     acc: dict[Word, Coeff] = {}
     for k in range(m + 1):
         c = ctx.ring.coeff(comb(m + n - k, n) * comb(n, k)) * ctx.lam ** k
@@ -744,8 +740,7 @@ def baxter_P(a: Element) -> Element:
 
 def p_x_power(x: Element, n: int) -> Element:
     """n-fold application of y -> P(x * y) starting from the unit element."""
-    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-        raise ValueError("iteration count must be a nonnegative integer")
+    check_count(n, "iteration count")
     y = one(x.ctx)
     for _ in range(n):
         y = baxter_P(shuffle_product(x, y))

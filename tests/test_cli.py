@@ -554,6 +554,15 @@ class TestCommandLine:
         code, out, err = run_cli(capsys, "enumerate-shuffles", m, n)
         assert code == 2 and out == "" and "nonnegative" in err
 
+    @pytest.mark.parametrize("argv, message", [
+        (("enumerate-shuffles", "-1", "2"), "tail length must be nonnegative"),
+        (("enumerate-shuffles", "2", "-1"), "tail length must be nonnegative"),
+        (("--vars", "x", "phi", "x", "--len", "0"), "sequence length must be at least 1"),
+    ], ids=["enumerate-first", "enumerate-second", "phi-length"])
+    def test_a_bad_count_is_one_error_line(self, capsys, argv, message):
+        # the library's count check names the argument, with no traceback
+        assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
+
     def test_deep_nesting_exits_two_without_traceback(self):
         deep = "P(" * 400 + "x" + ")" * 400
         src = os.path.dirname(os.path.dirname(freebax.__file__))

@@ -17,24 +17,37 @@ from freebax import (
     Zmod,
     bar,
     characteristic,
+    closed_form_unit_product,
     element,
     embed,
+    enumerate_mixable_shuffles,
     evaluate_source,
+    geometric_unit_series,
     inverse,
     is_nilpotent,
     is_unit,
     is_zero_divisor,
     lambda_valuation,
+    make_series,
     p_prime,
+    p_x_power,
     parse_coeff,
     phi,
+    phi_constants,
+    phi_series,
     reduce_mod,
     reduce_vars,
     scalar,
+    seq_one,
+    seq_zero,
     shuffle_product,
+    t_sequence,
+    truncate,
     unit_word,
     variable,
+    zero,
 )
+from freebax.rings import power
 from freebax.sequences import PhiInjectivityWarning
 
 
@@ -297,13 +310,76 @@ class TestInputChecks:
     def test_coefficient_exponent_must_be_nonnegative(self):
         with pytest.raises(ValueError) as err:
             INT.coeff(2) ** -1
-        assert str(err.value) == "exponent must be a nonnegative integer"
+        assert str(err.value) == "exponent must be nonnegative"
 
     @pytest.mark.parametrize("k", [True, False, 2.0], ids=["true", "false", "float"])
     def test_coefficient_exponent_must_be_an_int_not_a_bool(self, k):
-        with pytest.raises(ValueError) as err:
+        with pytest.raises(TypeError) as err:
             INT.coeff(2) ** k
-        assert str(err.value) == "exponent must be a nonnegative integer"
+        assert str(err.value) == f"exponent must be an integer, got {k!r}"
+
+
+# every public function that takes a count, with valid other arguments:
+# (name, call with the count k, the name its messages give, least count)
+COUNT_ARGUMENTS = (
+    ("unit_word", unit_word, "degree", 0),
+    ("closed_form_unit_product-m", lambda ctx, k: closed_form_unit_product(ctx, k, 1), "degree", 0),
+    ("closed_form_unit_product-n", lambda ctx, k: closed_form_unit_product(ctx, 1, k), "degree", 0),
+    ("enumerate_mixable_shuffles-m", lambda ctx, k: enumerate_mixable_shuffles(k, 1), "tail length", 0),
+    ("enumerate_mixable_shuffles-n", lambda ctx, k: enumerate_mixable_shuffles(1, k), "tail length", 0),
+    ("p_x_power", lambda ctx, k: p_x_power(variable(ctx, "x"), k), "iteration count", 0),
+    ("power", lambda ctx, k: power(2, k, lambda: 1, True), "exponent", 0),
+    ("Element-pow", lambda ctx, k: variable(ctx, "x") ** k, "exponent", 0),
+    ("Series-pow", lambda ctx, k: embed(variable(ctx, "x"), 2) ** k, "exponent", 0),
+    ("Coeff-pow", lambda ctx, k: ctx.lam ** k, "exponent", 0),
+    ("bar", lambda ctx, k: bar(ctx.ring, k, {}), "bar level", 1),
+    ("seq_zero", seq_zero, "sequence length", 1),
+    ("seq_one", seq_one, "sequence length", 1),
+    ("t_sequence", lambda ctx, k: t_sequence(ctx, variable(ctx, "x"), k), "sequence length", 1),
+    ("phi", lambda ctx, k: phi(variable(ctx, "x"), k), "sequence length", 1),
+    ("phi_constants", lambda ctx, k: phi_constants(ctx, [ctx.lam], k), "sequence length", 1),
+    ("phi_series", lambda ctx, k: phi_series(embed(variable(ctx, "x"), 3), k), "sequence length", 1),
+    ("make_series-precision", lambda ctx, k: make_series(ctx, k, {}), "precision", 0),
+    ("make_series-degree", lambda ctx, k: make_series(ctx, 3, {k: zero(ctx)}), "component degree", 0),
+    ("embed", lambda ctx, k: embed(variable(ctx, "x"), k), "precision", 0),
+    ("truncate", lambda ctx, k: truncate(embed(variable(ctx, "x"), 3), k), "precision", 0),
+    ("geometric_unit_series", lambda ctx, k: geometric_unit_series(ctx, ctx.lam, k), "precision", 0),
+)
+
+
+def junk_counts(least):
+    """Values that are no count, and ints below ``least``."""
+    return st.one_of(
+        st.integers(-3, 3).map(float),
+        st.floats(-3, 3).filter(lambda f: not f.is_integer()),
+        st.sampled_from([True, False, "2", None, Fraction(3, 1)]),
+        st.integers(least - 3, least - 1),
+    )
+
+
+class TestCountContract:
+    """A count is an int and not a bool, checked by ``rings.check_count``:
+    any other value raises TypeError and an int below the least count
+    ValueError, each message naming the argument."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(case=st.sampled_from(COUNT_ARGUMENTS), data=st.data())
+    def test_every_count_argument_follows_the_contract(self, case, data):
+        _, call, what, least = case
+        ctx = Context(INT, INT.coeff(1), ("x",))
+        call(ctx, least)
+        bad = data.draw(junk_counts(least), label="count")
+        if type(bad) is not int:
+            error, message = TypeError, f"{what} must be an integer, got {bad!r}"
+        elif what == "component degree":
+            # a component degree is an int of any sign to the count check;
+            # make_series names the range of degrees instead
+            error, message = ValueError, f"component degree {bad} outside [0, 3]"
+        else:
+            error, message = ValueError, f"{what} must be at least {least}" if least else f"{what} must be nonnegative"
+        with pytest.raises(error) as err:
+            call(ctx, bad)
+        assert type(err.value) is error and str(err.value) == message
 
 
 class TestInPlaceReduce:

@@ -862,7 +862,15 @@ class TestInputChecks:
     def test_bar_level_must_be_positive(self):
         with pytest.raises(ValueError) as err:
             bar(INT, 0, {})
-        assert str(err.value) == "bar level must be positive"
+        assert str(err.value) == "bar level must be at least 1"
+
+    @pytest.mark.parametrize("level, mapping", [(True, {(UNIT_MONOMIAL,): 1}), (1.5, {})],
+                             ids=["bool", "float"])
+    def test_bar_level_must_be_an_integer(self, level, mapping):
+        # True built a level-1 element, and 1.5 the zero element
+        with pytest.raises(TypeError) as err:
+            bar(INT, level, mapping)
+        assert str(err.value) == f"bar level must be an integer, got {level!r}"
 
     def test_bar_words_must_have_the_level_as_length(self):
         with pytest.raises(ValueError) as err:

@@ -194,6 +194,15 @@ class TestSeriesContract:
         with pytest.raises(ValueError, match="outside"):
             make_series(ctx, 2, {-1: one(ctx)})
 
+    @pytest.mark.parametrize("degree, component", [(True, lambda ctx: unit_word(ctx, 1)), (1.5, zero)],
+                             ids=["bool", "float"])
+    def test_make_series_component_degree_must_be_an_integer(self, degree, component):
+        # True was read as degree 1, and 1.5 was accepted
+        ctx = ctx_of(INT, 1)
+        with pytest.raises(TypeError) as err:
+            make_series(ctx, 3, {degree: component(ctx)})
+        assert str(err.value) == f"component degree must be an integer, got {degree!r}"
+
     def test_negative_precision_is_rejected(self):
         ctx = ctx_of(INT, 1)
         with pytest.raises(ValueError, match="nonnegative"):
@@ -210,7 +219,7 @@ class TestSeriesContract:
     ], ids=["embed", "make-series", "truncate"])
     def test_precision_must_be_an_integer(self, build):
         # a fractional precision would print as O(deg 2.5)
-        with pytest.raises(ValueError) as err:
+        with pytest.raises(TypeError) as err:
             build(ctx_of(INT, 1))
         assert str(err.value) == "precision must be an integer, got 1.5"
 
@@ -223,7 +232,7 @@ class TestSeriesContract:
     ], ids=["embed", "make-series", "truncate", "geometric"])
     def test_precision_is_checked_before_use(self, build, precision):
         # a bool is no precision, though it is an int
-        with pytest.raises(ValueError) as err:
+        with pytest.raises(TypeError) as err:
             build(ctx_of(INT, 1), precision)
         assert str(err.value) == f"precision must be an integer, got {precision!r}"
 

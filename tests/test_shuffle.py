@@ -441,6 +441,14 @@ def fits(m, n, merging):
     return shuffles * (m + n + 1) <= shuffle_module.TEMPLATE_MAX
 
 
+def table_shapes(merging):
+    """The shapes (m, n), m >= n, of the pairs of tails that ``_place``
+    takes: a shorter tail too long for ``_insert``, and a table that fits."""
+    shapes = [(m, n) for n in range(shuffle_module.INSERT_MAX + 1, 6) for m in range(n, 12) if fits(m, n, merging)]
+    assert shapes
+    return shapes
+
+
 class TestTemplateRoute:
     """``_place`` arranges the two tails of a pair by the cached table of
     its shape, built by ``_template`` from no code of the enumeration."""
@@ -454,9 +462,11 @@ class TestTemplateRoute:
         def check(config, data, swap):
             ring, lam = config
             ctx = Context(ring, ring.coeff(lam), ("x", "y"))
-            # a shorter tail of 2-4 factors, a longer one of 2-8
-            short = data.draw(elements_of(ctx, words_of(3, 5)))
-            other = data.draw(elements_of(ctx, words_of(3, 9)))
+            # a shape with a table first, then the letters of words with
+            # tails of that shape, so that most pairs reach the table
+            m, n = data.draw(st.sampled_from(table_shapes(bool(lam))))
+            short = data.draw(elements_of(ctx, words_of(n + 1, n + 1)))
+            other = data.draw(elements_of(ctx, words_of(m + 1, m + 1)))
             a, b = (other, short) if swap else (short, other)
             assert shuffle_product(a, b) == shuffle_product_enumerated(a, b)
 
@@ -468,8 +478,7 @@ class TestTemplateRoute:
         placed = count_calls(monkeypatch, "_place")
         ctx = Context(ring, ring.coeff(lam), ("x", "y"))
         rng = random.Random(31)
-        shapes = [(m, n) for n in range(shuffle_module.INSERT_MAX + 1, 6) for m in range(n, 12) if fits(m, n, bool(lam))]
-        assert shapes
+        shapes = table_shapes(bool(lam))
         for m, n in shapes:
             for _ in range(3):
                 a = element(ctx, {tuple(rng.choice(LETTERS) for _ in range(m + 1)): rng.randint(1, 3)})
@@ -1113,7 +1122,7 @@ class TestInputChecks:
         # a monomial outside the context would render as text that does not parse back
         (lambda ctx: element(ctx, {(UNIT_MONOMIAL, Monomial.of(x=1, z=2)): 1}), "unknown variable 'z'"),
         (lambda ctx: tensor_word(ctx, Monomial.of(x=1), Monomial.of(z=1)), "unknown variable 'z'"),
-        (lambda ctx: p_x_power(variable(ctx, "x"), -1), "iteration count must be a nonnegative integer"),
+        (lambda ctx: p_x_power(variable(ctx, "x"), -1), "iteration count must be nonnegative"),
     ], ids=["unit-word-degree", "empty-word", "unknown-variable", "element-variable", "tensor-word-variable",
             "p-x-power-count"])
     def test_constructor_arguments(self, build, message):
@@ -1123,14 +1132,26 @@ class TestInputChecks:
 
     # a bool is an int to Python, but not a count: it gets the message of 2.0
     @pytest.mark.parametrize("count", [True, False, 2.0], ids=["true", "false", "float"])
-    @pytest.mark.parametrize("build, message", [
-        (lambda ctx, k: variable(ctx, "x") ** k, "exponent must be a nonnegative integer"),
-        (lambda ctx, k: p_x_power(variable(ctx, "x"), k), "iteration count must be a nonnegative integer"),
+    @pytest.mark.parametrize("build, what", [
+        (lambda ctx, k: variable(ctx, "x") ** k, "exponent"),
+        (lambda ctx, k: p_x_power(variable(ctx, "x"), k), "iteration count"),
     ], ids=["power", "p-x-power"])
-    def test_counts_must_be_ints_not_bools(self, build, message, count):
-        with pytest.raises(ValueError) as err:
+    def test_counts_must_be_ints_not_bools(self, build, what, count):
+        with pytest.raises(TypeError) as err:
             build(ctx_int(1, ("x",)), count)
-        assert str(err.value) == message
+        assert str(err.value) == f"{what} must be an integer, got {count!r}"
+
+    def test_closed_form_unit_product_rejects_a_negative_degree(self):
+        # the referee returned zero for it
+        with pytest.raises(ValueError) as err:
+            closed_form_unit_product(ctx_int(1), -1, 2)
+        assert str(err.value) == "degree must be nonnegative"
+
+    def test_closed_form_unit_product_rejects_a_bool_degree(self):
+        # the referee read True as m = 1
+        with pytest.raises(TypeError) as err:
+            closed_form_unit_product(ctx_int(1), True, 1)
+        assert str(err.value) == "degree must be an integer, got True"
 
     @pytest.mark.parametrize("m, n, bad", [(True, 1, True), (1, False, False), (1.5, 2, 1.5), (2, 2.0, 2.0),
                                            ("1", 1, "1")], ids=["true", "false", "float", "whole-float", "str"])

@@ -63,9 +63,7 @@ from .shuffle import (
     Context,
     ContextMismatchError,
     Element,
-    MixableShuffle,
     Word,
-    apply_mixable,
     baxter_P,
     closed_form_unit_product,
     degree_components,

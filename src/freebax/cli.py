@@ -184,14 +184,12 @@ def _cmd_enumerate(args, ctx: Context) -> int:
             "m": args.m,
             "n": args.n,
             "count": len(shuffles),
-            "shuffles": [s.to_obj() for s in shuffles],
+            "shuffles": [{"sigma": list(sigma), "merges": list(merges)} for sigma, merges in shuffles],
         }
 
     def text():
-        lines = []
-        for s in shuffles:
-            merges = ",".join(str(k) for k in s.merges)
-            lines.append(f"sigma=({','.join(str(v) for v in s.sigma)}) merges=[{merges}]")
+        lines = [f"sigma=({','.join(map(str, sigma))}) merges=[{','.join(map(str, merges))}]"
+                 for sigma, merges in shuffles]
         lines.append(f"count {len(shuffles)}")
         return "\n".join(lines)
 

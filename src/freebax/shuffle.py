@@ -15,7 +15,9 @@ shuffle), two longer tails of a small shape are arranged by a cached table
 of the shape's mixable shuffles, and every other pair goes through the
 memoized quasi-shuffle recursion on tails.  The oracle all routes are
 tested against is a direct enumeration over all (shuffle, merge-set)
-pairs, which shares no code with the tables.
+pairs, which shares no code with the tables: it adds raw values into one
+dict that ``Ring.reduce`` reduces once.  The binomial closed form of unit
+words stays on ``Coeff`` arithmetic, so it still referees ``Ring.reduce``.
 """
 from __future__ import annotations
 
@@ -634,83 +636,49 @@ def shuffle_product(a: Element, b: Element, *, _cut: int | None = None) -> Eleme
 
 # --- the product, enumeration route (test oracle) ---
 
-@record
-class MixableShuffle:
-    """An (m,n)-shuffle together with a set of merged adjacent pairs.
+def enumerate_mixable_shuffles(m: int, n: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Every mixable shuffle of tails of lengths m and n, as a pair
+    ``(sigma, merges)``, in a deterministic order.
 
     ``sigma[k-1]`` is the source index placed at position k: values 1..m
     come from the first tail, m+1..m+n from the second, each block kept in
-    its original order.  ``merges`` lists positions k such that the pair at
-    (k, k+1) has its first entry from the first tail and its second from
-    the second; those two factors are multiplied into one.
+    its original order.  ``merges`` lists, in increasing order, positions k
+    such that the pair at (k, k+1) has its first entry from the first tail
+    and its second from the second; those two factors are multiplied into
+    one.
     """
-
-    m: int
-    n: int
-    sigma: tuple[int, ...]
-    merges: tuple[int, ...]
-
-    def admissible(self) -> tuple[int, ...]:
-        return tuple(
-            k
-            for k in range(1, self.m + self.n)
-            if self.sigma[k - 1] <= self.m < self.sigma[k]
-        )
-
-    def to_obj(self):
-        return {"sigma": list(self.sigma), "merges": list(self.merges)}
-
-
-def enumerate_mixable_shuffles(m: int, n: int) -> list[MixableShuffle]:
-    """Every (shuffle, merge-set) pair for tails of lengths m and n, in a
-    deterministic order."""
     check_count(m, "tail length")
     check_count(n, "tail length")
     out = []
     for first_positions in itertools.combinations(range(m + n), m):
-        sigma = [0] * (m + n)
-        firsts = iter(range(1, m + 1))
-        seconds = iter(range(m + 1, m + n + 1))
         fp = set(first_positions)
-        for pos in range(m + n):
-            sigma[pos] = next(firsts) if pos in fp else next(seconds)
-        base = MixableShuffle(m, n, tuple(sigma), ())
-        adm = base.admissible()
+        firsts, seconds = iter(range(1, m + 1)), iter(range(m + 1, m + n + 1))
+        sigma = tuple(next(firsts if pos in fp else seconds) for pos in range(m + n))
+        adm = [k for k in range(1, m + n) if sigma[k - 1] <= m < sigma[k]]
         for size in range(len(adm) + 1):
-            for subset in itertools.combinations(adm, size):
-                out.append(MixableShuffle(m, n, base.sigma, subset))
+            out.extend((sigma, merges) for merges in itertools.combinations(adm, size))
     return out
-
-
-def apply_mixable(ms: MixableShuffle, xtail: Word, ytail: Word) -> Word:
-    """Arrange the two tails according to sigma, then multiply each merged
-    pair into a single factor."""
-    if len(xtail) != ms.m or len(ytail) != ms.n:
-        raise ValueError("tail lengths do not match the shuffle shape")
-    slots = [xtail[s - 1] if s <= ms.m else ytail[s - ms.m - 1] for s in ms.sigma]
-    # merged pairs are never adjacent to each other, so right-to-left is safe
-    for k in sorted(ms.merges, reverse=True):
-        slots[k - 1] = slots[k - 1] * slots[k]
-        del slots[k]
-    return tuple(slots)
 
 
 def shuffle_product_enumerated(a: Element, b: Element) -> Element:
     """Definitional product: sum over all mixable shuffles of the tails,
     weighted by lambda to the number of merges."""
     a._check(b)
-    lam = a.ctx.lam
-    acc: dict[Word, Coeff] = {}
-    for wa, ca in a.terms:
-        for wb, cb in b.terms:
+    lam = a.ctx.lam_raw
+    acc: dict = {}
+    for wa, ca in a._raw.items():
+        for wb, cb in b._raw.items():
             head = wa[0] * wb[0]
-            xtail, ytail = wa[1:], wb[1:]
+            tails = wa[1:] + wb[1:]  # source index s of sigma is tails[s - 1]
             c = ca * cb
-            for ms in enumerate_mixable_shuffles(len(xtail), len(ytail)):
-                w = (head,) + apply_mixable(ms, xtail, ytail)
-                t = c * lam ** len(ms.merges)
-                acc[w] = acc[w] + t if w in acc else t
-    return element(a.ctx, acc)
+            for sigma, merges in enumerate_mixable_shuffles(len(wa) - 1, len(wb) - 1):
+                slots = [tails[s - 1] for s in sigma]
+                # merged pairs are never adjacent to each other, so right-to-left is safe
+                for k in reversed(merges):
+                    slots[k - 1] = slots[k - 1] * slots.pop(k)
+                w = (head, *slots)
+                acc[w] = acc.get(w, 0) + c * lam ** len(merges)
+    return from_raw(a.ctx, acc)
 
 
 def closed_form_unit_product(ctx: Context, m: int, n: int) -> Element:

@@ -549,6 +549,16 @@ class TestCommandLine:
         payload = json.loads(out)
         assert code == 0 and payload["count"] == 3
 
+    def test_enumerate_shuffles_listing_is_pinned(self, capsys):
+        # every line of the listing, in order, in text and in --json; CI
+        # compares the installed console script with the same two files
+        data = os.path.join(os.path.dirname(__file__), "data")
+        for argv, name in ((("enumerate-shuffles", "3", "2"), "enumerate_shuffles_3_2.txt"),
+                           (("--json", "enumerate-shuffles", "2", "2"), "enumerate_shuffles_2_2.json")):
+            code, out, err = run_cli(capsys, *argv)
+            with open(os.path.join(data, name), "rb") as f:
+                assert (code, out.encode(), err) == (0, f.read(), ""), name
+
     @pytest.mark.parametrize("m, n", [("3", "-1"), ("-1", "3"), ("-2", "-1")])
     def test_enumerate_shuffles_rejects_negative_lengths(self, capsys, m, n):
         code, out, err = run_cli(capsys, "enumerate-shuffles", m, n)

@@ -13,7 +13,7 @@ import warnings
 
 from ._record import record
 from .rings import Coeff, Zmod
-from .shuffle import Context, Element, from_raw
+from .shuffle import Context, Element, from_raw, variable_names
 
 
 class TrivialIdealWarning(UserWarning):
@@ -28,6 +28,7 @@ class IdealSpec:
 
     def __post_init__(self):
         if self.kind == "vars":
+            object.__setattr__(self, "names", variable_names(self.names))
             if not self.names:
                 raise ValueError("a variable ideal needs at least one generator")
         elif self.kind == "scalar":
@@ -101,7 +102,7 @@ def reduce_mod(a: Element, m: int) -> Element:
 def reduce_vars(a: Element, names) -> Element:
     """Quotient by the ideal generated by the given variables: kill every
     word with a factor divisible by one of them, keep the rest verbatim."""
-    names = tuple(names)
+    names = variable_names(names)
     _check_variables(a.ctx, names, "variables")
     ctx = Context(a.ctx.ring, a.ctx.lam, tuple(v for v in a.ctx.variables if v not in names))
     return from_raw(ctx, {w: v for w, v in a.raw_items() if not _divisible(w, names)})

@@ -51,6 +51,14 @@ def check_variable_name(v: str) -> None:
         raise ValueError(f"{v!r} is a reserved word")
 
 
+def variable_names(names) -> tuple[str, ...]:
+    """``names`` as a tuple, refusing a bare string, whose letters would
+    read as the names."""
+    if isinstance(names, str):
+        raise TypeError(f"variables must be a tuple of names, got {names!r}")
+    return tuple(names)
+
+
 @record
 class Context:
     """The algebra context: coefficient ring, weight and variable set."""
@@ -62,9 +70,7 @@ class Context:
     def __post_init__(self):
         if self.lam.ring != self.ring:
             raise RingMismatchError("lambda must belong to the coefficient ring")
-        if isinstance(self.variables, str):
-            raise TypeError(f"variables must be a tuple of names, got {self.variables!r}")
-        object.__setattr__(self, "variables", tuple(self.variables))
+        object.__setattr__(self, "variables", variable_names(self.variables))
         for v in self.variables:
             check_variable_name(v)
         if len(set(self.variables)) != len(self.variables):
@@ -348,15 +354,16 @@ def degree_components(a: Element) -> dict[int, Element]:
 # both tails repeat one factor, when the table of their shape fits
 # TEMPLATE_MAX.  Tails of m >= n factors have D(m, n) mixable shuffles (a
 # Delannoy number), or C(m + n, n) at weight 0, whatever their factors are.
-# The table of (m, n, lam != 0), built once by ``_template``, lists them as
+# The table of (m, n, lam != 0), built by ``_template`` when ``_table``
+# first meets the shape and cached (None past the cap), lists them as
 # ``operator.itemgetter`` maps into the tuple
 #   (head, *long, *short, *merges),  long[i] short[j] at 1 + m + n + i*n + j,
 # grouped by their number r of merges, so each word of a pair is one C call
 # and one dict update at weight c lam^r, with no intermediate tuple or dict.
 # A repeated factor gives one word several times, and the updates sum it;
 # when both tails repeat one factor, every word at weight 0 is one word,
-# which ``_mix`` reaches with far fewer steps.  The cap bounds the cache:
-# 6 tables, 328 getters, when all are built.
+# which ``_mix`` reaches with far fewer steps.  The cap bounds the tables:
+# 6 of them, 328 getters, when all are built.
 #
 # ``_mix`` takes every other pair, by the memoized recursion on tails u, v:
 #   mix(u, v) = u0 (x) mix(u', v)  +  v0 (x) mix(u, v')  +  lam (u0 v0) (x) mix(u', v')
@@ -372,39 +379,13 @@ INSERT_MAX = 2  # the most factors of a tail that ``_insert`` places
 TEMPLATE_MAX = 1024
 
 
-def _entries(m: int, n: int, merging: bool) -> int:
-    """The index entries of the table of tails of m and n factors: its
-    mixable shuffles, D(m, n) with merges or C(m + n, n) without, times
-    m + n + 1."""
-    if merging:
-        shuffles = sum(comb(m, k) * comb(n, k) << k for k in range(min(m, n) + 1))
-    else:
-        shuffles = comb(m + n, n)
-    return shuffles * (m + n + 1)
-
-
-def _longest(merging: bool) -> tuple[int, ...]:
-    """Entry n is the most factors m >= n of a longer tail whose table with
-    a shorter tail of n factors fits TEMPLATE_MAX, and -1 for n <=
-    INSERT_MAX, which ``_insert`` takes; the entries end at the first n with
-    no such m."""
-    out = [-1] * (INSERT_MAX + 1)
-    while _entries(len(out), len(out), merging) <= TEMPLATE_MAX:
-        n = m = len(out)
-        while _entries(m + 1, n, merging) <= TEMPLATE_MAX:
-            m += 1
-        out.append(m)
-    return tuple(out)
-
-
-_LONGEST = (_longest(False), _longest(True))  # indexed by lam != 0
-_TEMPLATES: dict = {}  # (m, n, lam != 0) -> table, for the shapes that fit
+_TEMPLATES: dict = {}  # (m, n, lam != 0) -> table, or None past TEMPLATE_MAX
 
 
 def _template(m: int, n: int, merging: bool) -> tuple:
-    """The table of tails of m and n factors, built and cached: per merge
-    count r, in order, the getters of the words of the mixable shuffles with
-    r merges from (head, *long, *short, *merges), long[i] short[j] at index
+    """The table of tails of m and n factors: per merge count r, in order,
+    the getters of the words of the mixable shuffles with r merges from
+    (head, *long, *short, *merges), long[i] short[j] at index
     1 + m + n + i*n + j.  At weight 0 it is the one group r = 0."""
     groups = [[] for _ in range(min(m, n) + 1 if merging else 1)]
     rest = tuple(range(1, m + n + 1))
@@ -419,17 +400,28 @@ def _template(m: int, n: int, merging: bool) -> tuple:
             place(i + 1, j + 1, word + (1 + m + n + i * n + j,), r + 1)
 
     place(0, 0, (), 0)
-    table = _TEMPLATES[m, n, merging] = tuple(map(tuple, groups))
+    return tuple(map(tuple, groups))
+
+
+def _table(m: int, n: int, merging: bool):
+    """The table of a shape the product meets, cached in _TEMPLATES, or
+    None when its index entries exceed TEMPLATE_MAX: the one place the cap
+    is decided.  Those are its mixable shuffles, D(m, n) with merges or
+    C(m + n, n) without, times m + n + 1."""
+    if merging:
+        shuffles = sum(comb(m, k) * comb(n, k) << k for k in range(min(m, n) + 1))
+    else:
+        shuffles = comb(m + n, n)
+    fits = shuffles * (m + n + 1) <= TEMPLATE_MAX
+    table = _TEMPLATES[m, n, merging] = _template(m, n, merging) if fits else None
     return table
 
 
-def _place(acc: dict, head: Word, long: Word, short: Word, c, lam_raw) -> None:
+def _place(acc: dict, head: Word, long: Word, short: Word, c, lam_raw, table: tuple) -> None:
     """Add c * (head (x) mix(long, short)) to acc, each word read off the
     source tuple by a getter of the shape's table, at weight c lam^r."""
-    m, n, merging = len(long), len(short), bool(lam_raw)
-    table = _TEMPLATES.get((m, n, merging)) or _template(m, n, merging)
     src = head + long + short
-    if merging:
+    if lam_raw:
         src += tuple([PRODUCTS[f, s] for f in long for s in short])
     get = acc.get
     t = c
@@ -598,7 +590,7 @@ def shuffle_product(a: Element, b: Element, *, _cut: int | None = None) -> Eleme
     acc = {(h,) + (UNIT_MONOMIAL,) * size: t
            for h, out in sums.items() for size, t in out.items()} if sums else {}
     aget = acc.get
-    longest = _LONGEST[bool(lam_raw)]
+    merging = bool(lam_raw)
     # every other pair has one of the other words on a side at least
     a_parts = a_others + _unit_parts(a_units) if b_others and a_units else a_others
     b_parts = b_others + _unit_parts(b_units) if a_others and b_units else b_others
@@ -621,10 +613,14 @@ def shuffle_product(a: Element, b: Element, *, _cut: int | None = None) -> Eleme
                 if n <= INSERT_MAX:
                     _insert(acc, head, long, short, c, lam_raw)
                     continue
+                try:
+                    table = _TEMPLATES[m, n, merging]
+                except KeyError:
+                    table = _table(m, n, merging)
                 # two tails of one factor repeated make one word at weight 0,
                 # which the memo of ``_mix`` reaches in O(m n) steps
-                if n < len(longest) and m <= longest[n] and (long + short).count(long[0]) < m + n:
-                    _place(acc, head, long, short, c, lam_raw)
+                if table is not None and (long + short).count(long[0]) < m + n:
+                    _place(acc, head, long, short, c, lam_raw, table)
                     continue
             for tail, weight in _mix(ta, tb, lam_raw, memo).items():
                 w = head + tail

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import cli_golden
 import freebax
 import freebax.lang as lang
 import freebax.series as sr
@@ -466,31 +467,6 @@ def parse_or_exit(capsys, parser, argv):
         return exc.code, capsys.readouterr()
 
 
-# every subcommand, a parse error, a bad flag value, command lines argparse
-# rejects, and runs without --vars and with an empty one next to one with it
-REUSED_PARSER_LINES = (
-    ("--ring", "mod:9", "--lambda", "3", "eval", "U(1)*U(1)"),
-    ("--vars", "x,y", "eval", "T(x,y) + 2*T(1,x)"),
-    ("eval", "T(x,y) + 2*T(1,x)"),
-    ("--vars", "", "eval", "T(x,y) + 2*T(1,x)"),
-    ("--ring", "rat", "--precision", "4", "eval", "U(1)*geom(2)"),
-    ("--ring", "int", "--lambda", "2", "phi", "U(1)", "--len", "4"),
-    ("--vars", "x,y", "ideal-member", "--gens", "x", "T(x,y) + T(x,1)"),
-    ("ideal-member", "--gens", "scalar:2", "2*U(1) + 4*U(2)"),
-    ("verify", "prop-unit"),
-    ("enumerate-shuffles", "2", "1"),
-    ("eval", "U(1"),
-    ("--lambda", "foo", "eval", "1"),
-    ("--ring", "mod:x", "eval", "1"),
-    ("--precision", "-1", "eval", "1"),
-    ("verify", "no-such-suite"),
-    ("phi", "U(1)", "--len", "x"),
-    ("--help",),
-    ("--ring", "rat", "eval", "-1/2"),
-    ("--vars", "x", "phi", "-T(x)", "--len", "2"),
-)
-
-
 GOLDEN_SUM_WORDS = (
     "T(x)", "T(1,y)", "T(x*y,x^2)", "T(y^2,1,x)",
     "T(1)", "T(y)", "T(x^2,y)", "T(x,x)", "T(1,x*y)", "T(y^2,y^2,1)", "T(x,1,y)", "T(x*y)",
@@ -923,17 +899,21 @@ class TestCommandLine:
         code, out, err = run_argv(capsys, "--help", "-x")
         assert (code, out) == (2, "") and "'-x'" in err
 
+    def test_golden_transcript(self):
+        # every case of tests/data/cli_golden.json; CI runs the same cases
+        # against the installed script
+        failures = cli_golden.failures(cli_golden.in_process, cli_golden.load())
+        assert not failures, "\n".join(failures)
+
     def test_reused_parser_leaks_no_state(self, capsys):
-        argvs = [flag + argv for argv in REUSED_PARSER_LINES for flag in ((), ("--json",))]
+        # every golden case, and --help, whose text each Python version lays
+        # out differently, so that no case holds it
+        lines = [tuple(case["argv"]) for case in cli_golden.load()] + [("--help",)]
+        argvs = [flag + argv for argv in lines for flag in ((), ("--json",))]
         forward = [run_argv(capsys, *argv) for argv in argvs]
         backward = [run_argv(capsys, *argv) for argv in reversed(argvs)][::-1]
         assert forward == backward
-        runs = dict(zip(argvs, forward))
-        assert runs[("--vars", "x,y", "eval", "T(x,y) + 2*T(1,x)")] == (0, "2*T(1,x) + T(x,y)\n", "")
-        assert runs[("eval", "T(x,y) + 2*T(1,x)")] == (2, "", "error: unknown variable 'x' (at position 2)\n")
-        assert runs[("--vars", "", "eval", "T(x,y) + 2*T(1,x)")] == runs[("eval", "T(x,y) + 2*T(1,x)")]
-        # help text is laid out differently by each Python version
-        code, out, _ = runs[("--help",)]
+        code, out, _ = forward[argvs.index(("--help",))]
         assert code == 0 and out.startswith("usage: freebax")
         fresh = build_parser.__wrapped__()
         for argv in argvs:
@@ -989,6 +969,7 @@ class TestCommandLine:
         # no source path, line number or source line, in either mode
         assert run_cli(capsys, *argv) == (0, text, f"warning: {warning}\n")
         assert run_cli(capsys, "--json", *argv) == (0, payload, f"warning: {warning}\n")
+
 
 
 # text over the grammar's alphabet, with characters it does not know

@@ -103,6 +103,14 @@ class TestIdealSpec:
         with pytest.raises(ValueError, match="unknown ideal kind 'foo'"):
             IdealSpec("foo")
 
+    def test_generators_as_a_string_are_rejected(self):
+        # "xy" would read as the generators x and y, so that T(x,y) passed
+        # as a member and T(xy) did not
+        with pytest.raises(TypeError) as err:
+            IdealSpec("vars", "xy")
+        assert str(err.value) == "variables must be a tuple of names, got 'xy'"
+        assert variable_ideal("xy").names == ("xy",)
+
 
 class TestIdealClosure:
     def test_closed_under_products_and_P(self):
@@ -200,3 +208,12 @@ class TestVariableReduction:
         ctx = ctx_int(1)
         with pytest.raises(ValueError):
             reduce_vars(one(ctx), ("q",))
+
+    def test_variables_as_a_string_are_rejected(self):
+        # "xy" would kill x and y, not the variable xy
+        ctx = ctx_int(1, ("x", "y", "xy"))
+        a = tensor_word(ctx, x, y) + tensor_word(ctx, Monomial.of(xy=1))
+        with pytest.raises(TypeError) as err:
+            reduce_vars(a, "xy")
+        assert str(err.value) == "variables must be a tuple of names, got 'xy'"
+        assert reduce_vars(a, ("xy",)) == reduce_vars(tensor_word(ctx, x, y), ("xy",))

@@ -15,7 +15,7 @@ from . import series as sr
 from .ideals import TrivialIdealWarning, baxter_ideal_member, scalar_ideal, variable_ideal
 from .lang import EvalError, evaluate_source
 from .rings import INT, RAT, Ring, Zmod, parse_coeff
-from .shuffle import Context, Element, check_variable_name, enumerate_mixable_shuffles
+from .shuffle import Context, Element, enumerate_mixable_shuffles, variable_names
 from .verify import DEFAULT_SEED, SUITES, run_suites
 
 
@@ -38,12 +38,7 @@ def _ring_arg(text: str) -> Ring:
 
 def _names(text: str) -> tuple[str, ...]:
     """Comma-separated variable names, each a name the parser reads."""
-    if not text:
-        return ()
-    names = tuple(v.strip() for v in text.split(","))
-    for v in names:
-        check_variable_name(v)
-    return names
+    return variable_names(v.strip() for v in text.split(",")) if text else ()
 
 
 def _vars_arg(text: str) -> tuple[str, ...]:

@@ -9,15 +9,16 @@ two head factors always multiply in the base algebra.
 Two independent implementations of the product live here.  The production
 path, ``shuffle_product``, sums all pairs of all-unit tails behind a pair of
 heads at once, by the binomial closed form of their mixable shuffle read as
-Pascal's rule; of the other term pairs, a tail of one or two factors is
-inserted straight into the other tail (the insertion form of the mixable
-shuffle), two longer tails of a small shape are arranged by a cached table
-of the shape's mixable shuffles, and every other pair goes through the
-memoized quasi-shuffle recursion on tails.  The oracle all routes are
-tested against is a direct enumeration over all (shuffle, merge-set)
-pairs, which shares no code with the tables: it adds raw values into one
-dict that ``Ring.reduce`` reduces once.  The binomial closed form of unit
-words stays on ``Coeff`` arithmetic, so it still referees ``Ring.reduce``.
+Pascal's rule; of the other term pairs, a tail of one factor is inserted
+straight into the other tail (the insertion form of the mixable shuffle),
+two longer tails of a small shape are arranged by a cached table of the
+shape's mixable shuffles, a tail of two factors past the tables is
+inserted too, and every other pair goes through the memoized quasi-shuffle
+recursion on tails.  The oracle all routes are tested against is a direct
+enumeration over all (shuffle, merge-set) pairs, which shares no code with
+the tables: it adds raw values into one dict that ``Ring.reduce`` reduces
+once.  The binomial closed form of unit words stays on ``Coeff``
+arithmetic, so it still referees ``Ring.reduce``.
 """
 from __future__ import annotations
 
@@ -52,11 +53,15 @@ def check_variable_name(v: str) -> None:
 
 
 def variable_names(names) -> tuple[str, ...]:
-    """``names`` as a tuple, refusing a bare string, whose letters would
-    read as the names."""
-    if isinstance(names, str):
+    """``names`` as a tuple, each checked by ``check_variable_name``,
+    refusing a non-iterable and a bare string, whose letters would read as
+    the names."""
+    if isinstance(names, str) or not hasattr(names, "__iter__"):
         raise TypeError(f"variables must be a tuple of names, got {names!r}")
-    return tuple(names)
+    names = tuple(names)
+    for v in names:
+        check_variable_name(v)
+    return names
 
 
 @record
@@ -71,8 +76,6 @@ class Context:
         if self.lam.ring != self.ring:
             raise RingMismatchError("lambda must belong to the coefficient ring")
         object.__setattr__(self, "variables", variable_names(self.variables))
-        for v in self.variables:
-            check_variable_name(v)
         if len(set(self.variables)) != len(self.variables):
             raise ValueError("variable names must be distinct")
         # the raw value the kernels read, once per context; not a field, so
@@ -345,15 +348,17 @@ def degree_components(a: Element) -> dict[int, Element]:
 # product's dict, with no memo and no intermediate dict.  The form sums
 # over positions, not words; the last factor placed, s, alone before or
 # after each of a run of r factors s gives one word r + 1 times, which is
-# emitted once at weight r + 1.  Merges are emitted per position.  It
-# takes the other pairs whose shorter tail has at most INSERT_MAX factors,
-# which keeps the words it emits per pair at O(len^2) however few letters
-# the tails use, unless the longer tail is all units.
+# emitted once at weight r + 1.  Merges are emitted per position.  Unless
+# the longer tail is all units, it takes the other pairs whose shorter tail
+# has one factor, and those of at most INSERT_MAX factors that ``_place``
+# leaves, which keeps the words it emits per pair at O(len^2) however few
+# letters the tails use.
 #
-# ``_place`` takes the other pairs, unless the longer tail is all units or
-# both tails repeat one factor, when the table of their shape fits
-# TEMPLATE_MAX.  Tails of m >= n factors have D(m, n) mixable shuffles (a
-# Delannoy number), or C(m + n, n) at weight 0, whatever their factors are.
+# ``_place`` takes the other pairs whose shorter tail has two factors or
+# more, unless the longer tail is all units or both tails repeat one
+# factor, when the table of their shape fits TEMPLATE_MAX.  Tails of m >= n
+# factors have D(m, n) mixable shuffles (a Delannoy number), or C(m + n, n)
+# at weight 0, whatever their factors are.
 # The table of (m, n, lam != 0), built by ``_template`` when ``_table``
 # first meets the shape and cached (None past the cap), lists them as
 # ``operator.itemgetter`` maps into the tuple
@@ -362,8 +367,8 @@ def degree_components(a: Element) -> dict[int, Element]:
 # and one dict update at weight c lam^r, with no intermediate tuple or dict.
 # A repeated factor gives one word several times, and the updates sum it;
 # when both tails repeat one factor, every word at weight 0 is one word,
-# which ``_mix`` reaches with far fewer steps.  The cap bounds the tables:
-# 6 of them, 328 getters, when all are built.
+# which ``_insert`` or ``_mix`` reaches with far fewer steps.  The cap
+# bounds the tables: 20 of them, 835 getters, when all are built.
 #
 # ``_mix`` takes every other pair, by the memoized recursion on tails u, v:
 #   mix(u, v) = u0 (x) mix(u', v)  +  v0 (x) mix(u, v')  +  lam (u0 v0) (x) mix(u', v')
@@ -372,7 +377,7 @@ def degree_components(a: Element) -> dict[int, Element]:
 # the series, which the memo expands once where ``_insert`` would place
 # the short tail into each of them anew.
 
-INSERT_MAX = 2  # the most factors of a tail that ``_insert`` places
+INSERT_MAX = 2  # past the tables, the most factors of a tail ``_insert`` places
 # the most index entries of one table of ``_place``: its mixable shuffles
 # times m + n + 1.  Past it, a table of tails of two letters at weight 0
 # measured slower than ``_mix``, whose memo shares the words they repeat.
@@ -610,17 +615,19 @@ def shuffle_product(a: Element, b: Element, *, _cut: int | None = None) -> Eleme
             else:
                 long, short, m, n, long_units = tb, ta, nb, na, ub
             if not long_units:
+                if n > 1:
+                    try:
+                        table = _TEMPLATES[m, n, merging]
+                    except KeyError:
+                        table = _table(m, n, merging)
+                    # two tails of one factor repeated make one word at weight
+                    # 0, which ``_insert`` or the memo of ``_mix`` reaches in
+                    # far fewer steps
+                    if table is not None and (long + short).count(long[0]) < m + n:
+                        _place(acc, head, long, short, c, lam_raw, table)
+                        continue
                 if n <= INSERT_MAX:
                     _insert(acc, head, long, short, c, lam_raw)
-                    continue
-                try:
-                    table = _TEMPLATES[m, n, merging]
-                except KeyError:
-                    table = _table(m, n, merging)
-                # two tails of one factor repeated make one word at weight 0,
-                # which the memo of ``_mix`` reaches in O(m n) steps
-                if table is not None and (long + short).count(long[0]) < m + n:
-                    _place(acc, head, long, short, c, lam_raw, table)
                     continue
             for tail, weight in _mix(ta, tb, lam_raw, memo).items():
                 w = head + tail

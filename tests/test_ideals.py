@@ -111,6 +111,22 @@ class TestIdealSpec:
         assert str(err.value) == "variables must be a tuple of names, got 'xy'"
         assert variable_ideal("xy").names == ("xy",)
 
+    def test_generators_are_checked_when_the_ideal_is_built(self):
+        with pytest.raises(TypeError) as err:
+            IdealSpec("vars", None)
+        assert str(err.value) == "variables must be a tuple of names, got None"
+        with pytest.raises(ValueError, match="invalid variable name '1y'"):
+            variable_ideal("1y")
+        with pytest.raises(ValueError, match="'lam' is a reserved word"):
+            variable_ideal("x", "lam")
+        # a repeated generator adds nothing to the ideal, and stays accepted
+        assert variable_ideal("x", "x").names == ("x", "x")
+
+    def test_context_variables_that_are_not_iterable_are_named(self):
+        with pytest.raises(TypeError) as err:
+            Context(INT, INT.coeff(1), None)
+        assert str(err.value) == "variables must be a tuple of names, got None"
+
 
 class TestIdealClosure:
     def test_closed_under_products_and_P(self):
@@ -217,3 +233,6 @@ class TestVariableReduction:
             reduce_vars(a, "xy")
         assert str(err.value) == "variables must be a tuple of names, got 'xy'"
         assert reduce_vars(a, ("xy",)) == reduce_vars(tensor_word(ctx, x, y), ("xy",))
+        with pytest.raises(TypeError) as err:
+            reduce_vars(a, 5)
+        assert str(err.value) == "variables must be a tuple of names, got 5"

@@ -302,22 +302,34 @@ class TestKernelRoutes:
     """The pairs of all-unit tails behind one pair of heads are summed at
     once by ``_unit_rows``, the closed form read by Pascal's rule.  Of the
     other pairs, unless the longer tail is all units: one whose shorter
-    tail has at most INSERT_MAX factors is inserted straight into the
-    product; one with a longer shorter tail is arranged by ``_place`` from
-    the cached table of its shape when that fits TEMPLATE_MAX, unless both
-    tails repeat one factor.  Every other pair enters the memoized
-    ``_mix``."""
+    tail has one factor is inserted straight into the product; one with a
+    longer shorter tail is arranged by ``_place`` from the cached table of
+    its shape when that fits TEMPLATE_MAX, unless both tails repeat one
+    factor, and is otherwise inserted too when its shorter tail has at most
+    INSERT_MAX factors.  Every other pair enters the memoized ``_mix``."""
 
     def test_short_tail_is_inserted(self, monkeypatch):
+        # a tail of one factor is inserted, whatever the length of the other
+        routes = count_routes(monkeypatch)
+        ctx = Context(RAT, RAT.coeff(2), ("x", "y"))
+        x, y = Monomial.of(x=1), Monomial.of(y=1)
+        for long_word in (tensor_word(ctx, UNIT_MONOMIAL, x, y, UNIT_MONOMIAL, x), tensor_word(ctx, *[y, x] * 6)):
+            for short in (tensor_word(ctx, y, x), tensor_word(ctx, x, UNIT_MONOMIAL), tensor_word(ctx, x, y)):
+                assert shuffle_product(long_word, short) == shuffle_product_enumerated(long_word, short)
+                assert shuffle_product(short, long_word) == shuffle_product_enumerated(short, long_word)
+                assert routes_taken(routes) == {"_insert"}
+
+    def test_two_factor_tail_with_a_table_is_placed(self, monkeypatch):
+        # tails of 4 and 2 factors: D(4, 2) = 41 shuffles, a table fits at weight 2
         routes = count_routes(monkeypatch)
         ctx = Context(RAT, RAT.coeff(2), ("x", "y"))
         x, y = Monomial.of(x=1), Monomial.of(y=1)
         long_word = tensor_word(ctx, UNIT_MONOMIAL, x, y, UNIT_MONOMIAL, x)
-        for short in (tensor_word(ctx, y, x), tensor_word(ctx, x, UNIT_MONOMIAL, UNIT_MONOMIAL),
-                      tensor_word(ctx, x, y)):
+        for short in (tensor_word(ctx, x, UNIT_MONOMIAL, UNIT_MONOMIAL), tensor_word(ctx, y, x, y),
+                      tensor_word(ctx, x, y, y)):
             assert shuffle_product(long_word, short) == shuffle_product_enumerated(long_word, short)
             assert shuffle_product(short, long_word) == shuffle_product_enumerated(short, long_word)
-            assert routes_taken(routes) == {"_insert"}
+            assert routes_taken(routes) == {"_place"}
 
     def test_long_tails_and_repeated_factors_enter_mix(self, monkeypatch):
         routes = count_routes(monkeypatch)
@@ -440,8 +452,8 @@ def fits(m, n, merging):
 
 def table_shapes(merging):
     """The shapes (m, n), m >= n, of the pairs of tails that ``_place``
-    takes: a shorter tail too long for ``_insert``, and a table that fits."""
-    shapes = [(m, n) for n in range(shuffle_module.INSERT_MAX + 1, 6) for m in range(n, 12) if fits(m, n, merging)]
+    takes: a shorter tail of two factors or more, and a table that fits."""
+    shapes = [(m, n) for n in range(2, 6) for m in range(n, 12) if fits(m, n, merging)]
     assert shapes
     return shapes
 
@@ -506,17 +518,20 @@ class TestTemplateRoute:
                         want[len(merges)][(head, *slots)] += 1
                 assert got == want, (m, n)
 
-    @pytest.mark.parametrize("ring, lam, n", [(INT, 0, 3), (INT, 0, 4), (RAT, 2, 3)],
-                             ids=["weight-0-short-3", "weight-0-short-4", "weight-2-short-3"])
+    @pytest.mark.parametrize("ring, lam, n", [(INT, 0, 2), (INT, 0, 3), (INT, 0, 4), (RAT, 2, 2), (RAT, 2, 3)],
+                             ids=["weight-0-short-2", "weight-0-short-3", "weight-0-short-4",
+                                  "weight-2-short-2", "weight-2-short-3"])
     def test_the_shapes_either_side_of_the_cap(self, ring, lam, n, monkeypatch):
         routes = count_routes(monkeypatch)
         ctx = Context(ring, ring.coeff(lam), ("x", "y"))
-        assert n > shuffle_module.INSERT_MAX and fits(n, n, bool(lam))
+        assert n >= 2 and fits(n, n, bool(lam))
         m = n
         while fits(m + 1, n, bool(lam)):
             m += 1
-        # the largest longer tail that fits, and one factor more
-        for long, route in ((m, "_place"), (m + 1, "_mix")):
+        # the largest longer tail that fits, and one factor more, where a
+        # shorter tail that ``_insert`` places still skips the recursion
+        past = "_insert" if n <= shuffle_module.INSERT_MAX else "_mix"
+        for long, route in ((m, "_place"), (m + 1, past)):
             a = element(ctx, {letter_word(long + 1): 3})
             b = element(ctx, {letter_word(n + 1, start=2): -2})
             assert shuffle_product(a, b) == shuffle_product_enumerated(a, b)
@@ -533,6 +548,37 @@ class TestTemplateRoute:
             a, b = tensor_word(ctx, y, x, x, x), tensor_word(ctx, x, *tail)
             assert shuffle_product(a, b) == shuffle_product_enumerated(a, b)
             assert routes_taken(routes) == {route}, tail
+
+    @pytest.mark.parametrize("ring, lam", BAXTER_IDENTITY_CONFIGS + ((Zmod(4), 2),), ids=str)
+    def test_a_repeated_factor_against_two_factors_matches_the_oracle(self, ring, lam, monkeypatch):
+        # a tail of m factors x against a two-factor tail that holds x: the
+        # table's repeated words up to the cap, ``_insert``'s runs past it
+        routes = count_routes(monkeypatch)
+        ctx = Context(ring, ring.coeff(lam), ("x", "y"))
+        x, y = Monomial.of(x=1), Monomial.of(y=1)
+        for m in range(2, 12):
+            a = element(ctx, {(x,) * (m + 1): 3})
+            for tail in ((y, x), (UNIT_MONOMIAL, x), (x, y)):
+                b = element(ctx, {(y, *tail): -2})
+                assert shuffle_product(a, b) == shuffle_product_enumerated(a, b), (m, tail)
+                assert shuffle_product(b, a) == shuffle_product_enumerated(b, a), (m, tail)
+        assert routes_taken(routes) == {"_place", "_insert"}
+
+    def test_the_cap_bounds_the_tables(self, monkeypatch):
+        # every table under the cap whose shorter tail has two factors or
+        # more, at both weights: the count that the route comment states
+        monkeypatch.setattr(shuffle_module, "_TEMPLATES", {})
+        table = shuffle_module._table
+        for merging in (False, True):
+            n = 2
+            while table(n, n, merging) is not None:
+                m = n + 1
+                while table(m, n, merging) is not None:
+                    m += 1
+                n += 1
+        tables = [t for t in shuffle_module._TEMPLATES.values() if t is not None]
+        assert len(tables) == 20
+        assert sum(len(getters) for t in tables for getters in t) == 835
 
     def test_the_tables_share_no_code_with_the_oracle(self, monkeypatch):
         ctx2, ctx0 = Context(RAT, RAT.coeff(2), ("x", "y")), Context(Zmod(9), Zmod(9).zero(), ("x", "y"))
